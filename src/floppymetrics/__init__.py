@@ -12,7 +12,6 @@ from .core import (
     lower_envelope,
     minimal_floppy_extension,
     pair,
-    rational_str,
     shortest_chain,
     shortest_path,
     validate,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import serialize
-from .core import Doubleton, as_rational, doubleton_dist, is_floppy, lower_envelope, rational_str, shortest_path, validate
+from .core import Doubleton, as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
 from .errors import MalformedInputError, MetricError
 from .extension import full_extend, one_step_extend, verify_step_properties
 from .game import adversary_player_two, play, winning_player_one
@@ -49,7 +49,7 @@ def _cmd_query(args):
         value = lower_envelope(m, args.check[0], args.check[1])
     else:
         value = doubleton_dist(m, _parse_pair(args.ddot[0]), _parse_pair(args.ddot[1]))
-    _emit({"value": rational_str(value)})
+    _emit({"value": str(value)})
     return 0
 
 
@@ -116,7 +116,7 @@ def _cmd_glue(args):
     if args.cert:
         _emit(floppy_certificate(pw).to_json())
     elif args.hat:
-        _emit({"value": rational_str(glue_hat(pw, args.hat[0], args.hat[1]))})
+        _emit({"value": str(glue_hat(pw, args.hat[0], args.hat[1]))})
     elif args.check_only:
         _emit(validate_patchwork(pw).to_json())
     else:

@@ -46,10 +46,6 @@ def as_rational(value) -> Fraction:
     raise MalformedInputError(f"not a rational: {value!r} (floats are rejected)")
 
 
-def rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True, order=True)
 class Doubleton:
     """Unordered pair of distinct vertex labels, stored in sorted order."""
@@ -367,7 +363,7 @@ class FloppyReport:
         out = {"floppy": self.floppy}
         if self.worst_pair is not None:
             out["worst_pair"] = [self.worst_pair.a, self.worst_pair.b]
-            out["gap"] = rational_str(self.gap)
+            out["gap"] = str(self.gap)
         return out
 
 

@@ -23,7 +23,6 @@ from .core import (
     as_rational,
     is_floppy,
     lower_envelope,
-    rational_str,
     shortest_path,
     validate,
 )
@@ -46,8 +45,6 @@ class AdmissibleInterval:
 
     lo: Fraction
     hi: Fraction
-    closed_lo: bool = True
-    open_hi: bool = True
 
     def contains(self, r: Fraction) -> bool:
         return self.lo <= r < self.hi
@@ -57,7 +54,7 @@ class AdmissibleInterval:
         return (self.lo + self.hi) / 2
 
     def to_json(self):
-        return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}
+        return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
 def _require_floppy(m: PartialMetric):
@@ -71,6 +68,7 @@ def _require_floppy(m: PartialMetric):
 
 
 def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
+    """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed."""
     h = shortest_path(m, xy.a, xy.b)
     c = lower_envelope(m, xy.a, xy.b)
     return AdmissibleInterval(c / 3 + 2 * h / 3, h)
@@ -101,15 +99,16 @@ def one_step_extend(
     if not assume_floppy:
         _require_floppy(m)
     r = as_rational(r)
-    h = shortest_path(m, xy.a, xy.b)
-    c = lower_envelope(m, xy.a, xy.b)
     if mode == THEOREM:
-        lo = c / 3 + 2 * h / 3
+        interval = _interval(m, xy)
+        lo, h = interval.lo, interval.hi
         if r < lo:
             raise ROutOfRangeError(f"r={r} below admissible lower bound {lo}", bound="lo", lo=lo, hi=h)
         if r >= h:
             raise ROutOfRangeError(f"r={r} not below admissible upper bound {h}", bound="hi", lo=lo, hi=h)
     else:
+        h = shortest_path(m, xy.a, xy.b)
+        c = lower_envelope(m, xy.a, xy.b)
         if r < c:
             raise ROutOfRangeError(f"r={r} below lower envelope {c}", bound="lo", lo=c, hi=h)
         if r > h:
@@ -152,7 +151,7 @@ class StepPropertyReport:
     def to_json(self):
         return {
             "pair": [self.pair.a, self.pair.b],
-            "r": rational_str(self.r),
+            "r": str(self.r),
             "ok": self.ok,
             "statements": {
                 str(k): {
@@ -174,7 +173,8 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
     r = as_rational(r)
-    h_xy = shortest_path(m, xy.a, xy.b)
+    interval = _interval(m, xy)
+    h_xy = interval.hi
     c_xy = lower_envelope(m, xy.a, xy.b)
     if r < c_xy or r > h_xy:
         raise ROutOfRangeError(
@@ -183,7 +183,7 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     extended = m.with_edge(xy, r)
     t_old = m._table()
     t_new = extended._table()
-    strong_lower = c_xy / 3 + 2 * h_xy / 3 <= r  # statement (5) hypothesis
+    strong_lower = interval.lo <= r  # statement (5) hypothesis
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
     verts = sorted(m.vertices)
@@ -236,7 +236,7 @@ class ExtensionStep:
         return {
             "pair": [self.pair.a, self.pair.b],
             "interval": self.interval.to_json(),
-            "value": rational_str(self.value),
+            "value": str(self.value),
         }
 
 

@@ -1,8 +1,10 @@
 """The metric-extending game with algorithmic players (finite length only).
 
 Player I names a vertex pair and a choice set; Player II answers with a value
-from the set.  After a fixed finite number of innings the referee inspects the
-accumulated relation: Player I wins exactly when it is a full metric.
+from the set.  After a fixed finite number of innings the referee builds the
+accumulated relation once and validates it once: Player I wins exactly when it
+is a full metric.  The referee keeps no running metric; only the winning
+strategy does, to compute its offers.
 
 Provided players:
 
@@ -29,9 +31,6 @@ from .core import (
     PartialMetric,
     as_rational,
     doubleton_dist,
-    is_floppy,
-    lower_envelope,
-    rational_str,
     shortest_chain,
     shortest_path,
     validate,
@@ -40,9 +39,9 @@ from .errors import (
     MalformedInputError,
     MetricError,
     MissingChoiceSetError,
-    NotFloppyError,
     NotGraphMetricError,
 )
+from .extension import _interval, _require_floppy
 
 PLAYER_I_WINS = "PLAYER_I_WINS"
 PLAYER_II_WINS = "PLAYER_II_WINS"
@@ -134,8 +133,8 @@ class ChoiceSet:
 
     def to_json(self):
         return {
-            "points": [rational_str(p) for p in sorted(self.points)],
-            "intervals": [[rational_str(lo), None if hi is None else rational_str(hi)] for lo, hi in self.intervals],
+            "points": [str(p) for p in sorted(self.points)],
+            "intervals": [[str(lo), None if hi is None else str(hi)] for lo, hi in self.intervals],
         }
 
 
@@ -149,7 +148,7 @@ class Move:
         return {
             "pair": [self.pair.a, self.pair.b],
             "offered": self.offered.to_json(),
-            "answer": rational_str(self.answer),
+            "answer": str(self.answer),
         }
 
 
@@ -164,7 +163,7 @@ class GameReason:
 
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return rational_str(v)
+        return str(v)
     if isinstance(v, Doubleton):
         return [v.a, v.b]
     if isinstance(v, (list, tuple)):
@@ -203,21 +202,19 @@ class PlayerIIStrategy:
 
 
 def accumulate(base: PartialMetric, moves):
-    """Relation base-union-moves as a metric, or (None, pair) on conflicting values."""
-    current = base
+    """Relation base-union-moves as one metric, or (None, pair) on conflicting values.
+
+    The relation is built in one piece; its distance table is computed only
+    when it is first queried (``play`` validates it once).
+    """
     assigned = dict(base.edges)
     for mv in moves:
-        if mv.pair in assigned:
-            if assigned[mv.pair] != mv.answer:
-                return None, mv.pair
-            continue
-        assigned[mv.pair] = mv.answer
-        current = current.with_edge(mv.pair, mv.answer)
-    return current, None
+        if assigned.setdefault(mv.pair, mv.answer) != mv.answer:
+            return None, mv.pair
+    return PartialMetric(base.vertices, assigned), None
 
 
-def _loss_witness(relation: PartialMetric) -> GameReason:
-    rep = validate(relation)
+def _loss_witness(relation: PartialMetric, rep) -> GameReason:
     if not rep.full:
         missing = relation.non_edges()[0]
         return GameReason("MISSING_PAIR", {"pair": missing})
@@ -236,7 +233,11 @@ def _loss_witness(relation: PartialMetric) -> GameReason:
 
 
 def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, player_two: PlayerIIStrategy) -> GameTranscript:
-    """Referee a finite game and return the full transcript with verdict."""
+    """Referee a finite game and return the full transcript with verdict.
+
+    Moves are only checked against their offered sets while the game runs;
+    the accumulated relation is validated once, after the last inning.
+    """
     rep = validate(base)
     if not (rep.connected and rep.graph_metric):
         raise NotGraphMetricError("game base must be a graph metric")
@@ -266,45 +267,39 @@ def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, pla
     rep = validate(relation)
     if rep.full and rep.graph_metric and rep.connected:
         return GameTranscript(base, moves, PLAYER_I_WINS, GameReason("FULL_METRIC", {}))
-    return GameTranscript(base, moves, PLAYER_II_WINS, _loss_witness(relation))
+    return GameTranscript(base, moves, PLAYER_II_WINS, _loss_witness(relation, rep))
 
 
 class WinningFirstPlayer(PlayerIStrategy):
     """Walks the missing pairs in a fixed order, offering the open floppiness
     interval against the running metric.  Wins every game whose length equals
-    the number of missing pairs."""
+    the number of missing pairs.
+
+    The strategy is the only holder of a running metric: each call folds in
+    the history moves it has not yet seen, and a history shorter than the
+    last one means a new game, so the metric restarts from the base.
+    """
 
     def __init__(self, base: PartialMetric):
-        rep = is_floppy(base)
-        if not rep.floppy:
-            raise NotFloppyError(f"base is not floppy: pair {rep.worst_pair} has gap {rep.gap}")
+        _require_floppy(base)
         self._missing = sorted(base.non_edges())
-        self._cache_len = 0
-        self._cache_metric = base
         self._base = base
-
-    def _current(self, base, history):
-        # incremental rebuild: histories grow by one inning within a game and
-        # reset to empty between games
-        if len(history) == self._cache_len + 1:
-            mv = history[-1]
-            if not self._cache_metric.is_edge(mv.pair):
-                self._cache_metric = self._cache_metric.with_edge(mv.pair, mv.answer)
-            self._cache_len += 1
-        elif len(history) != self._cache_len:
-            metric, conflict = accumulate(base, history)
-            self._cache_metric = metric if metric is not None else base
-            self._cache_len = len(history)
-        return self._cache_metric
+        self._running = base
+        self._seen = 0
 
     def propose(self, base, history):
-        current = self._current(base, history)
+        if len(history) < self._seen:  # a new game has started
+            self._running, self._seen = self._base, 0
+        for mv in history[self._seen :]:
+            if not self._running.is_edge(mv.pair):
+                self._running = self._running.with_edge(mv.pair, mv.answer)
+        self._seen = len(history)
+        current = self._running
         k = len(history)
         if k < len(self._missing):
             d = self._missing[k]
-            h = shortest_path(current, d.a, d.b)
-            c = lower_envelope(current, d.a, d.b)
-            return d, ChoiceSet.open_interval(c / 3 + 2 * h / 3, h)
+            interval = _interval(current, d)
+            return d, ChoiceSet.open_interval(interval.lo, interval.hi)
         # everything already assigned: burn the inning on a settled pair
         if current.edges:
             d = min(current.edges)
@@ -321,9 +316,6 @@ class AdversarySecondPlayer(PlayerIIStrategy):
     from some earlier answer exceeds the pair pseudometric between the two
     doubletons; then takes that value."""
 
-    def __init__(self, choice_sets=None):
-        self.choice_sets = choice_sets  # informational; answers come from the offered set
-
     def respond(self, base, history, pair, offered):
         for mv in history:
             if mv.pair == pair:
@@ -335,8 +327,8 @@ class AdversarySecondPlayer(PlayerIIStrategy):
         return offered.least_element()
 
 
-def adversary_player_two(choice_sets=None) -> AdversarySecondPlayer:
-    return AdversarySecondPlayer(choice_sets)
+def adversary_player_two() -> AdversarySecondPlayer:
+    return AdversarySecondPlayer()
 
 
 class RandomSecondPlayer(PlayerIIStrategy):
@@ -407,9 +399,9 @@ class SabotagePlan:
         return {
             "p": [self.p.a, self.p.b],
             "q": [self.q.a, self.q.b],
-            "r_p": rational_str(self.r_p),
-            "r_q": rational_str(self.r_q),
-            "separation": rational_str(self.separation),
+            "r_p": str(self.r_p),
+            "r_q": str(self.r_q),
+            "separation": str(self.separation),
         }
 
 

@@ -18,7 +18,6 @@ from .core import (
     PartialMetric,
     is_floppy,
     lower_envelope,
-    rational_str,
     shortest_path,
     validate,
 )
@@ -114,14 +113,23 @@ def validate_patchwork(pw: Patchwork) -> PatchworkReport:
     return PatchworkReport(base_ok, pieces_ok, gw_nonempty, gw_agree, inter_ok, witnesses)
 
 
-def glue(pw: Patchwork) -> PartialMetric:
-    """Union of the base and all pieces (overlapping weights must coincide)."""
+def _require_valid(pw: Patchwork) -> PatchworkReport:
     report = validate_patchwork(pw)
     if not report.ok:
         raise MalformedInputError("invalid patchwork: " + "; ".join(report.witnesses))
+    return report
+
+
+def glue(pw: Patchwork) -> PartialMetric:
+    """Union of the base and all pieces (overlapping weights must coincide)."""
+    _require_valid(pw)
+    return _union(pw)
+
+
+def _union(pw: Patchwork) -> PartialMetric:
     vertices = set(pw.base.vertices)
     edges = dict(pw.base.edges)
-    for i, piece in enumerate(pw.pieces):
+    for piece in pw.pieces:
         vertices |= piece.vertices
         for d, w in piece.edges.items():
             if d in edges and edges[d] != w:
@@ -205,8 +213,8 @@ class GapBound:
     def to_json(self):
         return {
             "pair": [self.pair.a, self.pair.b],
-            "delta": rational_str(self.delta),
-            "gap": rational_str(self.measured_gap),
+            "delta": str(self.delta),
+            "gap": str(self.measured_gap),
         }
 
 
@@ -239,15 +247,9 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     success the report carries, for every cross pair, the provable lower
     bound on its floppiness gap together with the measured gap.
     """
-    report = validate_patchwork(pw)
-    if not report.ok:
-        raise MalformedInputError("invalid patchwork: " + "; ".join(report.witnesses))
-    base_rep = validate(pw.base)
-    base_full = base_rep.full and base_rep.graph_pseudometric
-    pieces_floppy = []
-    for piece in pw.pieces:
-        pieces_floppy.append(is_floppy(piece, require_metric=False).floppy)
-    glued = glue(pw)
+    base_full = _require_valid(pw).base_full_pseudometric
+    pieces_floppy = [is_floppy(piece, require_metric=False).floppy for piece in pw.pieces]
+    glued = _union(pw)
     slack_failures = []
     piece_slacks = []  # per piece: dict vertex -> slack against that piece's gateways
     for i, piece in enumerate(pw.pieces):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Doubleton, PartialMetric, as_rational, rational_str
+from .core import Doubleton, PartialMetric, as_rational
 from .errors import MalformedInputError
 from .game import ChoiceSet
 from .glue import Patchwork
@@ -22,7 +22,7 @@ def metric_to_doc(m: PartialMetric) -> dict:
     return {
         "vertices": sorted(m.vertices),
         "edges": [
-            {"u": d.a, "v": d.b, "w": rational_str(w)}
+            {"u": d.a, "v": d.b, "w": str(w)}
             for d, w in sorted(m.edges.items())
         ],
     }
@@ -103,6 +103,6 @@ def metric_to_dot(m: PartialMetric) -> str:
     for v in sorted(m.vertices):
         lines.append(f'  "{v}";')
     for d, w in sorted(m.edges.items()):
-        lines.append(f'  "{d.a}" -- "{d.b}" [label="{rational_str(w)}"];')
+        lines.append(f'  "{d.a}" -- "{d.b}" [label="{w}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -155,6 +155,14 @@ class TestGame:
         code, doc = run(capsys, "game", "play", "--p2", "psychic", h_file)
         assert code == 2
 
+    def test_non_floppy_base_names_worst_pair(self, capsys, collinear_witness, tmp_path):
+        path = tmp_path / "forced.json"
+        dump_metric(collinear_witness, path)
+        code, doc = run(capsys, "game", "play", str(path))
+        assert code == 1
+        assert doc["error"] == "NOT_FLOPPY"
+        assert doc["details"] == {"pair": "{a,c}", "gap": "0"}
+
 
 class TestGlue:
     def test_glued_metric(self, capsys, pw_file):

@@ -169,6 +169,25 @@ class TestWinningStrategy:
             t = play(h_graph, 3, p1, RandomSecondPlayer(seed))
             assert t.verdict == PLAYER_I_WINS
 
+    def test_strategy_restarts_after_aborted_game(self):
+        class CheatOnSecondInning(PlayerIIStrategy):
+            def respond(self, base, history, pair, offered):
+                if history:
+                    return Fraction(10**6)
+                return offered.least_element()
+
+        base = cantor_tree(2)
+        length = len(base.non_edges())
+        p1 = winning_player_one(base)
+        aborted = play(base, length, p1, CheatOnSecondInning())
+        assert aborted.reason.kind == "ILLEGAL_MOVE_II"
+        assert len(aborted.moves) == 2
+
+        reused = play(base, length, p1, ProbeSecondPlayer("high"))
+        fresh = play(base, length, winning_player_one(base), ProbeSecondPlayer("high"))
+        assert reused.verdict == PLAYER_I_WINS
+        assert [mv.offered for mv in reused.moves] == [mv.offered for mv in fresh.moves]
+
 
 class TestSabotage:
     def test_wide_set_triggers_witness(self, path_abcd):
