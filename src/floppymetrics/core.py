@@ -11,6 +11,15 @@ a graph over labeled vertices.  From it we derive
 All arithmetic is exact (``fractions.Fraction``); no floats enter the core
 path.  Verdicts like floppiness hinge on strict inequalities, so rounding is
 never acceptable.
+
+One kernel serves all three.  Each metric caches an n x n list table of
+Fractions over its sorted vertex index.  Floyd-Warshall builds it on integers
+scaled by the LCM of the weight denominators and converts once at the end;
+``with_edge`` copies derive theirs by an O(n^2) relaxation through the new
+edge.  Envelopes come from per-vertex max-plus rows
+``R_x[b] = max over edges ab of w(ab) - hat(x, a)`` (O(|E|) each, cached), so
+``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` costs O(n) per pair and
+checking every non-edge costs O(n|E| + n^3).
 """
 
 from __future__ import annotations
@@ -30,10 +39,17 @@ from .errors import (
 )
 
 INF = math.inf  # unreachable sentinel inside distance tables; never serialized
+_ZERO = Fraction(0)
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, rational strings like "3/2", and Fractions to Fraction."""
+    """Coerce ints, rational strings like "3/2", and Fractions to Fraction.
+
+    Floats and bools are rejected (bool is an int subclass, so a JSON ``true``
+    would otherwise load as weight 1).
+    """
+    if isinstance(value, bool):
+        raise MalformedInputError(f"not a rational: {value!r} (booleans are rejected)")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -84,11 +100,14 @@ class PartialMetric:
 
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Instances are
-    immutable; derived tables are cached lazily and shared by value-preserving
-    copies.
+    immutable.  Derived data is built lazily and cached on the instance: the
+    vertex index (sorted labels to 0..n-1), the n x n distance table of exact
+    Fractions (``INF`` between components), and one max-plus envelope row per
+    vertex.  ``with_edge`` copies share the vertex index and derive their
+    table from the parent's by relaxation.
     """
 
-    __slots__ = ("_vertices", "_edges", "_hat", "_envelope_memo")
+    __slots__ = ("_vertices", "_edges", "_index", "_dist", "_rows")
 
     def __init__(self, vertices, edges):
         vset = frozenset(vertices)
@@ -105,8 +124,9 @@ class PartialMetric:
             emap[d] = w
         self._vertices = vset
         self._edges = emap
-        self._hat = None
-        self._envelope_memo = {}
+        self._index = None
+        self._dist = None
+        self._rows = None
 
     @property
     def vertices(self) -> frozenset:
@@ -154,70 +174,115 @@ class PartialMetric:
         out._vertices = self._vertices
         out._edges = dict(self._edges)
         out._edges[d] = w
-        out._hat = None
-        out._envelope_memo = {}
+        out._index = self._index
+        out._dist = None
+        out._rows = None
         if w < 0:
             raise MalformedInputError(f"edge {d} has negative weight {w}")
         if d.a not in self._vertices or d.b not in self._vertices:
             raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
-        if self._hat is not None and d not in self._edges:
-            out._hat = _relax_through(self._hat, self._vertices, d, w)
+        if self._dist is not None and d not in self._edges:
+            out._dist = _relax_through(self._dist, self._index[d.a], self._index[d.b], w)
         return out
 
     def _table(self):
-        if self._hat is None:
-            self._hat = _all_pairs_shortest(self)
-        return self._hat
+        """The n x n distance table, indexed through ``self._index``."""
+        if self._dist is None:
+            if self._index is None:
+                self._index = {v: i for i, v in enumerate(sorted(self._vertices))}
+            self._dist = _all_pairs_shortest(self._index, self._edges)
+        return self._dist
 
 
-def _all_pairs_shortest(m: PartialMetric):
-    """Floyd-Warshall over the vertex list; exact, deterministic."""
-    verts = sorted(m.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    zero = Fraction(0)
-    dist = [[zero if i == j else INF for j in range(n)] for i in range(n)]
-    for d, w in m.edges.items():
-        i, j = idx[d.a], idx[d.b]
-        if w < dist[i][j]:
-            dist[i][j] = dist[j][i] = w
+def _all_pairs_shortest(index, edges):
+    """Floyd-Warshall on integers scaled by the LCM of the weight denominators.
+
+    Exact: every chain weight times the LCM is an integer.  Entries are
+    converted to Fractions (``INF`` for unreachable pairs) once at the end.
+    """
+    n = len(index)
+    scale = math.lcm(*(w.denominator for w in edges.values())) if edges else 1
+    big = 1 + sum(w.numerator * (scale // w.denominator) for w in edges.values())
+    dist = [[big] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for d, w in edges.items():
+        i, j = index[d.a], index[d.b]
+        s = w.numerator * (scale // w.denominator)
+        if s < dist[i][j]:
+            dist[i][j] = dist[j][i] = s
     for k in range(n):
         dk = dist[k]
         for i in range(n):
-            dik = dist[i][k]
-            if dik is INF:
-                continue
             di = dist[i]
+            dik = di[k]
+            if dik == big:
+                continue
             for j in range(n):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    table = {}
-    for i, u in enumerate(verts):
-        row = dist[i]
-        for j, v in enumerate(verts):
-            table[(u, v)] = row[j]
-    return table
+    return [[INF if s == big else Fraction(s, scale) for s in row] for row in dist]
 
 
-def _relax_through(table, vertices, d: Doubleton, w: Fraction):
-    """Distance table after inserting edge ``d`` with weight ``w``."""
-    x, y = d.a, d.b
-    out = dict(table)
-    verts = sorted(vertices)
-    for u in verts:
-        ux = table[(u, x)]
-        uy = table[(u, y)]
-        for v in verts:
-            cur = out[(u, v)]
-            alt = ux + w + table[(y, v)]
-            if alt < cur:
-                cur = alt
-            alt = uy + w + table[(x, v)]
-            if alt < cur:
-                cur = alt
-            out[(u, v)] = cur
+def _relax_through(dist, i: int, j: int, w: Fraction):
+    """Distance table after inserting edge ``ij`` with weight ``w``.
+
+    A row whose distances to i and j already satisfy the triangle inequality
+    through the new edge cannot improve anywhere, so it is shared unchanged.
+    """
+    di, dj = dist[i], dist[j]
+    out = []
+    for row in dist:
+        via_i = row[i] + w  # row's vertex -> i -> j -> v
+        via_j = row[j] + w  # row's vertex -> j -> i -> v
+        use_i = via_i < row[j]
+        use_j = via_j < row[i]
+        if not (use_i or use_j):
+            out.append(row)
+            continue
+        new = list(row)
+        for v, cur in enumerate(row):
+            if use_i:
+                alt = via_i + dj[v]
+                if alt < cur:
+                    cur = alt
+            if use_j:
+                alt = via_j + di[v]
+                if alt < cur:
+                    cur = alt
+            new[v] = cur
+        out.append(new)
     return out
+
+
+def _envelope_row(m: PartialMetric, x: int):
+    """Max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``.
+
+    Both orientations of every edge count; ``None`` marks a vertex b that no
+    edge reachable from x ends at.  Cached on the metric.
+    """
+    rows = m._rows
+    if rows is None:
+        rows = m._rows = [None] * len(m._vertices)
+    row = rows[x]
+    if row is None:
+        dx = m._table()[x]
+        index = m._index
+        row = rows[x] = [None] * len(dx)
+        for d, w in m._edges.items():
+            a, b = index[d.a], index[d.b]
+            h = dx[a]
+            if h is not INF:
+                val = w - h
+                if row[b] is None or val > row[b]:
+                    row[b] = val
+            h = dx[b]
+            if h is not INF:
+                val = w - h
+                if row[a] is None or val > row[a]:
+                    row[a] = val
+    return row
 
 
 def _require_vertex(m: PartialMetric, v: str):
@@ -225,12 +290,19 @@ def _require_vertex(m: PartialMetric, v: str):
         raise UnknownVertexError(f"unknown vertex {v!r}")
 
 
+def _entry(m: PartialMetric, x: str, y: str):
+    """Table entry for the vertex pair xy (``INF`` when disconnected)."""
+    t = m._table()
+    index = m._index
+    return t[index[x]][index[y]]
+
+
 def shortest_path(m: PartialMetric, x: str, y: str) -> Fraction:
     """Minimum chain weight between two vertices (the induced pseudometric)."""
     _require_vertex(m, x)
     _require_vertex(m, y)
-    val = m._table()[(x, y)]
-    if val == INF:
+    val = _entry(m, x, y)
+    if val is INF:
         raise DisconnectedError(f"no chain connects {x!r} and {y!r}")
     return val
 
@@ -269,11 +341,12 @@ def shortest_chain(m: PartialMetric, x: str, y: str):
 
 def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     """Distance between unordered pairs: the cheaper endpoint matching."""
-    t = m._table()
     for v in (p.a, p.b, q.a, q.b):
         _require_vertex(m, v)
-    straight = t[(p.a, q.a)] + t[(p.b, q.b)]
-    crossed = t[(p.a, q.b)] + t[(p.b, q.a)]
+    t = m._table()
+    pa, pb, qa, qb = (m._index[v] for v in (p.a, p.b, q.a, q.b))
+    straight = t[pa][qa] + t[pb][qb]
+    crossed = t[pa][qb] + t[pb][qa]
     val = straight if straight <= crossed else crossed
     if val == INF:
         raise DisconnectedError(f"pairs {p} and {q} span disconnected components")
@@ -284,25 +357,21 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     """Largest lower bound that every extension must respect at the pair xy.
 
     Max over edges ab of weight(ab) - doubleton_dist(ab, xy), clamped at 0.
+    Splitting the doubleton distance into its two orientations gives the
+    max-plus form ``max over b of R_x[b] - hat(b, y)`` with the cached row
+    R_x of ``_envelope_row``, so each pair costs O(n) once its row exists.
     """
     _require_vertex(m, x)
     _require_vertex(m, y)
     if x == y:
-        return Fraction(0)
-    key = (x, y) if x < y else (y, x)
-    memo = m._envelope_memo
-    if key in memo:
-        return memo[key]
+        return _ZERO
     t = m._table()
-    best = Fraction(0)
-    for d, w in m.edges.items():
-        straight = t[(d.a, x)] + t[(d.b, y)]
-        crossed = t[(d.a, y)] + t[(d.b, x)]
-        dd = straight if straight <= crossed else crossed
-        val = w - dd
-        if val > best:
-            best = val
-    memo[key] = best
+    best = _ZERO
+    for r, h in zip(_envelope_row(m, m._index[x]), t[m._index[y]]):
+        if r is not None and h is not INF:
+            val = r - h
+            if val > best:
+                best = val
     return best
 
 
@@ -329,10 +398,9 @@ def validate(m: PartialMetric) -> ValidationReport:
     equals the induced shortest-chain distance between its endpoints.
     """
     t = m._table()
-    verts = sorted(m.vertices)
-    n = len(verts)
-    connected = all(t[(verts[0], v)] != INF for v in verts[1:]) if n > 1 else True
-    pseudometric = all(t[(d.a, d.b)] == w for d, w in m.edges.items())
+    n = len(t)
+    connected = INF not in t[0]
+    pseudometric = all(_entry(m, d.a, d.b) == w for d, w in m.edges.items())
     metric = pseudometric and all(w > 0 for w in m.edges.values())
     full = len(m.edges) == n * (n - 1) // 2
     return ValidationReport(connected, pseudometric, metric, full)
@@ -375,11 +443,10 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
     glued-patchwork certificate).
     """
     _require_metric_grade(m, allow_pseudometric=not require_metric)
-    t = m._table()
     worst = None
     worst_gap = None
     for d in m.non_edges():
-        gap = t[(d.a, d.b)] - lower_envelope(m, d.a, d.b)
+        gap = _entry(m, d.a, d.b) - lower_envelope(m, d.a, d.b)
         if worst_gap is None or gap < worst_gap:
             worst, worst_gap = d, gap
     if worst is None:
@@ -397,10 +464,9 @@ def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
     current = m
     cap = len(m.vertices) ** 2
     for iteration in range(cap + 1):
-        t = current._table()
         forced = []
         for d in current.non_edges():
-            h = t[(d.a, d.b)]
+            h = _entry(current, d.a, d.b)
             if h > 0 and lower_envelope(current, d.a, d.b) == h:
                 forced.append((d, h))
         if not forced:

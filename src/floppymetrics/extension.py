@@ -21,6 +21,7 @@ from .core import (
     Doubleton,
     PartialMetric,
     as_rational,
+    doubleton_dist,
     is_floppy,
     lower_envelope,
     shortest_path,
@@ -181,8 +182,6 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
             f"r={r} outside [{c_xy}, {h_xy}]", bound="lo" if r < c_xy else "hi", lo=c_xy, hi=h_xy
         )
     extended = m.with_edge(xy, r)
-    t_old = m._table()
-    t_new = extended._table()
     strong_lower = interval.lo <= r  # statement (5) hypothesis
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
@@ -190,13 +189,11 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
             uv = Doubleton(u, v)
-            h_old = t_old[(u, v)]
-            h_new = t_new[(u, v)]
+            h_old = shortest_path(m, u, v)
+            h_new = shortest_path(extended, u, v)
             c_old = lower_envelope(m, u, v)
             c_new = lower_envelope(extended, u, v)
-            straight = t_old[(xy.a, u)] + t_old[(xy.b, v)]
-            crossed = t_old[(xy.a, v)] + t_old[(xy.b, u)]
-            dd = straight if straight <= crossed else crossed
+            dd = doubleton_dist(m, xy, uv)
 
             stmts[1].applicable += 1
             if not (h_new <= h_old and c_new >= max(c_old, r - dd)):

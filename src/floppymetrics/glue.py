@@ -270,20 +270,19 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
 
     glued_floppy = is_floppy(glued, require_metric=False).floppy
     bounds = []
-    table = glued._table()
     for i, piece in enumerate(pw.pieces):
         outside = sorted(piece.vertices - pw.base.vertices)
         # piece vertex vs base vertex not in the piece
         for x in outside:
             for y in sorted(pw.base.vertices - piece.vertices):
                 delta = min(piece_slacks[i][x], piece_slacks[i][y] / 2)
-                gap = table[(x, y)] - lower_envelope(glued, x, y)
+                gap = shortest_path(glued, x, y) - lower_envelope(glued, x, y)
                 bounds.append(GapBound(Doubleton(x, y), delta, gap))
         # piece vertex vs other-piece vertex
         for j in range(i + 1, len(pw.pieces)):
             for x in outside:
                 for y in sorted(pw.pieces[j].vertices - pw.base.vertices):
                     delta = min(piece_slacks[i][x], piece_slacks[j][y])
-                    gap = table[(x, y)] - lower_envelope(glued, x, y)
+                    gap = shortest_path(glued, x, y) - lower_envelope(glued, x, y)
                     bounds.append(GapBound(Doubleton(x, y), delta, gap))
     return CertReport(True, base_full, pieces_floppy, slack_failures, glued_floppy, bounds)

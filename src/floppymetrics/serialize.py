@@ -98,11 +98,16 @@ def dump_metric(m: PartialMetric, path):
         fh.write("\n")
 
 
+def _dot_id(label: str) -> str:
+    """Quoted DOT identifier; backslashes and double quotes are escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def metric_to_dot(m: PartialMetric) -> str:
     lines = ["graph metric {"]
     for v in sorted(m.vertices):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for d, w in sorted(m.edges.items()):
-        lines.append(f'  "{d.a}" -- "{d.b}" [label="{w}"];')
+        lines.append(f'  {_dot_id(d.a)} -- {_dot_id(d.b)} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines)

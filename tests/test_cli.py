@@ -55,6 +55,13 @@ class TestValidate:
         assert code == 2
         assert doc["error"] == "REJECT_MALFORMED"
 
+    def test_bool_weight_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": True}]}))
+        code, doc = run(capsys, "validate", str(path))
+        assert code == 2
+        assert doc["error"] == "REJECT_MALFORMED"
+
 
 class TestQuery:
     def test_hat(self, capsys, h_file):

@@ -7,6 +7,7 @@ import pytest
 from floppymetrics import (
     Doubleton,
     PartialMetric,
+    as_rational,
     doubleton_dist,
     is_floppy,
     lower_envelope,
@@ -52,6 +53,13 @@ class TestConstruction:
     def test_rejects_float_weight(self):
         with pytest.raises(MalformedInputError):
             PartialMetric(["a", "b"], {pair("a", "b"): 1.5})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_weight(self, value):
+        with pytest.raises(MalformedInputError):
+            as_rational(value)
+        with pytest.raises(MalformedInputError):
+            PartialMetric(["a", "b"], {pair("a", "b"): value})
 
     def test_single_vertex_is_full_and_floppy(self):
         m = PartialMetric(["a"], {})
@@ -252,8 +260,9 @@ class TestIncrementalTable:
             d = non_edges[rng.randrange(len(non_edges))]
             h = shortest_path(m, d.a, d.b)
             r = h * Fraction(rng.randrange(1, 8), 8)
-            fast = m.with_edge(d, r)  # derives the table by relaxation
+            fast = m.with_edge(d, r)  # m's table exists, so fast's is derived by relaxation
             slow = PartialMetric(m.vertices, {**dict(m.edges), d: r})
             for u in sorted(m.vertices):
                 for v in sorted(m.vertices):
-                    assert fast._table()[(u, v)] == slow._table()[(u, v)]
+                    assert shortest_path(fast, u, v) == shortest_path(slow, u, v), (seed, u, v)
+                    assert lower_envelope(fast, u, v) == lower_envelope(slow, u, v), (seed, u, v)

@@ -1,0 +1,192 @@
+"""Differential tests for the distance/envelope kernel.
+
+The library builds its distance table with an integer-scaled Floyd-Warshall,
+derives tables of ``with_edge`` copies by relaxation, and evaluates envelopes
+through cached max-plus rows.  These tests check ``shortest_path`` and
+``lower_envelope`` against two references that share none of that code:
+
+* the brute-force oracles in ``conftest.py`` (small connected graphs), and
+* the per-edge envelope scan over a Fraction Floyd-Warshall on a
+  label-keyed table, kept here as the reference implementation.
+
+A property test then checks the lemma the constructive instances rely on at
+sizes the brute oracles cannot reach.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from floppymetrics import PartialMetric, is_floppy, lower_envelope, pair, shortest_path, validate
+from floppymetrics.errors import DisconnectedError
+
+from conftest import brute_check, brute_hat, random_connected_graph
+
+
+def reference_table(m):
+    """Label-keyed Floyd-Warshall over Fractions; ``math.inf`` if unreachable."""
+    verts = sorted(m.vertices)
+    dist = {(u, v): (Fraction(0) if u == v else math.inf) for u in verts for v in verts}
+    for d, w in m.edges.items():
+        dist[(d.a, d.b)] = dist[(d.b, d.a)] = min(w, dist[(d.a, d.b)])
+    for k in verts:
+        for u in verts:
+            for v in verts:
+                alt = dist[(u, k)] + dist[(k, v)]
+                if alt < dist[(u, v)]:
+                    dist[(u, v)] = alt
+    return dist
+
+
+def reference_envelope(m, table, x, y):
+    """Max over edges ab of w(ab) - doubleton_dist(ab, xy), clamped at 0."""
+    if x == y:
+        return Fraction(0)
+    best = Fraction(0)
+    for d, w in m.edges.items():
+        dd = min(table[(d.a, x)] + table[(d.b, y)], table[(d.a, y)] + table[(d.b, x)])
+        best = max(best, w - dd)
+    return best
+
+
+def assert_matches_reference(m, label=""):
+    """Every ordered pair: shortest_path and lower_envelope equal the reference."""
+    table = reference_table(m)
+    for u in sorted(m.vertices):
+        for v in sorted(m.vertices):
+            if table[(u, v)] == math.inf:
+                with pytest.raises(DisconnectedError):
+                    shortest_path(m, u, v)
+            else:
+                assert shortest_path(m, u, v) == table[(u, v)], (label, u, v)
+            got = lower_envelope(m, u, v)
+            assert type(got) is Fraction, (label, u, v)
+            assert got == reference_envelope(m, table, u, v), (label, u, v)
+
+
+def random_weight(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randrange(1, 40), rng.randrange(1, 9))
+
+
+def random_graph(rng, n, p, zero_share=0.0):
+    """Arbitrary weights on G(n, p); may be disconnected."""
+    verts = [f"v{i}" for i in range(n)]
+    edges = {pair(u, v): random_weight(rng, zero_share) for u, v in combinations(verts, 2) if rng.random() < p}
+    return PartialMetric(verts, edges)
+
+
+class TestAgainstBruteOracles:
+    def test_random_connected_graphs(self):
+        rng = random.Random(4101)
+        for trial in range(25):
+            m = random_connected_graph(rng, rng.randrange(2, 8), extra_edges=rng.randrange(0, 6))
+            for x, y in combinations(sorted(m.vertices), 2):
+                assert shortest_path(m, x, y) == brute_hat(m, x, y), (trial, x, y)
+                assert lower_envelope(m, x, y) == brute_check(m, x, y), (trial, x, y)
+
+    def test_zero_weights(self):
+        rng = random.Random(4102)
+        for trial in range(20):
+            base = random_connected_graph(rng, rng.randrange(3, 8), extra_edges=rng.randrange(0, 5))
+            m = PartialMetric(
+                base.vertices,
+                {d: (Fraction(0) if rng.random() < 0.3 else w) for d, w in base.edges.items()},
+            )
+            for x, y in combinations(sorted(m.vertices), 2):
+                assert shortest_path(m, x, y) == brute_hat(m, x, y), (trial, x, y)
+                assert lower_envelope(m, x, y) == brute_check(m, x, y), (trial, x, y)
+
+
+class TestAgainstPerEdgeScan:
+    def test_random_connected_graphs(self):
+        rng = random.Random(4201)
+        for trial in range(15):
+            n = rng.randrange(2, 13)
+            assert_matches_reference(random_connected_graph(rng, n, extra_edges=rng.randrange(0, 2 * n)), trial)
+
+    def test_zero_weights(self):
+        rng = random.Random(4202)
+        for trial in range(15):
+            assert_matches_reference(random_graph(rng, rng.randrange(2, 11), 0.5, zero_share=0.3), trial)
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(4203)
+        seen_disconnected = 0
+        for trial in range(20):
+            m = random_graph(rng, rng.randrange(2, 12), 0.15, zero_share=0.1)
+            seen_disconnected += not validate(m).connected
+            assert_matches_reference(m, trial)
+        assert seen_disconnected >= 10
+
+    def test_edgeless_and_single_vertex(self):
+        assert_matches_reference(PartialMetric(["a"], {}))
+        assert_matches_reference(PartialMetric(["a", "b", "c"], {}))
+
+    def test_with_edge_chains(self):
+        """Tables derived through chains of with_edge match fresh references.
+
+        Envelopes are queried at every link, so rows are built on derived
+        tables too.  Chains add arbitrary weights (also zero, and edges that
+        join components) and occasionally replace an existing edge.
+        """
+        rng = random.Random(4204)
+        for trial in range(12):
+            m = random_graph(rng, rng.randrange(3, 10), 0.2, zero_share=0.15)
+            validate(m)  # builds m's table; every later link then has one to relax
+            for link in range(6):
+                if m.edges and rng.random() < 0.15:
+                    d = rng.choice(sorted(m.edges))
+                else:
+                    missing = m.non_edges()
+                    if not missing:
+                        break
+                    d = rng.choice(missing)
+                m = m.with_edge(d, random_weight(rng, zero_share=0.15))
+                assert_matches_reference(m, (trial, link))
+
+
+def taxicab_plus_one_subgraph(rng, n, density):
+    """Connected spanning subgraph of (taxicab + 1) / q on distinct grid points.
+
+    The ambient metric has strict triangle inequalities, so the subgraph is a
+    graph metric.  Returns the subgraph and the ambient values.
+    """
+    side = max(4, math.isqrt(4 * n) + 1)
+    points = rng.sample([(i, j) for i in range(side) for j in range(side)], n)
+    labels = [f"p{k}" for k in range(n)]
+    scale = Fraction(1, rng.randrange(1, 7))
+    ambient = {
+        pair(labels[a], labels[b]): scale * (abs(points[a][0] - points[b][0]) + abs(points[a][1] - points[b][1]) + 1)
+        for a, b in combinations(range(n), 2)
+    }
+    order = labels[:]
+    rng.shuffle(order)
+    chosen = {pair(order[k], order[rng.randrange(k)]) for k in range(1, n)}
+    for d in sorted(ambient):
+        if d not in chosen and rng.random() < density:
+            chosen.add(d)
+    return PartialMetric(labels, {d: ambient[d] for d in chosen}), ambient
+
+
+class TestStrictMetricLemma:
+    """A connected spanning subgraph of a metric with strict triangle
+    inequalities is floppy: check <= ambient < hat at every non-edge."""
+
+    @pytest.mark.parametrize("n", [5, 9, 14, 20, 25])
+    def test_taxicab_plus_one_subgraphs(self, n):
+        rng = random.Random(4300 + n)
+        for density in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            m, ambient = taxicab_plus_one_subgraph(rng, n, density)
+            rep = validate(m)
+            assert rep.connected and rep.graph_metric
+            assert is_floppy(m).floppy, (n, density)
+            for d in m.non_edges():
+                c = lower_envelope(m, d.a, d.b)
+                assert c <= ambient[d] < shortest_path(m, d.a, d.b), (n, density, d)
+            for d, w in m.edges.items():
+                assert lower_envelope(m, d.a, d.b) == shortest_path(m, d.a, d.b) == w

@@ -51,6 +51,8 @@ class TestMetricDocs:
             {"vertices": ["a", "b"], "edges": [{"u": "a", "w": "1"}]},
             {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "one"}]},
             {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "-1"}]},
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": True}]},
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": False}]},
             {
                 "vertices": ["a", "b"],
                 "edges": [
@@ -113,3 +115,13 @@ class TestDot:
         assert dot.startswith("graph metric {")
         assert '"a" -- "b" [label="1"];' in dot
         assert dot.rstrip().endswith("}")
+
+    def test_labels_with_quotes_and_backslashes_are_escaped(self):
+        m = PartialMetric(['a"x', "b\\"], {pair('a"x', "b\\"): 1})
+        dot = metric_to_dot(m)
+        assert '  "a\\"x";' in dot.splitlines()
+        assert '  "b\\\\";' in dot.splitlines()
+        assert '"a\\"x" -- "b\\\\" [label="1"];' in dot
+        # every line's quotes pair up once escaped quotes are dropped
+        for line in dot.splitlines():
+            assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
