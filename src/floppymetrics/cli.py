@@ -7,6 +7,7 @@ stdout), 2 malformed input or bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -142,7 +143,9 @@ def _cmd_gen(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="floppymetrics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,12 +14,16 @@ never acceptable.
 
 One kernel serves all three.  Each metric caches an n x n list table of
 Fractions over its sorted vertex index.  Floyd-Warshall builds it on integers
-scaled by the LCM of the weight denominators and converts once at the end;
-``with_edge`` copies derive theirs by an O(n^2) relaxation through the new
-edge.  Envelopes come from per-vertex max-plus rows
+scaled by the LCM of the weight denominators and converts once at the end.
+Envelopes come from per-vertex max-plus rows
 ``R_x[b] = max over edges ab of w(ab) - hat(x, a)`` (O(|E|) each, cached), so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` costs O(n) per pair and
 checking every non-edge costs O(n|E| + n^3).
+
+``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
+through the new edge: the table by relaxation, and every cached row whose
+needed rows are cached too by the matching max-plus update (rows the edge
+cannot change are shared).  A row that cannot be carried is rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -99,12 +103,13 @@ class PartialMetric:
     """An edge-weight function over labeled vertices.
 
     Weights are nonnegative rationals (zero weights put the object in
-    pseudometric mode; metric-grade operations reject them).  Instances are
-    immutable.  Derived data is built lazily and cached on the instance: the
-    vertex index (sorted labels to 0..n-1), the n x n distance table of exact
-    Fractions (``INF`` between components), and one max-plus envelope row per
-    vertex.  ``with_edge`` copies share the vertex index and derive their
-    table from the parent's by relaxation.
+    pseudometric mode; metric-grade operations reject them).  Vertex labels
+    must sort together (all ``str`` or all ``int``, say).  Instances are
+    immutable.  The vertex index (sorted labels to 0..n-1) is built with the
+    instance; the n x n distance table of exact Fractions (``INF`` between
+    components) and one max-plus envelope row per vertex are built lazily and
+    cached.  ``with_edge`` copies share the vertex index and carry the
+    parent's table and envelope rows over through the new edge.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_dist", "_rows")
@@ -113,6 +118,10 @@ class PartialMetric:
         vset = frozenset(vertices)
         if not vset:
             raise MalformedInputError("a metric needs at least one vertex")
+        try:
+            labels = sorted(vset)
+        except TypeError:
+            raise MalformedInputError("vertex labels must be mutually comparable (e.g. all strings)") from None
         emap = {}
         for key, raw in dict(edges).items():
             d = key if isinstance(key, Doubleton) else Doubleton(*key)
@@ -124,7 +133,7 @@ class PartialMetric:
             emap[d] = w
         self._vertices = vset
         self._edges = emap
-        self._index = None
+        self._index = {v: i for i, v in enumerate(labels)}
         self._dist = None
         self._rows = None
 
@@ -165,9 +174,9 @@ class PartialMetric:
         """New metric with one extra (or replaced) edge.
 
         When this instance's distance table is already computed and the pair
-        is new, the copy's table is derived by relaxing through the new edge
-        (a shortest chain uses a fresh edge at most once), which is O(n^2)
-        instead of a full recompute.
+        is new, the copy's table and envelope rows are carried over through
+        the new edge (``_relax_through``), which is O(n^2) instead of a full
+        recompute and O(n|E|) of row rebuilds.
         """
         w = as_rational(w)
         out = PartialMetric.__new__(PartialMetric)
@@ -182,14 +191,14 @@ class PartialMetric:
         if d.a not in self._vertices or d.b not in self._vertices:
             raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
         if self._dist is not None and d not in self._edges:
-            out._dist = _relax_through(self._dist, self._index[d.a], self._index[d.b], w)
+            out._dist, out._rows = _relax_through(
+                self._dist, self._rows, self._index[d.a], self._index[d.b], w
+            )
         return out
 
     def _table(self):
         """The n x n distance table, indexed through ``self._index``."""
         if self._dist is None:
-            if self._index is None:
-                self._index = {v: i for i, v in enumerate(sorted(self._vertices))}
             self._dist = _all_pairs_shortest(self._index, self._edges)
         return self._dist
 
@@ -225,34 +234,62 @@ def _all_pairs_shortest(index, edges):
     return [[INF if s == big else Fraction(s, scale) for s in row] for row in dist]
 
 
-def _relax_through(dist, i: int, j: int, w: Fraction):
-    """Distance table after inserting edge ``ij`` with weight ``w``.
+def _relax_through(dist, rows, i: int, j: int, w: Fraction):
+    """Distance table and envelope rows after inserting edge ``ij`` of weight ``w``.
 
-    A row whose distances to i and j already satisfy the triangle inequality
-    through the new edge cannot improve anywhere, so it is shared unchanged.
+    A shortest chain uses the new edge at most once, so
+    hat'(u, a) = min(hat(u, a), hat(u, i) + w + hat(j, a), hat(u, j) + w + hat(i, a)),
+    and in max-plus form the row of u becomes
+    R'_u = max(R_u, R_j - (hat(u, i) + w), R_i - (hat(u, j) + w)) plus the new
+    edge's two orientations, R'_u[j] >= w - hat'(u, i) and R'_u[i] >= w - hat'(u, j).
+    A through-term counts only when its chain beats the direct distance to the
+    far endpoint, and since ``w >= 0`` at most one of the two can.  A row with
+    neither cannot improve, so its table row is shared unchanged.
+
+    ``rows`` is the parent's row cache or ``None``.  A row is carried when the
+    parent has it and the far row it needs; otherwise it is left ``None`` for
+    a lazy rebuild.  Parent rows are shared or copied, never written.
     """
-    di, dj = dist[i], dist[j]
-    out = []
-    for row in dist:
-        via_i = row[i] + w  # row's vertex -> i -> j -> v
-        via_j = row[j] + w  # row's vertex -> j -> i -> v
-        use_i = via_i < row[j]
-        use_j = via_j < row[i]
-        if not (use_i or use_j):
-            out.append(row)
-            continue
-        new = list(row)
-        for v, cur in enumerate(row):
-            if use_i:
-                alt = via_i + dj[v]
-                if alt < cur:
-                    cur = alt
-            if use_j:
-                alt = via_j + di[v]
-                if alt < cur:
-                    cur = alt
-            new[v] = cur
+    out, out_rows = [], (None if rows is None else [])
+    for u, row in enumerate(dist):
+        via = None
+        if row[i] + w < row[j]:  # u -> i -> j -> v
+            via, far = row[i] + w, j
+        elif row[j] + w < row[i]:  # u -> j -> i -> v
+            via, far = row[j] + w, i
+        new = row
+        if via is not None:
+            new = list(row)
+            for v, h in enumerate(dist[far]):
+                alt = via + h
+                if alt < new[v]:
+                    new[v] = alt
         out.append(new)
+        if rows is None:
+            continue
+        r = rows[u]
+        copied = False
+        if r is not None and via is not None:
+            r = None if rows[far] is None else _max_plus_shift(r, rows[far], via)
+            copied = True
+        if r is not None:
+            for b, h in ((j, new[i]), (i, new[j])):
+                if h is not INF and (r[b] is None or w - h > r[b]):
+                    if not copied:
+                        r, copied = list(r), True
+                    r[b] = w - h
+        out_rows.append(r)
+    return out, out_rows
+
+
+def _max_plus_shift(row, far, via):
+    """Entrywise ``max(row, far - via)`` as a new list (``None`` is -inf)."""
+    out = list(row)
+    for b, f in enumerate(far):
+        if f is not None:
+            val = f - via
+            if out[b] is None or val > out[b]:
+                out[b] = val
     return out
 
 

@@ -68,11 +68,21 @@ def _require_floppy(m: PartialMetric):
         )
 
 
-def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
+def _interval_from(h: Fraction, c: Fraction) -> AdmissibleInterval:
     """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed."""
-    h = shortest_path(m, xy.a, xy.b)
-    c = lower_envelope(m, xy.a, xy.b)
     return AdmissibleInterval(c / 3 + 2 * h / 3, h)
+
+
+def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
+    return _interval_from(shortest_path(m, xy.a, xy.b), lower_envelope(m, xy.a, xy.b))
+
+
+def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
+    lo, h = interval.lo, interval.hi
+    if r < lo:
+        raise ROutOfRangeError(f"r={r} below admissible lower bound {lo}", bound="lo", lo=lo, hi=h)
+    if r >= h:
+        raise ROutOfRangeError(f"r={r} not below admissible upper bound {h}", bound="hi", lo=lo, hi=h)
 
 
 def admissible_interval(m: PartialMetric, xy: Doubleton, *, assume_floppy=False) -> AdmissibleInterval:
@@ -101,12 +111,7 @@ def one_step_extend(
         _require_floppy(m)
     r = as_rational(r)
     if mode == THEOREM:
-        interval = _interval(m, xy)
-        lo, h = interval.lo, interval.hi
-        if r < lo:
-            raise ROutOfRangeError(f"r={r} below admissible lower bound {lo}", bound="lo", lo=lo, hi=h)
-        if r >= h:
-            raise ROutOfRangeError(f"r={r} not below admissible upper bound {h}", bound="hi", lo=lo, hi=h)
+        _require_in_interval(r, _interval(m, xy))
     else:
         h = shortest_path(m, xy.a, xy.b)
         c = lower_envelope(m, xy.a, xy.b)
@@ -174,49 +179,53 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
     r = as_rational(r)
-    interval = _interval(m, xy)
-    h_xy = interval.hi
-    c_xy = lower_envelope(m, xy.a, xy.b)
+    h_xy = shortest_path(m, xy.a, xy.b)
+    # check is symmetric; (b, a) builds b's row, the loop below builds a's,
+    # so both rows the relaxation through xy reads are cached
+    c_xy = lower_envelope(m, xy.b, xy.a)
     if r < c_xy or r > h_xy:
         raise ROutOfRangeError(
             f"r={r} outside [{c_xy}, {h_xy}]", bound="lo" if r < c_xy else "hi", lo=c_xy, hi=h_xy
         )
+    strong_lower = _interval_from(h_xy, c_xy).lo <= r  # statement (5) hypothesis
+
+    # Every old value is read before the copy is built, so the copy carries
+    # all of m's envelope rows instead of rebuilding them.
+    verts = sorted(m.vertices)
+    uvs = [Doubleton(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+    old = [
+        (shortest_path(m, uv.a, uv.b), lower_envelope(m, uv.a, uv.b), doubleton_dist(m, xy, uv))
+        for uv in uvs
+    ]
     extended = m.with_edge(xy, r)
-    strong_lower = interval.lo <= r  # statement (5) hypothesis
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
-    verts = sorted(m.vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            uv = Doubleton(u, v)
-            h_old = shortest_path(m, u, v)
-            h_new = shortest_path(extended, u, v)
-            c_old = lower_envelope(m, u, v)
-            c_new = lower_envelope(extended, u, v)
-            dd = doubleton_dist(m, xy, uv)
+    for uv, (h_old, c_old, dd) in zip(uvs, old):
+        u, v = uv.a, uv.b
+        h_new = shortest_path(extended, u, v)
+        c_new = lower_envelope(extended, u, v)
+        stmts[1].applicable += 1
+        if not (h_new <= h_old and c_new >= max(c_old, r - dd)):
+            stmts[1].failures.append((u, v))
 
-            stmts[1].applicable += 1
-            if not (h_new <= h_old and c_new >= max(c_old, r - dd)):
-                stmts[1].failures.append((u, v))
+        if h_old != h_new:
+            stmts[2].applicable += 1
+            if not (h_old - (h_xy - r) <= h_new == r + dd):
+                stmts[2].failures.append((u, v))
+            stmts[3].applicable += 1
+            if not (h_new - c_old >= r - c_xy):
+                stmts[3].failures.append((u, v))
 
-            if h_old != h_new:
-                stmts[2].applicable += 1
-                if not (h_old - (h_xy - r) <= h_new == r + dd):
-                    stmts[2].failures.append((u, v))
-                stmts[3].applicable += 1
-                if not (h_new - c_old >= r - c_xy):
-                    stmts[3].failures.append((u, v))
+        if c_old != c_new != r - dd and c_new > h_xy - 2 * r:
+            stmts[4].applicable += 1
+            if not (c_new - c_old <= h_xy - r and h_old - c_new >= r - c_xy):
+                stmts[4].failures.append((u, v))
 
-            if c_old != c_new != r - dd and c_new > h_xy - 2 * r:
-                stmts[4].applicable += 1
-                if not (c_new - c_old <= h_xy - r and h_old - c_new >= r - c_xy):
-                    stmts[4].failures.append((u, v))
-
-            if strong_lower:
-                stmts[5].applicable += 1
-                bound = min(h_old - c_old, h_xy - r, 2 * dd)
-                if not (h_new - c_new >= bound):
-                    stmts[5].failures.append((u, v))
+        if strong_lower:
+            stmts[5].applicable += 1
+            bound = min(h_old - c_old, h_xy - r, 2 * dd)
+            if not (h_new - c_new >= bound):
+                stmts[5].failures.append((u, v))
     return StepPropertyReport(xy, r, stmts)
 
 
@@ -330,6 +339,7 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
                 raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
             value = _choose_from_set(cs, interval, used)
         used.add(value)
-        current = one_step_extend(current, d, value, THEOREM, assume_floppy=True, verify=False)
+        _require_in_interval(value, interval)
+        current = current.with_edge(d, value)
         steps.append(ExtensionStep(d, interval, value))
     return ExtensionTrace(steps, current)

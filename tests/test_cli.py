@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,3 +224,30 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_processes(self, capfd, h_file):
+        """main() reuses one parser per process; a sequence of calls, with
+        parse errors in between and options that differ from call to call,
+        prints and returns exactly what a fresh process does for each."""
+        calls = [
+            ["query", "--hat", "x", "y", h_file],
+            ["query", "--check", "x", "y", h_file],
+            ["frobnicate"],
+            ["step", "--pair", "x,y", "--r", "8", "--mode", "proposition", h_file],
+            ["step", "--pair", "x,y", "--r", "8", h_file],
+            ["query", "--hat", "x", h_file],
+            ["validate", "--dot", h_file],
+            ["validate", h_file],
+            ["gen", "path", "--n", "3"],
+            ["gen", "cycle"],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "floppymetrics.cli", *argv], capture_output=True, text=True, env=env
+            )
+            code = main(argv)
+            out, err = capfd.readouterr()
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

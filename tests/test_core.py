@@ -61,6 +61,16 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             PartialMetric(["a", "b"], {pair("a", "b"): value})
 
+    def test_rejects_labels_that_do_not_sort_together(self):
+        with pytest.raises(MalformedInputError):
+            PartialMetric([1, "a"], {})
+        with pytest.raises(MalformedInputError):
+            PartialMetric([1, "a", "b"], {pair("a", "b"): 1})
+        for labels in ([1, 2, 3], ["a", "b", "c"]):
+            m = PartialMetric(labels, {pair(labels[0], labels[1]): 1, pair(labels[1], labels[2]): 2})
+            assert validate(m).graph_metric
+            assert shortest_path(m, labels[0], labels[2]) == 3
+
     def test_single_vertex_is_full_and_floppy(self):
         m = PartialMetric(["a"], {})
         rep = validate(m)

@@ -9,6 +9,9 @@ through cached max-plus rows.  These tests check ``shortest_path`` and
 * the per-edge envelope scan over a Fraction Floyd-Warshall on a
   label-keyed table, kept here as the reference implementation.
 
+``TestCarriedRows`` covers the envelope rows that ``with_edge`` copies carry
+over from a parent with all, some or none of its rows cached.
+
 A property test then checks the lemma the constructive instances rely on at
 sizes the brute oracles cannot reach.
 """
@@ -148,6 +151,114 @@ class TestAgainstPerEdgeScan:
                     d = rng.choice(missing)
                 m = m.with_edge(d, random_weight(rng, zero_share=0.15))
                 assert_matches_reference(m, (trial, link))
+
+
+def cache_rows(m, rng, mode):
+    """Return m with its table built and the envelope rows of ``mode`` cached.
+
+    ``carried``: m as derived, with whatever rows it carried; ``none``, ``some``
+    and ``all``: a fresh copy of m with no, a random subset of, or every row.
+    ``cold``: a fresh copy with no table either (the copy starts cold too).
+    """
+    if mode == "carried":
+        return m
+    m = PartialMetric(m.vertices, m.edges)
+    if mode == "cold":
+        return m
+    validate(m)
+    verts = sorted(m.vertices)
+    picked = verts
+    if mode == "some":
+        picked = rng.sample(verts, rng.randrange(len(verts) + 1))
+    elif mode == "none":
+        picked = []
+    for x in picked:
+        lower_envelope(m, x, verts[0] if x != verts[0] else verts[-1])
+    return m
+
+
+def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None):
+    """Metrics along a with_edge chain, plus one sibling per link.
+
+    Each parent gets a random row-cache state before its children are built.
+    Nothing is compared until the whole chain exists, so children derive from
+    partly cached parents, and every parent is checked after its children:
+    a child that wrote into a shared row would show up in its parent or its
+    sibling.  ``prefer(m)`` narrows the candidate new pairs when non-empty.
+    """
+    out = [m]
+    for _ in range(links):
+        parent = cache_rows(out[-1], rng, rng.choice(["carried", "carried", "none", "some", "all", "all", "cold"]))
+        if parent is not out[-1]:
+            out.append(parent)
+        picks = []
+        for _ in range(2):
+            if parent.edges and rng.random() < replace_share:
+                picks.append(rng.choice(sorted(parent.edges)))
+            else:
+                missing = (prefer and prefer(parent)) or parent.non_edges()
+                if missing:
+                    picks.append(rng.choice(missing))
+        if not picks:
+            break
+        sibling, child = (parent.with_edge(d, random_weight(rng, zero_share)) for d in (picks[0], picks[-1]))
+        out += [sibling, child]
+    return out
+
+
+def cross_component_pairs(m):
+    table = reference_table(m)
+    return [d for d in m.non_edges() if table[(d.a, d.b)] == math.inf]
+
+
+class TestCarriedRows:
+    """with_edge carries the parent's envelope rows through the new edge.
+
+    Every copy, parent and sibling is compared with ``reference_envelope``
+    over ``reference_table`` after the whole chain is built.
+    """
+
+    def test_chains_from_all_some_or_no_cached_rows(self):
+        rng = random.Random(4401)
+        for trial in range(12):
+            m = random_connected_graph(rng, rng.randrange(3, 11), extra_edges=rng.randrange(0, 8))
+            for k, link in enumerate(grow_chain(rng, m, 6)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_component_joins(self):
+        rng = random.Random(4402)
+        for trial in range(12):
+            m = random_graph(rng, rng.randrange(4, 12), 0.12)
+            for k, link in enumerate(grow_chain(rng, m, 6, prefer=cross_component_pairs)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_zero_weights(self):
+        rng = random.Random(4403)
+        for trial in range(12):
+            m = random_graph(rng, rng.randrange(3, 11), 0.35, zero_share=0.3)
+            for k, link in enumerate(grow_chain(rng, m, 6, zero_share=0.3)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_edge_replacement(self):
+        rng = random.Random(4404)
+        for trial in range(12):
+            m = random_connected_graph(rng, rng.randrange(3, 10), extra_edges=rng.randrange(0, 6))
+            for k, link in enumerate(grow_chain(rng, m, 6, replace_share=0.3)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_which_rows_are_carried(self):
+        """All rows carry from a fully cached parent; none from a cold one or
+        through a replaced edge; parent rows are never written."""
+        rng = random.Random(4405)
+        m = random_connected_graph(rng, 8, extra_edges=4)
+        full = cache_rows(m, rng, "all")
+        snapshot = [list(row) for row in full._rows]
+        d = m.non_edges()[0]
+        child = full.with_edge(d, Fraction(100))  # raises new-edge entries in unchanged rows
+        assert all(row is not None for row in child._rows)
+        assert [list(row) for row in full._rows] == snapshot
+        assert cache_rows(m, rng, "none").with_edge(d, 1)._rows is None
+        assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
 
 
 def taxicab_plus_one_subgraph(rng, n, density):
