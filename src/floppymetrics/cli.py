@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import serialize
@@ -26,11 +27,17 @@ def _emit(obj):
     print(json.dumps(obj, indent=2))
 
 
+_ESCAPES = r"inside a label write \, for a comma and \\ for a backslash"
+_LABEL = r"((?:[^,\\]|\\[,\\])*)"
+_PAIR = re.compile(_LABEL + "," + _LABEL)
+
+
 def _parse_pair(text: str) -> Doubleton:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise MalformedInputError(f"pair must be 'u,v', got {text!r}")
-    return Doubleton(parts[0], parts[1])
+    match = _PAIR.fullmatch(text)
+    if match is None:
+        raise MalformedInputError(f"pair must be 'u,v' ({_ESCAPES}), got {text!r}")
+    u, v = (re.sub(r"\\(.)", r"\1", label) for label in match.groups())
+    return Doubleton(u, v)
 
 
 def _cmd_validate(args):
@@ -158,7 +165,7 @@ def _build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--hat", nargs=2, metavar=("X", "Y"), help="shortest-path distance")
     group.add_argument("--check", nargs=2, metavar=("X", "Y"), help="extension lower envelope")
-    group.add_argument("--ddot", nargs=2, metavar=("A,B", "U,V"), help="doubleton distance")
+    group.add_argument("--ddot", nargs=2, metavar=("A,B", "U,V"), help="doubleton distance between pairs; " + _ESCAPES)
     p.add_argument("file")
     p.set_defaults(func=_cmd_query)
 
@@ -167,14 +174,14 @@ def _build_parser():
     p.set_defaults(func=_cmd_floppy)
 
     p = sub.add_parser("step", help="one-step extension")
-    p.add_argument("--pair", required=True, metavar="X,Y")
+    p.add_argument("--pair", required=True, metavar="X,Y", help="vertex pair; " + _ESCAPES)
     p.add_argument("--r", required=True)
     p.add_argument("--mode", choices=["theorem", "proposition"], default="theorem")
     p.add_argument("file")
     p.set_defaults(func=_cmd_step)
 
     p = sub.add_parser("pstep", help="verify the step-extension properties")
-    p.add_argument("--pair", required=True, metavar="X,Y")
+    p.add_argument("--pair", required=True, metavar="X,Y", help="vertex pair; " + _ESCAPES)
     p.add_argument("--r", required=True)
     p.add_argument("file")
     p.set_defaults(func=_cmd_pstep)

@@ -8,22 +8,29 @@ a graph over labeled vertices.  From it we derive
 * ``lower_envelope(m, x, y)`` -- the largest value any extension of ``m`` is
   forced to respect at the pair ``xy``.
 
-All arithmetic is exact (``fractions.Fraction``); no floats enter the core
-path.  Verdicts like floppiness hinge on strict inequalities, so rounding is
-never acceptable.
+All arithmetic is exact: ``fractions.Fraction`` at the API, integers over a
+common denominator inside the kernel, and no floats on the core path.
+Verdicts like floppiness hinge on strict inequalities, so rounding is never
+acceptable.
 
-One kernel serves all three.  Each metric caches an n x n list table of
-Fractions over its sorted vertex index.  Floyd-Warshall builds it on integers
-scaled by the LCM of the weight denominators and converts once at the end.
-Envelopes come from per-vertex max-plus rows
-``R_x[b] = max over edges ab of w(ab) - hat(x, a)`` (O(|E|) each, cached), so
-``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` costs O(n) per pair and
-checking every non-edge costs O(n|E| + n^3).
+One kernel serves all three.  Each metric keeps ``L``, a common denominator
+of its weights (the LCM of their denominators), and caches an n x n list
+table of Fractions over its sorted vertex index.  Floyd-Warshall builds it on
+integers scaled by ``L`` and converts once at the end, sharing one Fraction
+per distinct value.  Envelopes come from per-vertex max-plus rows
+``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, stored as ints times
+``L`` (O(|E|) each, cached), so ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))``
+is an O(n) integer scan per pair and checking every non-edge costs
+O(n|E| + n^3).  The table stays on Fractions: every public distance is read
+from it as one, and shared Fractions keep it small.  Moving the table and its
+relaxation to ints as well is an open item (ROADMAP item 2).
 
 ``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
 through the new edge: the table by relaxation, and every cached row whose
 needed rows are cached too by the matching max-plus update (rows the edge
-cannot change are shared).  A row that cannot be carried is rebuilt lazily.
+cannot change are shared).  A new weight denominator moves the copy to
+``L' = lcm(L, w.denominator)``, and carried rows are rescaled into new lists.
+A row that cannot be carried is rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -105,14 +112,16 @@ class PartialMetric:
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Vertex labels
     must sort together (all ``str`` or all ``int``, say).  Instances are
-    immutable.  The vertex index (sorted labels to 0..n-1) is built with the
-    instance; the n x n distance table of exact Fractions (``INF`` between
-    components) and one max-plus envelope row per vertex are built lazily and
-    cached.  ``with_edge`` copies share the vertex index and carry the
-    parent's table and envelope rows over through the new edge.
+    immutable.  The vertex index (sorted labels to 0..n-1) and the common
+    denominator ``_scale`` of the weights are built with the instance; the
+    n x n distance table of exact Fractions (``INF`` between components) and
+    one max-plus envelope row per vertex, held as ints times ``_scale``, are
+    built lazily and cached.  ``with_edge`` copies share the vertex index,
+    extend ``_scale`` by the new weight's denominator, and carry the parent's
+    table and envelope rows over through the new edge.
     """
 
-    __slots__ = ("_vertices", "_edges", "_index", "_dist", "_rows")
+    __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows")
 
     def __init__(self, vertices, edges):
         vset = frozenset(vertices)
@@ -134,6 +143,7 @@ class PartialMetric:
         self._vertices = vset
         self._edges = emap
         self._index = {v: i for i, v in enumerate(labels)}
+        self._scale = math.lcm(*(w.denominator for w in emap.values()))
         self._dist = None
         self._rows = None
 
@@ -184,6 +194,7 @@ class PartialMetric:
         out._edges = dict(self._edges)
         out._edges[d] = w
         out._index = self._index
+        out._scale = math.lcm(self._scale, w.denominator)
         out._dist = None
         out._rows = None
         if w < 0:
@@ -191,26 +202,30 @@ class PartialMetric:
         if d.a not in self._vertices or d.b not in self._vertices:
             raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
         if self._dist is not None and d not in self._edges:
+            rows = self._rows
+            k = out._scale // self._scale
+            if rows is not None and k != 1:  # rescale into new lists; parent rows stay as they are
+                rows = [None if r is None else [None if v is None else v * k for v in r] for r in rows]
             out._dist, out._rows = _relax_through(
-                self._dist, self._rows, self._index[d.a], self._index[d.b], w
+                self._dist, rows, self._index[d.a], self._index[d.b], w, out._scale
             )
         return out
 
     def _table(self):
         """The n x n distance table, indexed through ``self._index``."""
         if self._dist is None:
-            self._dist = _all_pairs_shortest(self._index, self._edges)
+            self._dist = _all_pairs_shortest(self._index, self._edges, self._scale)
         return self._dist
 
 
-def _all_pairs_shortest(index, edges):
-    """Floyd-Warshall on integers scaled by the LCM of the weight denominators.
+def _all_pairs_shortest(index, edges, scale):
+    """Floyd-Warshall on integers scaled by ``scale``, a common denominator of the weights.
 
-    Exact: every chain weight times the LCM is an integer.  Entries are
-    converted to Fractions (``INF`` for unreachable pairs) once at the end.
+    Exact: every chain weight times ``scale`` is an integer.  Entries are
+    converted to Fractions (``INF`` for unreachable pairs) once at the end,
+    one shared Fraction per distinct value.
     """
     n = len(index)
-    scale = math.lcm(*(w.denominator for w in edges.values())) if edges else 1
     big = 1 + sum(w.numerator * (scale // w.denominator) for w in edges.values())
     dist = [[big] * n for _ in range(n)]
     for i in range(n):
@@ -231,10 +246,17 @@ def _all_pairs_shortest(index, edges):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    return [[INF if s == big else Fraction(s, scale) for s in row] for row in dist]
+    shared = {big: INF}
+    for row in dist:
+        for j, s in enumerate(row):
+            f = shared.get(s)
+            if f is None:
+                f = shared[s] = Fraction(s, scale)
+            row[j] = f
+    return dist
 
 
-def _relax_through(dist, rows, i: int, j: int, w: Fraction):
+def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     """Distance table and envelope rows after inserting edge ``ij`` of weight ``w``.
 
     A shortest chain uses the new edge at most once, so
@@ -246,10 +268,12 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction):
     far endpoint, and since ``w >= 0`` at most one of the two can.  A row with
     neither cannot improve, so its table row is shared unchanged.
 
-    ``rows`` is the parent's row cache or ``None``.  A row is carried when the
-    parent has it and the far row it needs; otherwise it is left ``None`` for
-    a lazy rebuild.  Parent rows are shared or copied, never written.
+    ``rows`` is the parent's row cache already at the copy's ``scale``, or
+    ``None``.  A row is carried when the parent has it and the far row it
+    needs; otherwise it is left ``None`` for a lazy rebuild.  Parent rows are
+    shared or copied, never written.
     """
+    ws = w.numerator * (scale // w.denominator)
     out, out_rows = [], (None if rows is None else [])
     for u, row in enumerate(dist):
         via = None
@@ -270,14 +294,17 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction):
         r = rows[u]
         copied = False
         if r is not None and via is not None:
-            r = None if rows[far] is None else _max_plus_shift(r, rows[far], via)
+            shift = via.numerator * (scale // via.denominator)
+            r = None if rows[far] is None else _max_plus_shift(r, rows[far], shift)
             copied = True
         if r is not None:
             for b, h in ((j, new[i]), (i, new[j])):
-                if h is not INF and (r[b] is None or w - h > r[b]):
-                    if not copied:
-                        r, copied = list(r), True
-                    r[b] = w - h
+                if h is not INF:
+                    val = ws - h.numerator * (scale // h.denominator)
+                    if r[b] is None or val > r[b]:
+                        if not copied:
+                            r, copied = list(r), True
+                        r[b] = val
         out_rows.append(r)
     return out, out_rows
 
@@ -294,29 +321,32 @@ def _max_plus_shift(row, far, via):
 
 
 def _envelope_row(m: PartialMetric, x: int):
-    """Max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``.
+    """Max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, times ``m._scale``.
 
-    Both orientations of every edge count; ``None`` marks a vertex b that no
-    edge reachable from x ends at.  Cached on the metric.
+    Entries are ints over the metric's common denominator.  Both orientations
+    of every edge count; ``None`` marks a vertex b that no edge reachable from
+    x ends at.  Cached on the metric.
     """
     rows = m._rows
     if rows is None:
         rows = m._rows = [None] * len(m._vertices)
     row = rows[x]
     if row is None:
-        dx = m._table()[x]
+        scale = m._scale
+        hx = [None if h is INF else h.numerator * (scale // h.denominator) for h in m._table()[x]]
         index = m._index
-        row = rows[x] = [None] * len(dx)
+        row = rows[x] = [None] * len(hx)
         for d, w in m._edges.items():
             a, b = index[d.a], index[d.b]
-            h = dx[a]
-            if h is not INF:
-                val = w - h
+            s = w.numerator * (scale // w.denominator)
+            h = hx[a]
+            if h is not None:
+                val = s - h
                 if row[b] is None or val > row[b]:
                     row[b] = val
-            h = dx[b]
-            if h is not INF:
-                val = w - h
+            h = hx[b]
+            if h is not None:
+                val = s - h
                 if row[a] is None or val > row[a]:
                     row[a] = val
     return row
@@ -397,19 +427,21 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     Splitting the doubleton distance into its two orientations gives the
     max-plus form ``max over b of R_x[b] - hat(b, y)`` with the cached row
     R_x of ``_envelope_row``, so each pair costs O(n) once its row exists.
+    The scan runs on ints over the metric's common denominator.
     """
     _require_vertex(m, x)
     _require_vertex(m, y)
     if x == y:
         return _ZERO
     t = m._table()
-    best = _ZERO
+    scale = m._scale
+    best = 0
     for r, h in zip(_envelope_row(m, m._index[x]), t[m._index[y]]):
         if r is not None and h is not INF:
-            val = r - h
+            val = r - h.numerator * (scale // h.denominator)
             if val > best:
                 best = val
-    return best
+    return Fraction(best, scale)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,49 @@ class TestPstep:
         assert doc["ok"] is True
         assert set(doc["statements"]) == {"1", "2", "3", "4", "5"}
 
+    def test_disconnected_metric(self, capsys, h_graph, tmp_path):
+        path = tmp_path / "split.json"
+        dump_metric(PartialMetric(h_graph.vertices | {"p", "q"}, {**h_graph.edges, pair("p", "q"): 1}), path)
+        code, doc = run(capsys, "pstep", "--pair", "x,y", "--r", "34/3", str(path))
+        assert code == 1
+        assert doc["error"] == "DISCONNECTED"
+
+
+@pytest.fixture
+def comma_file(tmp_path):
+    """The H graph with x renamed to "x,1" and b to "b\\" (a trailing backslash)."""
+    m = PartialMetric(
+        ["a", "b\\", "x,1", "y"],
+        {pair("a", "b\\"): 10, pair("a", "x,1"): 1, pair("b\\", "y"): 1},
+    )
+    path = tmp_path / "comma.json"
+    dump_metric(m, path)
+    return str(path)
+
+
+class TestEscapedLabels:
+    """``\\,`` is a comma and ``\\\\`` a backslash inside a pair's labels."""
+
+    def test_step(self, capsys, comma_file):
+        code, doc = run(capsys, "step", "--pair", r"x\,1,y", "--r", "34/3", comma_file)
+        assert code == 0
+        assert metric_from_doc(doc).weight(pair("x,1", "y")) == Fraction(34, 3)
+
+    def test_pstep(self, capsys, comma_file):
+        code, doc = run(capsys, "pstep", "--pair", r"y,x\,1", "--r", "34/3", comma_file)
+        assert code == 0
+        assert doc["pair"] == ["x,1", "y"] and doc["ok"] is True
+
+    def test_ddot(self, capsys, comma_file):
+        code, doc = run(capsys, "query", "--ddot", r"a,b\\", r"x\,1,y", comma_file)
+        assert (code, doc["value"]) == (0, "2")
+
+    @pytest.mark.parametrize("text", [r"x\,1", "x,1,y", r"x\1,y", "x,y\\", r"x\,1\,y", ","])
+    def test_not_two_labels_is_malformed(self, capsys, comma_file, text):
+        code, doc = run(capsys, "step", "--pair", text, "--r", "34/3", comma_file)
+        assert code == 2
+        assert doc["error"] == "REJECT_MALFORMED"
+
 
 class TestExtend:
     def test_lex(self, capsys, h_file):

@@ -4,6 +4,7 @@ import pytest
 
 from floppymetrics import (
     PROPOSITION,
+    PartialMetric,
     THEOREM,
     admissible_interval,
     doubleton_dist,
@@ -19,6 +20,7 @@ from floppymetrics import (
 from floppymetrics.errors import (
     AlreadyEdgeError,
     ChoiceSetMissesIntervalError,
+    DisconnectedError,
     MalformedInputError,
     MissingChoiceSetError,
     NotFloppyError,
@@ -135,6 +137,14 @@ class TestStepProperties:
     def test_rejects_out_of_range_r(self, h_graph):
         with pytest.raises(ROutOfRangeError):
             verify_step_properties(h_graph, pair("x", "y"), 13)
+
+    def test_pair_inside_one_component_of_disconnected_metric(self, h_graph):
+        """xy has finite hat and check, but the statements range over every
+        vertex pair, and pairs across components have no distance."""
+        m = PartialMetric(h_graph.vertices | {"p", "q"}, {**h_graph.edges, pair("p", "q"): 1})
+        assert not validate(m).connected
+        with pytest.raises(DisconnectedError):
+            verify_step_properties(m, pair("x", "y"), Fraction(34, 3))
 
 
 class TestFullExtend:

@@ -11,11 +11,14 @@ through cached max-plus rows.  These tests check ``shortest_path`` and
 
 ``TestCarriedRows`` covers the envelope rows that ``with_edge`` copies carry
 over from a parent with all, some or none of its rows cached.
+``TestIntegerRows`` covers the common denominator those rows are scaled by,
+when a chain brings in new denominators, also ones past the float range.
 
 A property test then checks the lemma the constructive instances rely on at
 sizes the brute oracles cannot reach.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -177,15 +180,17 @@ def cache_rows(m, rng, mode):
     return m
 
 
-def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None):
+def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None, weight=None):
     """Metrics along a with_edge chain, plus one sibling per link.
 
     Each parent gets a random row-cache state before its children are built.
     Nothing is compared until the whole chain exists, so children derive from
     partly cached parents, and every parent is checked after its children:
     a child that wrote into a shared row would show up in its parent or its
-    sibling.  ``prefer(m)`` narrows the candidate new pairs when non-empty.
+    sibling.  ``prefer(m)`` narrows the candidate new pairs when non-empty;
+    ``weight(rng)`` draws the new weights (default ``random_weight``).
     """
+    draw = weight or (lambda rng: random_weight(rng, zero_share))
     out = [m]
     for _ in range(links):
         parent = cache_rows(out[-1], rng, rng.choice(["carried", "carried", "none", "some", "all", "all", "cold"]))
@@ -201,7 +206,7 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None)
                     picks.append(rng.choice(missing))
         if not picks:
             break
-        sibling, child = (parent.with_edge(d, random_weight(rng, zero_share)) for d in (picks[0], picks[-1]))
+        sibling, child = (parent.with_edge(d, draw(rng)) for d in (picks[0], picks[-1]))
         out += [sibling, child]
     return out
 
@@ -259,6 +264,63 @@ class TestCarriedRows:
         assert [list(row) for row in full._rows] == snapshot
         assert cache_rows(m, rng, "none").with_edge(d, 1)._rows is None
         assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
+
+
+def weights_over(denominators, zero_share=0.0):
+    """Weight draws whose denominators take ``denominators`` in turn."""
+    queue = itertools.cycle(denominators)
+
+    def draw(rng):
+        q = next(queue)
+        return Fraction(0) if rng.random() < zero_share else Fraction(rng.randrange(1, 40 * q), q)
+
+    return draw
+
+
+def integer_graph(rng, n, p):
+    """G(n, p) with integer weights, so every fractional weight added later
+    changes the common denominator; may be disconnected."""
+    verts = [f"v{i}" for i in range(n)]
+    return PartialMetric(verts, {pair(u, v): rng.randrange(1, 40) for u, v in combinations(verts, 2) if rng.random() < p})
+
+
+class TestIntegerRows:
+    """Envelope rows are ints over the metric's common denominator L, and a
+    ``with_edge`` copy carries them to L' = lcm(L, w.denominator).
+
+    Every copy, parent and sibling is compared with ``reference_envelope``
+    after the whole chain is built, so a carried row left at the parent's
+    scale, a parent row rescaled in place, or a through-term shifted at the
+    wrong scale shows up in some metric of the chain.
+    """
+
+    def test_new_denominators_mid_chain(self):
+        rng = random.Random(4501)
+        for trial in range(12):
+            m = random_connected_graph(rng, rng.randrange(3, 11), extra_edges=rng.randrange(0, 8))
+            m = PartialMetric(m.vertices, {d: w.numerator for d, w in m.edges.items()})
+            draw = weights_over([1, 2, 3, 7, 2, 11, 13, 5])
+            for k, link in enumerate(grow_chain(rng, m, 6, weight=draw)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_denominators_past_float_range(self):
+        """L exceeds the float range, so an ``INF`` that entered integer
+        arithmetic would raise ``OverflowError``; disconnected graphs keep
+        ``INF`` in the tables."""
+        rng = random.Random(4502)
+        for trial in range(10):
+            m = integer_graph(rng, rng.randrange(4, 11), 0.25)
+            draw = weights_over([2**1100, 3, 3**700, 1, 2**1100 + 1])
+            for k, link in enumerate(grow_chain(rng, m, 5, weight=draw, prefer=cross_component_pairs)):
+                assert_matches_reference(link, (trial, k))
+
+    def test_disconnected_zero_weights_and_replacement(self):
+        rng = random.Random(4503)
+        for trial in range(12):
+            m = integer_graph(rng, rng.randrange(4, 12), 0.2)
+            draw = weights_over([2, 3, 5, 7, 1], zero_share=0.25)
+            for k, link in enumerate(grow_chain(rng, m, 6, replace_share=0.3, weight=draw)):
+                assert_matches_reference(link, (trial, k))
 
 
 def taxicab_plus_one_subgraph(rng, n, density):
