@@ -9,35 +9,21 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from . import serialize
-from .core import Doubleton, as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
+from .core import as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
 from .errors import MalformedInputError, MetricError
-from .extension import full_extend, one_step_extend, verify_step_properties
+from .extension import _seed_of, full_extend, one_step_extend, verify_step_properties
 from .game import adversary_player_two, play, winning_player_one
 from .game import ProbeSecondPlayer, RandomSecondPlayer
 from .generators import cantor_tree, complete_metric, cycle_metric, path_metric, random_floppy, star_metric
 from .glue import floppy_certificate, glue, glue_hat, validate_patchwork
-from .serialize import metric_to_doc, metric_to_dot
+from .serialize import _ESCAPES, _parse_pair, metric_to_doc, metric_to_dot
 
 
 def _emit(obj):
     print(json.dumps(obj, indent=2))
-
-
-_ESCAPES = r"inside a label write \, for a comma and \\ for a backslash"
-_LABEL = r"((?:[^,\\]|\\[,\\])*)"
-_PAIR = re.compile(_LABEL + "," + _LABEL)
-
-
-def _parse_pair(text: str) -> Doubleton:
-    match = _PAIR.fullmatch(text)
-    if match is None:
-        raise MalformedInputError(f"pair must be 'u,v' ({_ESCAPES}), got {text!r}")
-    u, v = (re.sub(r"\\(.)", r"\1", label) for label in match.groups())
-    return Doubleton(u, v)
 
 
 def _cmd_validate(args):
@@ -98,7 +84,7 @@ def _make_player_two(spec: str):
     if spec == "adversary":
         return adversary_player_two()
     if spec.startswith("random:"):
-        return RandomSecondPlayer(int(spec.split(":", 1)[1]))
+        return RandomSecondPlayer(_seed_of(spec))
     if spec in ("low", "high", "mid"):
         return ProbeSecondPlayer(spec)
     raise MalformedInputError(f"unknown player-two strategy {spec!r}")

@@ -8,10 +8,12 @@ a graph over labeled vertices.  From it we derive
 * ``lower_envelope(m, x, y)`` -- the largest value any extension of ``m`` is
   forced to respect at the pair ``xy``.
 
-All arithmetic is exact: ``fractions.Fraction`` at the API, integers over a
-common denominator inside the kernel, and no floats on the core path.
-Verdicts like floppiness hinge on strict inequalities, so rounding is never
-acceptable.
+All arithmetic is exact: ``fractions.Fraction`` at the API and in the
+distance table, integers over a common denominator inside the envelope
+kernel, and no floats anywhere in this module.  ``None`` marks a pair that no
+chain connects (the paper's +infinity), in the table and in the envelope rows
+alike.  Verdicts like floppiness hinge on strict inequalities, so rounding is
+never acceptable.
 
 One kernel serves all three.  Each metric keeps ``L``, a common denominator
 of its weights (the LCM of their denominators), and caches an n x n list
@@ -49,7 +51,6 @@ from .errors import (
     UnknownVertexError,
 )
 
-INF = math.inf  # unreachable sentinel inside distance tables; never serialized
 _ZERO = Fraction(0)
 
 
@@ -91,13 +92,6 @@ class Doubleton:
     def __iter__(self):
         return iter((self.a, self.b))
 
-    def other(self, v: str) -> str:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise UnknownVertexError(f"{v!r} is not an endpoint of {self}")
-
     def __str__(self):
         return f"{{{self.a},{self.b}}}"
 
@@ -114,7 +108,7 @@ class PartialMetric:
     must sort together (all ``str`` or all ``int``, say).  Instances are
     immutable.  The vertex index (sorted labels to 0..n-1) and the common
     denominator ``_scale`` of the weights are built with the instance; the
-    n x n distance table of exact Fractions (``INF`` between components) and
+    n x n distance table of exact Fractions (``None`` between components) and
     one max-plus envelope row per vertex, held as ints times ``_scale``, are
     built lazily and cached.  ``with_edge`` copies share the vertex index,
     extend ``_scale`` by the new weight's denominator, and carry the parent's
@@ -222,7 +216,7 @@ def _all_pairs_shortest(index, edges, scale):
     """Floyd-Warshall on integers scaled by ``scale``, a common denominator of the weights.
 
     Exact: every chain weight times ``scale`` is an integer.  Entries are
-    converted to Fractions (``INF`` for unreachable pairs) once at the end,
+    converted to Fractions (``None`` for unreachable pairs) once at the end,
     one shared Fraction per distinct value.
     """
     n = len(index)
@@ -246,9 +240,12 @@ def _all_pairs_shortest(index, edges, scale):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    shared = {big: INF}
+    shared = {}
     for row in dist:
         for j, s in enumerate(row):
+            if s == big:  # before the lookup, whose miss is None too
+                row[j] = None
+                continue
             f = shared.get(s)
             if f is None:
                 f = shared[s] = Fraction(s, scale)
@@ -266,7 +263,8 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     edge's two orientations, R'_u[j] >= w - hat'(u, i) and R'_u[i] >= w - hat'(u, j).
     A through-term counts only when its chain beats the direct distance to the
     far endpoint, and since ``w >= 0`` at most one of the two can.  A row with
-    neither cannot improve, so its table row is shared unchanged.
+    neither cannot improve, so its table row is shared unchanged, and so does
+    a row that reaches neither endpoint (``None`` entries are skipped).
 
     ``rows`` is the parent's row cache already at the copy's ``scale``, or
     ``None``.  A row is carried when the parent has it and the far row it
@@ -277,17 +275,19 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     out, out_rows = [], (None if rows is None else [])
     for u, row in enumerate(dist):
         via = None
-        if row[i] + w < row[j]:  # u -> i -> j -> v
-            via, far = row[i] + w, j
-        elif row[j] + w < row[i]:  # u -> j -> i -> v
-            via, far = row[j] + w, i
+        hi, hj = row[i], row[j]
+        if hi is not None and (hj is None or hi + w < hj):  # u -> i -> j -> v
+            via, far = hi + w, j
+        elif hj is not None and (hi is None or hj + w < hi):  # u -> j -> i -> v
+            via, far = hj + w, i
         new = row
         if via is not None:
             new = list(row)
             for v, h in enumerate(dist[far]):
-                alt = via + h
-                if alt < new[v]:
-                    new[v] = alt
+                if h is not None:
+                    alt = via + h
+                    if new[v] is None or alt < new[v]:
+                        new[v] = alt
         out.append(new)
         if rows is None:
             continue
@@ -299,7 +299,7 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
             copied = True
         if r is not None:
             for b, h in ((j, new[i]), (i, new[j])):
-                if h is not INF:
+                if h is not None:
                     val = ws - h.numerator * (scale // h.denominator)
                     if r[b] is None or val > r[b]:
                         if not copied:
@@ -333,7 +333,7 @@ def _envelope_row(m: PartialMetric, x: int):
     row = rows[x]
     if row is None:
         scale = m._scale
-        hx = [None if h is INF else h.numerator * (scale // h.denominator) for h in m._table()[x]]
+        hx = [None if h is None else h.numerator * (scale // h.denominator) for h in m._table()[x]]
         index = m._index
         row = rows[x] = [None] * len(hx)
         for d, w in m._edges.items():
@@ -352,33 +352,26 @@ def _envelope_row(m: PartialMetric, x: int):
     return row
 
 
-def _require_vertex(m: PartialMetric, v: str):
-    if v not in m.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-
-
-def _entry(m: PartialMetric, x: str, y: str):
-    """Table entry for the vertex pair xy (``INF`` when disconnected)."""
-    t = m._table()
-    index = m._index
-    return t[index[x]][index[y]]
+def _index_of(m: PartialMetric, v) -> int:
+    """Table index of vertex ``v``; ``UnknownVertexError`` if ``m`` has no such vertex."""
+    try:
+        return m._index[v]
+    except KeyError:
+        raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
 
 def shortest_path(m: PartialMetric, x: str, y: str) -> Fraction:
     """Minimum chain weight between two vertices (the induced pseudometric)."""
-    _require_vertex(m, x)
-    _require_vertex(m, y)
-    val = _entry(m, x, y)
-    if val is INF:
+    i, j = _index_of(m, x), _index_of(m, y)
+    val = m._table()[i][j]
+    if val is None:
         raise DisconnectedError(f"no chain connects {x!r} and {y!r}")
     return val
 
 
 def shortest_chain(m: PartialMetric, x: str, y: str):
     """One vertex chain realizing shortest_path(m, x, y) (Dijkstra with parents)."""
-    _require_vertex(m, x)
-    _require_vertex(m, y)
-    if x == y:
+    if _index_of(m, x) == _index_of(m, y):
         return [x]
     adj = {v: [] for v in m.vertices}
     for d, w in m.edges.items():
@@ -408,16 +401,12 @@ def shortest_chain(m: PartialMetric, x: str, y: str):
 
 def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     """Distance between unordered pairs: the cheaper endpoint matching."""
-    for v in (p.a, p.b, q.a, q.b):
-        _require_vertex(m, v)
+    pa, pb, qa, qb = (_index_of(m, v) for v in (p.a, p.b, q.a, q.b))
     t = m._table()
-    pa, pb, qa, qb = (m._index[v] for v in (p.a, p.b, q.a, q.b))
-    straight = t[pa][qa] + t[pb][qb]
-    crossed = t[pa][qb] + t[pb][qa]
-    val = straight if straight <= crossed else crossed
-    if val == INF:
+    sums = [h + k for h, k in ((t[pa][qa], t[pb][qb]), (t[pa][qb], t[pb][qa])) if h is not None and k is not None]
+    if not sums:
         raise DisconnectedError(f"pairs {p} and {q} span disconnected components")
-    return val
+    return min(sums)
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
@@ -429,15 +418,14 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     R_x of ``_envelope_row``, so each pair costs O(n) once its row exists.
     The scan runs on ints over the metric's common denominator.
     """
-    _require_vertex(m, x)
-    _require_vertex(m, y)
-    if x == y:
+    i, j = _index_of(m, x), _index_of(m, y)
+    if i == j:
         return _ZERO
     t = m._table()
     scale = m._scale
     best = 0
-    for r, h in zip(_envelope_row(m, m._index[x]), t[m._index[y]]):
-        if r is not None and h is not INF:
+    for r, h in zip(_envelope_row(m, i), t[j]):
+        if r is not None and h is not None:
             val = r - h.numerator * (scale // h.denominator)
             if val > best:
                 best = val
@@ -468,8 +456,8 @@ def validate(m: PartialMetric) -> ValidationReport:
     """
     t = m._table()
     n = len(t)
-    connected = INF not in t[0]
-    pseudometric = all(_entry(m, d.a, d.b) == w for d, w in m.edges.items())
+    connected = None not in t[0]
+    pseudometric = all(t[_index_of(m, d.a)][_index_of(m, d.b)] == w for d, w in m.edges.items())
     metric = pseudometric and all(w > 0 for w in m.edges.values())
     full = len(m.edges) == n * (n - 1) // 2
     return ValidationReport(connected, pseudometric, metric, full)
@@ -512,10 +500,11 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
     glued-patchwork certificate).
     """
     _require_metric_grade(m, allow_pseudometric=not require_metric)
+    t = m._table()
     worst = None
     worst_gap = None
     for d in m.non_edges():
-        gap = _entry(m, d.a, d.b) - lower_envelope(m, d.a, d.b)
+        gap = t[_index_of(m, d.a)][_index_of(m, d.b)] - lower_envelope(m, d.a, d.b)
         if worst_gap is None or gap < worst_gap:
             worst, worst_gap = d, gap
     if worst is None:
@@ -534,8 +523,9 @@ def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
     cap = len(m.vertices) ** 2
     for iteration in range(cap + 1):
         forced = []
+        t = current._table()
         for d in current.non_edges():
-            h = _entry(current, d.a, d.b)
+            h = t[_index_of(current, d.a)][_index_of(current, d.b)]
             if h > 0 and lower_envelope(current, d.a, d.b) == h:
                 forced.append((d, h))
         if not forced:

@@ -64,7 +64,3 @@ class DepthZeroError(MetricError):
 
 class GenerationExhaustedError(MetricError):
     code = "GENERATION_EXHAUSTED"
-
-
-class IllegalMoveError(MetricError):
-    code = "ILLEGAL_MOVE"

@@ -257,11 +257,19 @@ class ExtensionTrace:
         return {"steps": [s.to_json() for s in self.steps], "result": metric_to_doc(self.result)}
 
 
+def _seed_of(spec: str) -> int:
+    """The SEED of a ``random:SEED`` option."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise MalformedInputError(f"{spec!r} needs an integer seed, as in 'random:0'") from None
+
+
 def _parse_order(order):
     if order in ("lex", "maxgap"):
         return order, None
     if isinstance(order, str) and order.startswith("random:"):
-        return "random", random.Random(int(order.split(":", 1)[1]))
+        return "random", random.Random(_seed_of(order))
     if order == "random":
         return "random", random.Random(0)
     raise MalformedInputError(f"unknown order policy {order!r}")

@@ -75,20 +75,16 @@ class ChoiceSet:
 
     @classmethod
     def of_points(cls, *values):
-        return cls(points=frozenset(as_rational(v) for v in values))
+        return cls(points=values)
 
     @classmethod
     def open_interval(cls, lo, hi=None):
-        return cls(intervals=((as_rational(lo), None if hi is None else as_rational(hi)),))
+        return cls(intervals=((lo, hi),))
 
     def contains(self, v: Fraction) -> bool:
         if v in self.points:
             return True
         return any(lo < v and (hi is None or v < hi) for lo, hi in self.intervals)
-
-    @property
-    def nondegenerate(self) -> bool:
-        return bool(self.intervals) or len(self.points) >= 2
 
     def diameter(self):
         """sup of pairwise distances; math.inf for unbounded sets."""
@@ -238,6 +234,8 @@ def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, pla
     Moves are only checked against their offered sets while the game runs;
     the accumulated relation is validated once, after the last inning.
     """
+    if game_length < 0:
+        raise MalformedInputError(f"game length must be nonnegative, got {game_length}")
     rep = validate(base)
     if not (rep.connected and rep.graph_metric):
         raise NotGraphMetricError("game base must be a graph metric")

@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import Doubleton, PartialMetric, as_rational, is_floppy, lower_envelope, validate
+from .core import Doubleton, PartialMetric, as_rational, is_floppy, lower_envelope
 from .errors import DepthZeroError, GenerationExhaustedError, MalformedInputError
+
+_MAX_ATTEMPTS = 64  # floppiness checks random_floppy makes before it gives up
 
 
 def cantor_tree(depth: int, *, verify=True) -> PartialMetric:
@@ -97,7 +99,7 @@ def _taxicab_full_metric(rng: random.Random, n: int, scale: Fraction) -> Partial
     return PartialMetric(vertices, edges)
 
 
-def random_floppy(n: int, density, seed: int, *, scale=1, max_attempts=64) -> PartialMetric:
+def random_floppy(n: int, density, seed: int, *, scale=1) -> PartialMetric:
     """Seeded random floppy graph metric with roughly the requested density."""
     if n < 2:
         raise MalformedInputError("n must be at least 2")
@@ -105,10 +107,12 @@ def random_floppy(n: int, density, seed: int, *, scale=1, max_attempts=64) -> Pa
     if not 0 < density <= 1:
         raise MalformedInputError(f"density must be in (0, 1], got {density}")
     scale = as_rational(scale)
+    if scale <= 0:
+        raise MalformedInputError(f"scale must be positive, got {scale}")
     rng = random.Random(seed)
     total_pairs = n * (n - 1) // 2
     target = max(n - 1, round(density * total_pairs))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         full = _taxicab_full_metric(rng, n, scale)
         verts = sorted(full.vertices)
         # random spanning tree: attach each vertex to a random earlier one
@@ -118,8 +122,9 @@ def random_floppy(n: int, density, seed: int, *, scale=1, max_attempts=64) -> Pa
         rest = [d for d in sorted(full.edges) if d not in keep]
         rng.shuffle(rest)
         keep.update(rest[: max(0, target - len(keep))])
+        # a connected spanning subgraph of a full metric with positive
+        # weights is a connected graph metric
         m = PartialMetric(verts, {d: full.weight(d) for d in keep})
-        rep = validate(m)
-        if rep.graph_metric and rep.connected and is_floppy(m).floppy:
+        if is_floppy(m).floppy:
             return m
-    raise GenerationExhaustedError(f"no floppy instance after {max_attempts} attempts (seed {seed})")
+    raise GenerationExhaustedError(f"no floppy instance after {_MAX_ATTEMPTS} attempts (seed {seed})")

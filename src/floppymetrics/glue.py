@@ -164,8 +164,6 @@ def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
     gateways) + (distance from the other gateway).
     """
     mx, my = _locate(pw, x), _locate(pw, y)
-    if mx == my:
-        return shortest_path(_member(pw, mx), x, y)
     for mid, member in pw.members():
         if x in member.vertices and y in member.vertices:
             return shortest_path(member, x, y)

@@ -1,4 +1,4 @@
-"""JSON documents for metrics, patchworks, traces, and game transcripts.
+r"""JSON documents for metrics, patchworks, traces, and game transcripts.
 
 Metric document:
     {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "3/2"}]}
@@ -6,16 +6,34 @@ Metric document:
 Weights are reduced rational strings ("p/q" or "n").  Canonical serialization
 orders vertices and edges lexicographically, so documents round-trip
 losslessly and byte-identically.
+
+Pair text, as in the CLI's ``--pair`` and the keys of a choice-map document,
+is two labels separated by a comma, with ``\,`` for a comma and ``\\`` for a
+backslash inside a label.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .core import Doubleton, PartialMetric, as_rational
 from .errors import MalformedInputError
 from .game import ChoiceSet
 from .glue import Patchwork
+
+
+_ESCAPES = r"inside a label write \, for a comma and \\ for a backslash"
+_LABEL = r"((?:[^,\\]|\\[,\\])*)"
+_PAIR = re.compile(_LABEL + "," + _LABEL)
+
+
+def _parse_pair(text: str) -> Doubleton:
+    match = _PAIR.fullmatch(text)
+    if match is None:
+        raise MalformedInputError(f"pair must be 'u,v' ({_ESCAPES}), got {text!r}")
+    u, v = (re.sub(r"\\(.)", r"\1", label) for label in match.groups())
+    return Doubleton(u, v)
 
 
 def metric_to_doc(m: PartialMetric) -> dict:
@@ -38,6 +56,8 @@ def metric_from_doc(doc) -> PartialMetric:
         raise MalformedInputError("vertices must be a list of strings")
     if len(set(vertices)) != len(vertices):
         raise MalformedInputError("vertex labels must be pairwise distinct")
+    if not isinstance(raw_edges, list):
+        raise MalformedInputError("edges must be a list")
     edges = {}
     for e in raw_edges:
         try:
@@ -65,26 +85,19 @@ def patchwork_from_doc(doc) -> Patchwork:
 
 
 def choice_set_from_doc(doc) -> ChoiceSet:
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"choice-set document must be an object, got {doc!r}")
     try:
-        points = [as_rational(p) for p in doc.get("points", [])]
-        intervals = [
-            (as_rational(lo), None if hi is None else as_rational(hi))
-            for lo, hi in doc.get("intervals", [])
-        ]
+        return ChoiceSet(points=doc.get("points", ()), intervals=doc.get("intervals", ()))
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad choice-set document {doc!r}") from exc
-    return ChoiceSet(points=frozenset(points), intervals=tuple(intervals))
 
 
 def choice_map_from_doc(doc) -> dict:
-    """Mapping document keyed by "u,v" pair strings."""
-    out = {}
-    for key, cs_doc in doc.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise MalformedInputError(f"choice-map key must be 'u,v', got {key!r}")
-        out[Doubleton(parts[0], parts[1])] = choice_set_from_doc(cs_doc)
-    return out
+    """Mapping document from pair text (``--pair`` escapes) to choice-set documents."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"choice-map document must be an object, got {doc!r}")
+    return {_parse_pair(key): choice_set_from_doc(cs_doc) for key, cs_doc in doc.items()}
 
 
 def load_metric(path) -> PartialMetric:

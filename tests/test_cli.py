@@ -8,6 +8,8 @@ import pytest
 
 from floppymetrics import dump_metric, metric_from_doc, pair, patchwork_to_doc, Patchwork, PartialMetric
 from floppymetrics.cli import main
+from floppymetrics.errors import MalformedInputError
+from floppymetrics.serialize import choice_map_from_doc
 
 
 @pytest.fixture
@@ -160,9 +162,20 @@ class TestEscapedLabels:
 
     @pytest.mark.parametrize("text", [r"x\,1", "x,1,y", r"x\1,y", "x,y\\", r"x\,1\,y", ","])
     def test_not_two_labels_is_malformed(self, capsys, comma_file, text):
+        """Rejected as ``--pair`` and as a choice-map key alike."""
         code, doc = run(capsys, "step", "--pair", text, "--r", "34/3", comma_file)
         assert code == 2
         assert doc["error"] == "REJECT_MALFORMED"
+        with pytest.raises(MalformedInputError):
+            choice_map_from_doc({text: {"points": ["1"]}})
+
+    def test_extend_with_choice_set_file(self, capsys, comma_file, tmp_path):
+        keys = [r"x\,1,y", "y,a", r"b\\,x\,1"]
+        cpath = tmp_path / "sets.json"
+        cpath.write_text(json.dumps({key: {"intervals": [["0", None]]} for key in keys}))
+        code, doc = run(capsys, "extend", "--choice", f"set-file:{cpath}", comma_file)
+        assert code == 0
+        assert sorted(s["pair"] for s in doc["steps"]) == [["a", "y"], ["b\\", "x,1"], ["x,1", "y"]]
 
 
 class TestExtend:
@@ -259,6 +272,40 @@ class TestGen:
     def test_bad_scale(self, capsys):
         code, doc = run(capsys, "gen", "path", "--n", "3", "--scale", "huge")
         assert code == 2
+
+
+class TestMalformedInput:
+    """Input the CLI cannot use exits 2 with ``REJECT_MALFORMED`` on stdout and
+    nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{edges_5}"],
+            ["extend", "--choice", "set-file:{list_doc}", "{h}"],
+            ["extend", "--choice", "set-file:{number_value}", "{h}"],
+            ["extend", "--order", "random:x", "{h}"],
+            ["extend", "--order", "random:", "{h}"],
+            ["game", "play", "--p2", "random:x", "{h}"],
+            ["game", "play", "--lambda", "-1", "{h}"],
+        ],
+        ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
+             "order-random-empty", "p2-random-x", "negative-lambda"],
+    )
+    def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
+        files = {"h": h_file}
+        for name, content in (
+            ("edges_5", {"vertices": ["a", "b"], "edges": 5}),
+            ("list_doc", [1]),
+            ("number_value", {"x,y": 5}),
+        ):
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        code = main([arg.format(**files) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"] == "REJECT_MALFORMED"
+        assert err == ""
 
 
 class TestUsage:

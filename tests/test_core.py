@@ -129,8 +129,16 @@ class TestShortestPath:
         assert shortest_path(m, "0", "1") == brute_hat(m, "0", "1") == 1
 
     def test_unknown_vertex(self, path_abc):
-        with pytest.raises(UnknownVertexError):
-            shortest_path(path_abc, "a", "z")
+        """Every per-pair query rejects an unknown label in each position,
+        also when both labels are the same unknown one."""
+        for x, y in (("a", "z"), ("z", "a"), ("z", "z")):
+            for query in (shortest_path, shortest_chain, lower_envelope):
+                with pytest.raises(UnknownVertexError):
+                    query(path_abc, x, y)
+        ab, first, second, both = pair("a", "b"), pair("0", "b"), pair("a", "z"), pair("0", "z")
+        for p, q in ((first, ab), (second, ab), (ab, first), (ab, second), (both, both)):
+            with pytest.raises(UnknownVertexError):
+                doubleton_dist(path_abc, p, q)
 
     def test_chain_realizes_distance(self, h_graph):
         chain = shortest_chain(h_graph, "x", "y")

@@ -156,3 +156,5 @@ class TestRandomFloppy:
             random_floppy(5, 0, 0)
         with pytest.raises(MalformedInputError):
             random_floppy(5, 2, 0)
+        with pytest.raises(MalformedInputError):
+            random_floppy(5, Fraction(1, 2), 0, scale=0)

@@ -12,7 +12,8 @@ through cached max-plus rows.  These tests check ``shortest_path`` and
 ``TestCarriedRows`` covers the envelope rows that ``with_edge`` copies carry
 over from a parent with all, some or none of its rows cached.
 ``TestIntegerRows`` covers the common denominator those rows are scaled by,
-when a chain brings in new denominators, also ones past the float range.
+when a chain brings in new denominators, also ones past the float range, and
+weights whose values pass the float range between components.
 
 A property test then checks the lemma the constructive instances rely on at
 sizes the brute oracles cannot reach.
@@ -26,35 +27,45 @@ from itertools import combinations
 
 import pytest
 
-from floppymetrics import PartialMetric, is_floppy, lower_envelope, pair, shortest_path, validate
+from floppymetrics import PartialMetric, doubleton_dist, is_floppy, lower_envelope, pair, shortest_path, validate
 from floppymetrics.errors import DisconnectedError
 
 from conftest import brute_check, brute_hat, random_connected_graph
 
 
 def reference_table(m):
-    """Label-keyed Floyd-Warshall over Fractions; ``math.inf`` if unreachable."""
+    """Label-keyed Floyd-Warshall over Fractions; ``None`` if unreachable.
+
+    ``None`` is never added or compared, so weights past the float range
+    stay exact here too.
+    """
     verts = sorted(m.vertices)
-    dist = {(u, v): (Fraction(0) if u == v else math.inf) for u in verts for v in verts}
+    dist = {(u, v): (Fraction(0) if u == v else None) for u in verts for v in verts}
     for d, w in m.edges.items():
-        dist[(d.a, d.b)] = dist[(d.b, d.a)] = min(w, dist[(d.a, d.b)])
+        old = dist[(d.a, d.b)]
+        dist[(d.a, d.b)] = dist[(d.b, d.a)] = w if old is None else min(w, old)
     for k in verts:
         for u in verts:
             for v in verts:
-                alt = dist[(u, k)] + dist[(k, v)]
-                if alt < dist[(u, v)]:
-                    dist[(u, v)] = alt
+                uk, kv, uv = dist[(u, k)], dist[(k, v)], dist[(u, v)]
+                if uk is not None and kv is not None and (uv is None or uk + kv < uv):
+                    dist[(u, v)] = uk + kv
     return dist
 
 
 def reference_envelope(m, table, x, y):
-    """Max over edges ab of w(ab) - doubleton_dist(ab, xy), clamped at 0."""
+    """Max over edges ab of w(ab) - doubleton_dist(ab, xy), clamped at 0.
+
+    An endpoint matching that crosses components contributes nothing.
+    """
     if x == y:
         return Fraction(0)
     best = Fraction(0)
     for d, w in m.edges.items():
-        dd = min(table[(d.a, x)] + table[(d.b, y)], table[(d.a, y)] + table[(d.b, x)])
-        best = max(best, w - dd)
+        for a, b in ((d.a, d.b), (d.b, d.a)):
+            ax, by = table[(a, x)], table[(b, y)]
+            if ax is not None and by is not None:
+                best = max(best, w - ax - by)
     return best
 
 
@@ -63,7 +74,7 @@ def assert_matches_reference(m, label=""):
     table = reference_table(m)
     for u in sorted(m.vertices):
         for v in sorted(m.vertices):
-            if table[(u, v)] == math.inf:
+            if table[(u, v)] is None:
                 with pytest.raises(DisconnectedError):
                     shortest_path(m, u, v)
             else:
@@ -213,7 +224,7 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None,
 
 def cross_component_pairs(m):
     table = reference_table(m)
-    return [d for d in m.non_edges() if table[(d.a, d.b)] == math.inf]
+    return [d for d in m.non_edges() if table[(d.a, d.b)] is None]
 
 
 class TestCarriedRows:
@@ -266,13 +277,15 @@ class TestCarriedRows:
         assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
 
 
-def weights_over(denominators, zero_share=0.0):
-    """Weight draws whose denominators take ``denominators`` in turn."""
+def weights_over(denominators, zero_share=0.0, magnitudes=(1,)):
+    """Weight draws whose denominators take ``denominators`` in turn, and
+    whose values are scaled by ``magnitudes`` in turn."""
     queue = itertools.cycle(denominators)
+    factors = itertools.cycle(magnitudes)
 
     def draw(rng):
-        q = next(queue)
-        return Fraction(0) if rng.random() < zero_share else Fraction(rng.randrange(1, 40 * q), q)
+        q, k = next(queue), next(factors)
+        return Fraction(0) if rng.random() < zero_share else Fraction(rng.randrange(1, 40 * q) * k, q)
 
     return draw
 
@@ -304,13 +317,14 @@ class TestIntegerRows:
                 assert_matches_reference(link, (trial, k))
 
     def test_denominators_past_float_range(self):
-        """L exceeds the float range, so an ``INF`` that entered integer
-        arithmetic would raise ``OverflowError``; disconnected graphs keep
-        ``INF`` in the tables."""
+        """L, and some weights' values, exceed the float range while
+        disconnected graphs keep ``None`` (unreachable) entries in the
+        tables; a float sentinel met by such a value would raise
+        ``OverflowError``."""
         rng = random.Random(4502)
         for trial in range(10):
             m = integer_graph(rng, rng.randrange(4, 11), 0.25)
-            draw = weights_over([2**1100, 3, 3**700, 1, 2**1100 + 1])
+            draw = weights_over([2**1100, 3, 3**700, 1, 2**1100 + 1], magnitudes=[1, 2**1100, 1, 3**700])
             for k, link in enumerate(grow_chain(rng, m, 5, weight=draw, prefer=cross_component_pairs)):
                 assert_matches_reference(link, (trial, k))
 
@@ -318,9 +332,21 @@ class TestIntegerRows:
         rng = random.Random(4503)
         for trial in range(12):
             m = integer_graph(rng, rng.randrange(4, 12), 0.2)
-            draw = weights_over([2, 3, 5, 7, 1], zero_share=0.25)
+            draw = weights_over([2, 3, 5, 7, 1], zero_share=0.25, magnitudes=[1, 1, 2**1030])
             for k, link in enumerate(grow_chain(rng, m, 6, replace_share=0.3, weight=draw)):
                 assert_matches_reference(link, (trial, k))
+
+    def test_weight_past_float_range_between_components(self):
+        """Regression: ab weighs 2**1100 and cd 1, so the table holds a
+        value no float can represent next to unreachable pairs."""
+        m = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): Fraction(2**1100), pair("c", "d"): 1})
+        validate(m)  # builds the table, so with_edge relaxes it
+        with pytest.raises(DisconnectedError):
+            doubleton_dist(m, pair("a", "b"), pair("a", "c"))
+        joined = m.with_edge(pair("b", "c"), 2**1100)
+        assert shortest_path(joined, "a", "d") == 2**1101 + 1
+        for link in (m, joined):
+            assert_matches_reference(link)
 
 
 def taxicab_plus_one_subgraph(rng, n, density):

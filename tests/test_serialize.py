@@ -60,6 +60,7 @@ class TestMetricDocs:
                     {"u": "b", "v": "a", "w": "2"},
                 ],
             },
+            {"vertices": ["a", "b"], "edges": 5},
         ],
     )
     def test_malformed_docs_rejected(self, doc):
@@ -99,14 +100,21 @@ class TestChoiceSetDocs:
         assert cs == ChoiceSet(points=frozenset([1, Fraction(3, 2)]), intervals=((2, None),))
 
     def test_choice_map_keys(self):
-        cmap = choice_map_from_doc({"a,b": {"points": ["1"]}})
+        """Keys are pair text with the ``--pair`` escapes."""
+        cmap = choice_map_from_doc({"a,b": {"points": ["1"]}, r"x\,1,b": {"points": ["2"]}, r"a\\b,c": {"points": ["3"]}})
         assert cmap[pair("a", "b")].contains(1)
-        with pytest.raises(MalformedInputError):
-            choice_map_from_doc({"abc": {"points": ["1"]}})
+        assert cmap[pair("x,1", "b")].contains(2)
+        assert cmap[pair("a\\b", "c")].contains(3)
+        for key in ("abc", r"a\b,c"):
+            with pytest.raises(MalformedInputError):
+                choice_map_from_doc({key: {"points": ["1"]}})
 
     def test_bad_doc_rejected(self):
+        for doc in ({"points": [1.5]}, 5, [1], {"points": 5}, {"intervals": [["1"]]}, {"intervals": [[[1], None]]}):
+            with pytest.raises(MalformedInputError):
+                choice_set_from_doc(doc)
         with pytest.raises(MalformedInputError):
-            choice_set_from_doc({"points": [1.5]})
+            choice_map_from_doc([1])
 
 
 class TestDot:
