@@ -91,11 +91,7 @@ def _make_player_two(spec: str):
 
 
 def _cmd_game(args):
-    if args.action != "play":
-        raise MalformedInputError(f"unknown game action {args.action!r}")
     base = serialize.load_metric(args.file)
-    if args.p1 != "winning":
-        raise MalformedInputError(f"unknown player-one strategy {args.p1!r}")
     p1 = winning_player_one(base)
     p2 = _make_player_two(args.p2)
     length = args.game_length if args.game_length is not None else len(base.non_edges())
@@ -180,7 +176,6 @@ def _build_parser():
 
     p = sub.add_parser("game", help="play the metric-extending game")
     p.add_argument("action", choices=["play"])
-    p.add_argument("--p1", default="winning")
     p.add_argument("--p2", default="random:0", help="random:SEED | adversary | low | high | mid")
     p.add_argument("--lambda", dest="game_length", type=int, default=None, help="number of innings")
     p.add_argument("file")

@@ -21,18 +21,21 @@ table of Fractions over its sorted vertex index.  Floyd-Warshall builds it on
 integers scaled by ``L`` and converts once at the end, sharing one Fraction
 per distinct value.  Envelopes come from per-vertex max-plus rows
 ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, stored as ints times
-``L`` (O(|E|) each, cached), so ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))``
-is an O(n) integer scan per pair and checking every non-edge costs
-O(n|E| + n^3).  The table stays on Fractions: every public distance is read
-from it as one, and shared Fractions keep it small.  Moving the table and its
-relaxation to ints as well is an open item (ROADMAP item 2).
+``L``.  The first envelope query builds every vertex's row in one O(n|E|)
+pass and the metric caches them whole, so
+``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
+per pair and checking every non-edge costs O(n|E| + n^3).  The table stays on
+Fractions: every public distance is read from it as one, and shared Fractions
+keep it small.  Moving the table and its relaxation to ints as well is an
+open item (ROADMAP item 2).
 
 ``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
-through the new edge: the table by relaxation, and every cached row whose
-needed rows are cached too by the matching max-plus update (rows the edge
-cannot change are shared).  A new weight denominator moves the copy to
-``L' = lcm(L, w.denominator)``, and carried rows are rescaled into new lists.
-A row that cannot be carried is rebuilt lazily.
+through the new edge: the table by relaxation, and, when the parent has its
+rows, every row by the matching max-plus update (rows the edge cannot change
+are shared).  The rows are built, carried and rescaled whole: a metric holds
+all of them or none.  A new weight denominator moves the copy to
+``L' = lcm(L, w.denominator)``, and the carried rows are rescaled into new
+lists.
 """
 
 from __future__ import annotations
@@ -109,10 +112,11 @@ class PartialMetric:
     immutable.  The vertex index (sorted labels to 0..n-1) and the common
     denominator ``_scale`` of the weights are built with the instance; the
     n x n distance table of exact Fractions (``None`` between components) and
-    one max-plus envelope row per vertex, held as ints times ``_scale``, are
-    built lazily and cached.  ``with_edge`` copies share the vertex index,
-    extend ``_scale`` by the new weight's denominator, and carry the parent's
-    table and envelope rows over through the new edge.
+    the max-plus envelope rows, held as ints times ``_scale``, are built
+    lazily and cached.  ``_rows`` is ``None`` or holds every vertex's row: the
+    rows are built, carried and rescaled whole.  ``with_edge`` copies share
+    the vertex index, extend ``_scale`` by the new weight's denominator, and
+    carry the parent's table and envelope rows over through the new edge.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows")
@@ -128,12 +132,7 @@ class PartialMetric:
         emap = {}
         for key, raw in dict(edges).items():
             d = key if isinstance(key, Doubleton) else Doubleton(*key)
-            if d.a not in vset or d.b not in vset:
-                raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
-            w = as_rational(raw)
-            if w < 0:
-                raise MalformedInputError(f"edge {d} has negative weight {w}")
-            emap[d] = w
+            emap[d] = _admit_edge(vset, d, raw)
         self._vertices = vset
         self._edges = emap
         self._index = {v: i for i, v in enumerate(labels)}
@@ -168,11 +167,8 @@ class PartialMetric:
 
     def non_edges(self):
         """Sorted list of vertex pairs that carry no edge."""
-        return [
-            Doubleton(u, v)
-            for u, v in combinations(sorted(self._vertices), 2)
-            if Doubleton(u, v) not in self._edges
-        ]
+        edges = self._edges
+        return [d for u, v in combinations(self._index, 2) if (d := Doubleton(u, v)) not in edges]
 
     def with_edge(self, d: Doubleton, w) -> "PartialMetric":
         """New metric with one extra (or replaced) edge.
@@ -182,7 +178,7 @@ class PartialMetric:
         the new edge (``_relax_through``), which is O(n^2) instead of a full
         recompute and O(n|E|) of row rebuilds.
         """
-        w = as_rational(w)
+        w = _admit_edge(self._vertices, d, w)
         out = PartialMetric.__new__(PartialMetric)
         out._vertices = self._vertices
         out._edges = dict(self._edges)
@@ -191,15 +187,11 @@ class PartialMetric:
         out._scale = math.lcm(self._scale, w.denominator)
         out._dist = None
         out._rows = None
-        if w < 0:
-            raise MalformedInputError(f"edge {d} has negative weight {w}")
-        if d.a not in self._vertices or d.b not in self._vertices:
-            raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
         if self._dist is not None and d not in self._edges:
             rows = self._rows
             k = out._scale // self._scale
             if rows is not None and k != 1:  # rescale into new lists; parent rows stay as they are
-                rows = [None if r is None else [None if v is None else v * k for v in r] for r in rows]
+                rows = [[None if v is None else v * k for v in r] for r in rows]
             out._dist, out._rows = _relax_through(
                 self._dist, rows, self._index[d.a], self._index[d.b], w, out._scale
             )
@@ -210,6 +202,16 @@ class PartialMetric:
         if self._dist is None:
             self._dist = _all_pairs_shortest(self._index, self._edges, self._scale)
         return self._dist
+
+
+def _admit_edge(vertices, d: Doubleton, raw) -> Fraction:
+    """Weight of edge ``d`` once its endpoints and its sign are checked."""
+    if d.a not in vertices or d.b not in vertices:
+        raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
+    w = as_rational(raw)
+    if w < 0:
+        raise MalformedInputError(f"edge {d} has negative weight {w}")
+    return w
 
 
 def _all_pairs_shortest(index, edges, scale):
@@ -266,10 +268,10 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     neither cannot improve, so its table row is shared unchanged, and so does
     a row that reaches neither endpoint (``None`` entries are skipped).
 
-    ``rows`` is the parent's row cache already at the copy's ``scale``, or
-    ``None``.  A row is carried when the parent has it and the far row it
-    needs; otherwise it is left ``None`` for a lazy rebuild.  Parent rows are
-    shared or copied, never written.
+    ``rows`` is the parent's whole row cache, which ``with_edge`` has already
+    rescaled to the copy's ``scale``, or ``None``.  Rows are built, carried
+    and rescaled whole: every row of the copy is derived, or the copy has
+    none.  Parent rows are shared or copied, never written.
     """
     ws = w.numerator * (scale // w.denominator)
     out, out_rows = [], (None if rows is None else [])
@@ -292,19 +294,16 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
         if rows is None:
             continue
         r = rows[u]
-        copied = False
-        if r is not None and via is not None:
-            shift = via.numerator * (scale // via.denominator)
-            r = None if rows[far] is None else _max_plus_shift(r, rows[far], shift)
-            copied = True
-        if r is not None:
-            for b, h in ((j, new[i]), (i, new[j])):
-                if h is not None:
-                    val = ws - h.numerator * (scale // h.denominator)
-                    if r[b] is None or val > r[b]:
-                        if not copied:
-                            r, copied = list(r), True
-                        r[b] = val
+        copied = via is not None
+        if copied:
+            r = _max_plus_shift(r, rows[far], via.numerator * (scale // via.denominator))
+        for b, h in ((j, new[i]), (i, new[j])):
+            if h is not None:
+                val = ws - h.numerator * (scale // h.denominator)
+                if r[b] is None or val > r[b]:
+                    if not copied:
+                        r, copied = list(r), True
+                    r[b] = val
         out_rows.append(r)
     return out, out_rows
 
@@ -320,36 +319,35 @@ def _max_plus_shift(row, far, via):
     return out
 
 
-def _envelope_row(m: PartialMetric, x: int):
-    """Max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, times ``m._scale``.
+def _envelope_rows(m: PartialMetric):
+    """Every vertex's max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, times ``m._scale``.
 
     Entries are ints over the metric's common denominator.  Both orientations
     of every edge count; ``None`` marks a vertex b that no edge reachable from
-    x ends at.  Cached on the metric.
+    x ends at.  All n rows are built in one pass, with the edge weights scaled
+    once, and cached on the metric whole.
     """
-    rows = m._rows
-    if rows is None:
-        rows = m._rows = [None] * len(m._vertices)
-    row = rows[x]
-    if row is None:
-        scale = m._scale
-        hx = [None if h is None else h.numerator * (scale // h.denominator) for h in m._table()[x]]
-        index = m._index
-        row = rows[x] = [None] * len(hx)
-        for d, w in m._edges.items():
-            a, b = index[d.a], index[d.b]
-            s = w.numerator * (scale // w.denominator)
-            h = hx[a]
-            if h is not None:
-                val = s - h
-                if row[b] is None or val > row[b]:
-                    row[b] = val
-            h = hx[b]
-            if h is not None:
-                val = s - h
-                if row[a] is None or val > row[a]:
-                    row[a] = val
-    return row
+    if m._rows is None:
+        scale, index = m._scale, m._index
+        edges = [(index[d.a], index[d.b], w.numerator * (scale // w.denominator)) for d, w in m._edges.items()]
+        rows = []
+        for table_row in m._table():
+            hx = [None if h is None else h.numerator * (scale // h.denominator) for h in table_row]
+            row = [None] * len(hx)
+            for a, b, s in edges:
+                h = hx[a]
+                if h is not None:
+                    val = s - h
+                    if row[b] is None or val > row[b]:
+                        row[b] = val
+                h = hx[b]
+                if h is not None:
+                    val = s - h
+                    if row[a] is None or val > row[a]:
+                        row[a] = val
+            rows.append(row)
+        m._rows = rows
+    return m._rows
 
 
 def _index_of(m: PartialMetric, v) -> int:
@@ -415,7 +413,7 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     Max over edges ab of weight(ab) - doubleton_dist(ab, xy), clamped at 0.
     Splitting the doubleton distance into its two orientations gives the
     max-plus form ``max over b of R_x[b] - hat(b, y)`` with the cached row
-    R_x of ``_envelope_row``, so each pair costs O(n) once its row exists.
+    R_x of ``_envelope_rows``, so each pair costs O(n) once the rows exist.
     The scan runs on ints over the metric's common denominator.
     """
     i, j = _index_of(m, x), _index_of(m, y)
@@ -424,7 +422,7 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     t = m._table()
     scale = m._scale
     best = 0
-    for r, h in zip(_envelope_row(m, i), t[j]):
+    for r, h in zip(_envelope_rows(m)[i], t[j]):
         if r is not None and h is not None:
             val = r - h.numerator * (scale // h.denominator)
             if val > best:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .core import (
     Doubleton,
@@ -77,6 +78,17 @@ def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
     return _interval_from(shortest_path(m, xy.a, xy.b), lower_envelope(m, xy.a, xy.b))
 
 
+def _require_in_closed_range(m: PartialMetric, xy: Doubleton, r: Fraction):
+    """Proposition mode's range ``[check, hat]`` at ``xy``; returns ``(hat, check)``."""
+    h = shortest_path(m, xy.a, xy.b)
+    c = lower_envelope(m, xy.a, xy.b)
+    if r < c:
+        raise ROutOfRangeError(f"r={r} below lower envelope {c}", bound="lo", lo=c, hi=h)
+    if r > h:
+        raise ROutOfRangeError(f"r={r} above shortest-path distance {h}", bound="hi", lo=c, hi=h)
+    return h, c
+
+
 def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
     lo, h = interval.lo, interval.hi
     if r < lo:
@@ -113,12 +125,7 @@ def one_step_extend(
     if mode == THEOREM:
         _require_in_interval(r, _interval(m, xy))
     else:
-        h = shortest_path(m, xy.a, xy.b)
-        c = lower_envelope(m, xy.a, xy.b)
-        if r < c:
-            raise ROutOfRangeError(f"r={r} below lower envelope {c}", bound="lo", lo=c, hi=h)
-        if r > h:
-            raise ROutOfRangeError(f"r={r} above shortest-path distance {h}", bound="hi", lo=c, hi=h)
+        _require_in_closed_range(m, xy, r)
     extended = m.with_edge(xy, r)
     if verify:
         if mode == THEOREM:
@@ -179,29 +186,14 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
     r = as_rational(r)
-    h_xy = shortest_path(m, xy.a, xy.b)
-    # check is symmetric; (b, a) builds b's row, the loop below builds a's,
-    # so both rows the relaxation through xy reads are cached
-    c_xy = lower_envelope(m, xy.b, xy.a)
-    if r < c_xy or r > h_xy:
-        raise ROutOfRangeError(
-            f"r={r} outside [{c_xy}, {h_xy}]", bound="lo" if r < c_xy else "hi", lo=c_xy, hi=h_xy
-        )
+    h_xy, c_xy = _require_in_closed_range(m, xy, r)
     strong_lower = _interval_from(h_xy, c_xy).lo <= r  # statement (5) hypothesis
-
-    # Every old value is read before the copy is built, so the copy carries
-    # all of m's envelope rows instead of rebuilding them.
-    verts = sorted(m.vertices)
-    uvs = [Doubleton(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
-    old = [
-        (shortest_path(m, uv.a, uv.b), lower_envelope(m, uv.a, uv.b), doubleton_dist(m, xy, uv))
-        for uv in uvs
-    ]
     extended = m.with_edge(xy, r)
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
-    for uv, (h_old, c_old, dd) in zip(uvs, old):
-        u, v = uv.a, uv.b
+    for u, v in combinations(sorted(m.vertices), 2):
+        h_old, c_old = shortest_path(m, u, v), lower_envelope(m, u, v)
+        dd = doubleton_dist(m, xy, Doubleton(u, v))
         h_new = shortest_path(extended, u, v)
         c_new = lower_envelope(extended, u, v)
         stmts[1].applicable += 1
@@ -290,10 +282,11 @@ def _next_pair(policy, rng, current, remaining):
     return best
 
 
-def _choose_midpoint(interval, used):
-    c = interval.midpoint
+def _bisect_unused(lo, hi, used):
+    """The midpoint of ``(lo, hi)``, bisected toward ``hi`` until it is unused."""
+    c = (lo + hi) / 2
     while c in used:
-        c = (c + interval.hi) / 2
+        c = (c + hi) / 2
     return c
 
 
@@ -309,10 +302,7 @@ def _choose_from_set(choice_set, interval, used):
         bottom = max(ilo, lo)
         if top <= bottom:
             continue
-        c = (bottom + top) / 2
-        while c in used:
-            c = (c + top) / 2
-        return c
+        return _bisect_unused(bottom, top, used)
     if in_range:
         return in_range[0]  # dense-set injectivity not achievable with points only
     raise ChoiceSetMissesIntervalError(
@@ -339,7 +329,7 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
         remaining.remove(d)
         interval = _interval(current, d)
         if choice == "midpoint":
-            value = _choose_midpoint(interval, used)
+            value = _bisect_unused(interval.lo, interval.hi, used)
         else:
             try:
                 cs = choice[d]

@@ -29,18 +29,14 @@ from fractions import Fraction
 from .core import (
     Doubleton,
     PartialMetric,
+    _require_metric_grade,
     as_rational,
     doubleton_dist,
     shortest_chain,
     shortest_path,
     validate,
 )
-from .errors import (
-    MalformedInputError,
-    MetricError,
-    MissingChoiceSetError,
-    NotGraphMetricError,
-)
+from .errors import MalformedInputError, MetricError, MissingChoiceSetError
 from .extension import _interval, _require_floppy
 
 PLAYER_I_WINS = "PLAYER_I_WINS"
@@ -236,9 +232,7 @@ def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, pla
     """
     if game_length < 0:
         raise MalformedInputError(f"game length must be nonnegative, got {game_length}")
-    rep = validate(base)
-    if not (rep.connected and rep.graph_metric):
-        raise NotGraphMetricError("game base must be a graph metric")
+    _require_metric_grade(base)
     moves = []
     for _ in range(game_length):
         try:
@@ -280,7 +274,7 @@ class WinningFirstPlayer(PlayerIStrategy):
 
     def __init__(self, base: PartialMetric):
         _require_floppy(base)
-        self._missing = sorted(base.non_edges())
+        self._missing = base.non_edges()
         self._base = base
         self._running = base
         self._seen = 0
@@ -431,6 +425,6 @@ def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
 
 def replay_sabotage(base: PartialMetric, choice_sets, plan: SabotagePlan) -> GameTranscript:
     """Play out a plan: Player I offers every missing pair's own choice set."""
-    missing = sorted(base.non_edges())
+    missing = base.non_edges()
     script = [(d, choice_sets[d]) for d in missing]
     return play(base, len(script), ScriptedFirstPlayer(script), PlanSecondPlayer(plan))

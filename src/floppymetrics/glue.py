@@ -23,9 +23,6 @@ from .core import (
 )
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
-BASE = "base"  # member id of the base pseudometric in reports
-
-
 @dataclass(frozen=True)
 class Patchwork:
     base: PartialMetric
@@ -38,12 +35,6 @@ class Patchwork:
     def gateways(self, i: int) -> frozenset:
         """Vertices a piece shares with the base."""
         return self.pieces[i].vertices & self.base.vertices
-
-    def members(self):
-        """(member id, metric) for the base and every piece."""
-        yield BASE, self.base
-        for i, piece in enumerate(self.pieces):
-            yield i, piece
 
 
 @dataclass
@@ -138,22 +129,12 @@ def _union(pw: Patchwork) -> PartialMetric:
     return PartialMetric(vertices, edges)
 
 
-def _locate(pw: Patchwork, v: str):
-    """Member id holding a vertex (the base wins; non-base vertices are in one piece)."""
-    if v in pw.base.vertices:
-        return BASE
-    for i, piece in enumerate(pw.pieces):
-        if v in piece.vertices:
-            return i
+def _home(pw: Patchwork, v: str) -> PartialMetric:
+    """Member metric holding a vertex (the base wins; non-base vertices are in one piece)."""
+    for member in (pw.base, *pw.pieces):
+        if v in member.vertices:
+            return member
     raise UnknownVertexError(f"unknown vertex {v!r}")
-
-
-def _member(pw: Patchwork, mid):
-    return pw.base if mid == BASE else pw.pieces[mid]
-
-
-def _member_gates(pw: Patchwork, mid):
-    return sorted(pw.base.vertices if mid == BASE else pw.gateways(mid))
 
 
 def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
@@ -163,15 +144,14 @@ def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
     gateway pairs of (distance to own gateway) + (base distance between
     gateways) + (distance from the other gateway).
     """
-    mx, my = _locate(pw, x), _locate(pw, y)
-    for mid, member in pw.members():
+    f, g = _home(pw, x), _home(pw, y)
+    for member in (pw.base, *pw.pieces):
         if x in member.vertices and y in member.vertices:
             return shortest_path(member, x, y)
-    f, g = _member(pw, mx), _member(pw, my)
     best = None
-    for a in _member_gates(pw, mx):
+    for a in sorted(f.vertices & pw.base.vertices):
         fa = shortest_path(f, x, a)
-        for b in _member_gates(pw, my):
+        for b in sorted(g.vertices & pw.base.vertices):
             cand = fa + shortest_path(pw.base, a, b) + shortest_path(g, b, y)
             if best is None or cand < best:
                 best = cand

@@ -61,10 +61,13 @@ def metric_from_doc(doc) -> PartialMetric:
     edges = {}
     for e in raw_edges:
         try:
-            d = Doubleton(e["u"], e["v"])
-            w = as_rational(e["w"])
+            u, v, raw = e["u"], e["v"], e["w"]
         except (TypeError, KeyError) as exc:
             raise MalformedInputError(f"bad edge entry {e!r}") from exc
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise MalformedInputError(f"bad edge entry {e!r} (endpoints must be strings)")
+        d = Doubleton(u, v)
+        w = as_rational(raw)
         if d in edges and edges[d] != w:
             raise MalformedInputError(f"duplicate edge {d} with conflicting weights")
         edges[d] = w
@@ -85,10 +88,16 @@ def patchwork_from_doc(doc) -> Patchwork:
 
 
 def choice_set_from_doc(doc) -> ChoiceSet:
+    """``{"points": [...], "intervals": [[lo, hi], ...]}``; both lists, each interval a list."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"choice-set document must be an object, got {doc!r}")
+    points, intervals = doc.get("points", []), doc.get("intervals", [])
+    if not isinstance(points, list) or not isinstance(intervals, list):
+        raise MalformedInputError(f"choice-set points and intervals must be lists, got {doc!r}")
+    if not all(isinstance(iv, list) for iv in intervals):
+        raise MalformedInputError(f"each choice-set interval must be a list [lo, hi], got {doc!r}")
     try:
-        return ChoiceSet(points=doc.get("points", ()), intervals=doc.get("intervals", ()))
+        return ChoiceSet(points=points, intervals=intervals)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad choice-set document {doc!r}") from exc
 

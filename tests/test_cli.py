@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from floppymetrics import dump_metric, metric_from_doc, pair, patchwork_to_doc, Patchwork, PartialMetric
+from floppymetrics import (
+    dump_metric, metric_from_doc, metric_to_doc, pair, patchwork_to_doc, path_metric, Patchwork, PartialMetric,
+)
 from floppymetrics.cli import main
 from floppymetrics.errors import MalformedInputError
 from floppymetrics.serialize import choice_map_from_doc
@@ -288,9 +290,12 @@ class TestMalformedInput:
             ["extend", "--order", "random:", "{h}"],
             ["game", "play", "--p2", "random:x", "{h}"],
             ["game", "play", "--lambda", "-1", "{h}"],
+            ["validate", "{list_labels}"],
+            ["extend", "--choice", "set-file:{points_string}", "{path3}"],
         ],
         ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
-             "order-random-empty", "p2-random-x", "negative-lambda"],
+             "order-random-empty", "p2-random-x", "negative-lambda", "edge-labels-not-strings",
+             "set-file-points-string"],
     )
     def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
         files = {"h": h_file}
@@ -298,6 +303,9 @@ class TestMalformedInput:
             ("edges_5", {"vertices": ["a", "b"], "edges": 5}),
             ("list_doc", [1]),
             ("number_value", {"x,y": 5}),
+            ("list_labels", {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": ["b"], "w": 1}]}),
+            ("points_string", {"v0,v2": {"points": "12"}}),
+            ("path3", metric_to_doc(path_metric(3))),
         ):
             files[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(content))

@@ -2,7 +2,7 @@
 
 The library builds its distance table with an integer-scaled Floyd-Warshall,
 derives tables of ``with_edge`` copies by relaxation, and evaluates envelopes
-through cached max-plus rows.  These tests check ``shortest_path`` and
+through max-plus rows that a metric builds, carries and caches whole.  These tests check ``shortest_path`` and
 ``lower_envelope`` against two references that share none of that code:
 
 * the brute-force oracles in ``conftest.py`` (small connected graphs), and
@@ -10,7 +10,7 @@ through cached max-plus rows.  These tests check ``shortest_path`` and
   label-keyed table, kept here as the reference implementation.
 
 ``TestCarriedRows`` covers the envelope rows that ``with_edge`` copies carry
-over from a parent with all, some or none of its rows cached.
+over from a parent that holds all of its rows or none.
 ``TestIntegerRows`` covers the common denominator those rows are scaled by,
 when a chain brings in new denominators, also ones past the float range, and
 weights whose values pass the float range between components.
@@ -167,12 +167,12 @@ class TestAgainstPerEdgeScan:
                 assert_matches_reference(m, (trial, link))
 
 
-def cache_rows(m, rng, mode):
+def cache_rows(m, mode):
     """Return m with its table built and the envelope rows of ``mode`` cached.
 
-    ``carried``: m as derived, with whatever rows it carried; ``none``, ``some``
-    and ``all``: a fresh copy of m with no, a random subset of, or every row.
-    ``cold``: a fresh copy with no table either (the copy starts cold too).
+    ``carried``: m as derived, with whatever rows it carried; ``none`` and
+    ``all``: a fresh copy of m with no rows or every row.  ``cold``: a fresh
+    copy with no table either (the copy starts cold too).
     """
     if mode == "carried":
         return m
@@ -180,14 +180,10 @@ def cache_rows(m, rng, mode):
     if mode == "cold":
         return m
     validate(m)
-    verts = sorted(m.vertices)
-    picked = verts
-    if mode == "some":
-        picked = rng.sample(verts, rng.randrange(len(verts) + 1))
-    elif mode == "none":
-        picked = []
-    for x in picked:
-        lower_envelope(m, x, verts[0] if x != verts[0] else verts[-1])
+    if mode == "all":
+        verts = sorted(m.vertices)
+        for x in verts:
+            lower_envelope(m, x, verts[0] if x != verts[0] else verts[-1])
     return m
 
 
@@ -196,7 +192,8 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None,
 
     Each parent gets a random row-cache state before its children are built.
     Nothing is compared until the whole chain exists, so children derive from
-    partly cached parents, and every parent is checked after its children:
+    parents with and without cached rows, and every parent is checked after
+    its children:
     a child that wrote into a shared row would show up in its parent or its
     sibling.  ``prefer(m)`` narrows the candidate new pairs when non-empty;
     ``weight(rng)`` draws the new weights (default ``random_weight``).
@@ -204,7 +201,7 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None,
     draw = weight or (lambda rng: random_weight(rng, zero_share))
     out = [m]
     for _ in range(links):
-        parent = cache_rows(out[-1], rng, rng.choice(["carried", "carried", "none", "some", "all", "all", "cold"]))
+        parent = cache_rows(out[-1], rng.choice(["carried", "carried", "none", "all", "all", "cold"]))
         if parent is not out[-1]:
             out.append(parent)
         picks = []
@@ -228,11 +225,19 @@ def cross_component_pairs(m):
 
 
 class TestCarriedRows:
-    """with_edge carries the parent's envelope rows through the new edge.
+    """A metric builds its envelope rows whole, and with_edge carries all of
+    the parent's rows through the new edge, or none.
 
     Every copy, parent and sibling is compared with ``reference_envelope``
     over ``reference_table`` after the whole chain is built.
     """
+
+    def test_one_query_builds_every_row(self):
+        rng = random.Random(4406)
+        m = random_graph(rng, 9, 0.3)
+        lower_envelope(m, "v0", "v1")
+        assert len(m._rows) == 9
+        assert all(row is not None for row in m._rows)
 
     def test_chains_from_all_some_or_no_cached_rows(self):
         rng = random.Random(4401)
@@ -267,13 +272,13 @@ class TestCarriedRows:
         through a replaced edge; parent rows are never written."""
         rng = random.Random(4405)
         m = random_connected_graph(rng, 8, extra_edges=4)
-        full = cache_rows(m, rng, "all")
+        full = cache_rows(m, "all")
         snapshot = [list(row) for row in full._rows]
         d = m.non_edges()[0]
         child = full.with_edge(d, Fraction(100))  # raises new-edge entries in unchanged rows
         assert all(row is not None for row in child._rows)
         assert [list(row) for row in full._rows] == snapshot
-        assert cache_rows(m, rng, "none").with_edge(d, 1)._rows is None
+        assert cache_rows(m, "none").with_edge(d, 1)._rows is None
         assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
 
 

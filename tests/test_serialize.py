@@ -61,6 +61,7 @@ class TestMetricDocs:
                 ],
             },
             {"vertices": ["a", "b"], "edges": 5},
+            {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": ["b"], "w": 1}]},
         ],
     )
     def test_malformed_docs_rejected(self, doc):
@@ -110,7 +111,10 @@ class TestChoiceSetDocs:
                 choice_map_from_doc({key: {"points": ["1"]}})
 
     def test_bad_doc_rejected(self):
-        for doc in ({"points": [1.5]}, 5, [1], {"points": 5}, {"intervals": [["1"]]}, {"intervals": [[[1], None]]}):
+        for doc in (
+            {"points": [1.5]}, 5, [1], {"points": 5}, {"intervals": [["1"]]}, {"intervals": [[[1], None]]},
+            {"points": "12"}, {"intervals": ["12"]}, {"points": {"3": 1}},
+        ):
             with pytest.raises(MalformedInputError):
                 choice_set_from_doc(doc)
         with pytest.raises(MalformedInputError):
