@@ -24,10 +24,16 @@ per distinct value.  Envelopes come from per-vertex max-plus rows
 ``L``.  The first envelope query builds every vertex's row in one O(n|E|)
 pass and the metric caches them whole, so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
-per pair and checking every non-edge costs O(n|E| + n^3).  The table stays on
-Fractions: every public distance is read from it as one, and shared Fractions
-keep it small.  Moving the table and its relaxation to ints as well is an
-open item (ROADMAP item 2).
+per pair, and ``_check`` is the one place that scan is written.
+``lower_envelope`` answers one pair, converting only hat row y to ints.
+Whole-metric questions (``is_floppy``, ``minimal_floppy_extension``, and in
+other modules the step statements, certificate bounds and the maxgap order)
+read the table and the rows once as ints with ``_scaled``, the one home of
+that conversion, and sweep every pair on them, so checking every non-edge
+costs O(n|E| + n^3) integer operations and builds a Fraction only for what
+is reported.  The table stays on Fractions: every public distance is read
+from it as one, and shared Fractions keep it small.  Moving the table and
+its relaxation to ints as well is an open item (ROADMAP item 2).
 
 ``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
 through the new edge: the table by relaxation, and, when the parent has its
@@ -191,7 +197,7 @@ class PartialMetric:
             rows = self._rows
             k = out._scale // self._scale
             if rows is not None and k != 1:  # rescale into new lists; parent rows stay as they are
-                rows = [[None if v is None else v * k for v in r] for r in rows]
+                rows = _lifted(rows, k)
             out._dist, out._rows = _relax_through(
                 self._dist, rows, self._index[d.a], self._index[d.b], w, out._scale
             )
@@ -319,6 +325,29 @@ def _max_plus_shift(row, far, via):
     return out
 
 
+def _scaled_row(values, scale: int):
+    """Fractions (or ``None``) as ints times ``scale``, a multiple of each one's denominator."""
+    return [None if h is None else h.numerator * (scale // h.denominator) for h in values]
+
+
+def _lifted(rows, k: int):
+    """Envelope rows times ``k``, as new lists (``None`` stays ``None``)."""
+    return [[None if v is None else v * k for v in r] for r in rows]
+
+
+def _scaled(m: PartialMetric, scale: int):
+    """``(table, rows)``: the distance table and the envelope rows as ints times ``scale``.
+
+    ``scale`` is a multiple of ``m._scale``; rows cached at ``m._scale`` are
+    lifted by the quotient into new lists.  One O(n^2) conversion, made once
+    per whole-metric query.
+    """
+    table = [_scaled_row(row, scale) for row in m._table()]
+    rows = _envelope_rows(m)
+    k = scale // m._scale
+    return table, rows if k == 1 else _lifted(rows, k)
+
+
 def _envelope_rows(m: PartialMetric):
     """Every vertex's max-plus row ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, times ``m._scale``.
 
@@ -332,7 +361,7 @@ def _envelope_rows(m: PartialMetric):
         edges = [(index[d.a], index[d.b], w.numerator * (scale // w.denominator)) for d, w in m._edges.items()]
         rows = []
         for table_row in m._table():
-            hx = [None if h is None else h.numerator * (scale // h.denominator) for h in table_row]
+            hx = _scaled_row(table_row, scale)
             row = [None] * len(hx)
             for a, b, s in edges:
                 h = hx[a]
@@ -348,6 +377,31 @@ def _envelope_rows(m: PartialMetric):
             rows.append(row)
         m._rows = rows
     return m._rows
+
+
+def _check(row, hy) -> int:
+    """The envelope scan ``max(0, max_b row[b] - hy[b])`` on ints over one denominator.
+
+    ``row`` is the envelope row of x and ``hy`` the scaled hat row of y; a
+    ``None`` in either is -inf and contributes nothing.
+    """
+    best = 0
+    for r, h in zip(row, hy):
+        if r is not None and h is not None and r - h > best:
+            best = r - h
+    return best
+
+
+def _sweep(m: PartialMetric):
+    """``(pair, hat, check)`` at every non-edge in sorted order, as ints times ``m._scale``.
+
+    One table conversion and the cached rows serve every pair.
+    """
+    t, rows = _scaled(m, m._scale)
+    index = m._index
+    for d in m.non_edges():
+        i, j = index[d.a], index[d.b]
+        yield d, t[i][j], _check(rows[i], t[j])
 
 
 def _index_of(m: PartialMetric, v) -> int:
@@ -414,20 +468,14 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     Splitting the doubleton distance into its two orientations gives the
     max-plus form ``max over b of R_x[b] - hat(b, y)`` with the cached row
     R_x of ``_envelope_rows``, so each pair costs O(n) once the rows exist.
-    The scan runs on ints over the metric's common denominator.
+    The scan is ``_check`` on ints over the metric's common denominator; only
+    hat row y is converted.  Whole-metric queries use ``_sweep`` instead.
     """
     i, j = _index_of(m, x), _index_of(m, y)
     if i == j:
         return _ZERO
-    t = m._table()
     scale = m._scale
-    best = 0
-    for r, h in zip(_envelope_rows(m)[i], t[j]):
-        if r is not None and h is not None:
-            val = r - h.numerator * (scale // h.denominator)
-            if val > best:
-                best = val
-    return Fraction(best, scale)
+    return Fraction(_check(_envelope_rows(m)[i], _scaled_row(m._table()[j], scale)), scale)
 
 
 @dataclass(frozen=True)
@@ -491,23 +539,22 @@ class FloppyReport:
 
 
 def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
-    """Check strict envelope-below-distance at every non-edge.
+    """Check strict envelope-below-distance at every non-edge, in one integer sweep.
 
-    Full (pseudo)metrics are floppy vacuously and report no worst pair.
+    The worst pair is the first minimal gap in sorted non-edge order.  Full
+    (pseudo)metrics are floppy vacuously and report no worst pair.
     ``require_metric=False`` admits pseudometric-grade inputs (used by the
     glued-patchwork certificate).
     """
     _require_metric_grade(m, allow_pseudometric=not require_metric)
-    t = m._table()
     worst = None
     worst_gap = None
-    for d in m.non_edges():
-        gap = t[_index_of(m, d.a)][_index_of(m, d.b)] - lower_envelope(m, d.a, d.b)
-        if worst_gap is None or gap < worst_gap:
-            worst, worst_gap = d, gap
+    for d, h, c in _sweep(m):
+        if worst_gap is None or h - c < worst_gap:
+            worst, worst_gap = d, h - c
     if worst is None:
         return FloppyReport(True, None, None)
-    return FloppyReport(worst_gap > 0, worst, worst_gap)
+    return FloppyReport(worst_gap > 0, worst, Fraction(worst_gap, m._scale))
 
 
 def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
@@ -520,12 +567,7 @@ def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
     current = m
     cap = len(m.vertices) ** 2
     for iteration in range(cap + 1):
-        forced = []
-        t = current._table()
-        for d in current.non_edges():
-            h = t[_index_of(current, d.a)][_index_of(current, d.b)]
-            if h > 0 and lower_envelope(current, d.a, d.b) == h:
-                forced.append((d, h))
+        forced = [(d, Fraction(h, current._scale)) for d, h, c in _sweep(current) if h > 0 and c == h]
         if not forced:
             return (current, iteration) if return_iterations else current
         for d, h in forced:

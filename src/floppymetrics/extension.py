@@ -8,11 +8,16 @@ envelope and the distance (inclusive) is accepted and the result is only
 guaranteed to be a graph pseudometric.
 
 ``full_extend`` drives one-step extension over every missing pair and records
-the interval and chosen value of each step.
+the interval and chosen value of each step.  Its maxgap order keeps a lazy
+heap of gaps seeded by one integer sweep, and re-scores only the pairs that
+reach the top (``_next_pair``).  ``verify_step_properties`` reads both
+metrics once as ints over the extended metric's denominator and evaluates
+the five statements on them.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +26,10 @@ from itertools import combinations
 from .core import (
     Doubleton,
     PartialMetric,
+    _check,
+    _scaled,
+    _scaled_row,
+    _sweep,
     as_rational,
     doubleton_dist,
     is_floppy,
@@ -181,7 +190,10 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     """Evaluate the five step-extension properties over every vertex pair.
 
     The guard of each conditional statement is evaluated exactly; pairs where
-    a guard fails are simply not counted as applicable.
+    a guard fails are simply not counted as applicable.  Both metrics are
+    read once, as ints at the extended metric's common denominator ``L'``
+    (the old table and rows are multiplied by ``L'/L``); every statement is
+    linear in its values, so the integer comparisons are the exact ones.
     """
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
@@ -190,32 +202,43 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     strong_lower = _interval_from(h_xy, c_xy).lo <= r  # statement (5) hypothesis
     extended = m.with_edge(xy, r)
 
+    scale = extended._scale
+    old_t, old_rows = _scaled(m, scale)
+    new_t, new_rows = _scaled(extended, scale)
+    rs, h_xy, c_xy = _scaled_row((r, h_xy, c_xy), scale)
+    tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
+
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
-    for u, v in combinations(sorted(m.vertices), 2):
-        h_old, c_old = shortest_path(m, u, v), lower_envelope(m, u, v)
-        dd = doubleton_dist(m, xy, Doubleton(u, v))
-        h_new = shortest_path(extended, u, v)
-        c_new = lower_envelope(extended, u, v)
+    for (i, u), (j, v) in combinations(enumerate(m._index), 2):
+        h_old = old_t[i][j]
+        sums = [a + b for a, b in ((tx[i], ty[j]), (tx[j], ty[i])) if a is not None and b is not None]
+        if h_old is None or not sums:  # the per-pair API raises the DisconnectedError, in its order
+            shortest_path(m, u, v)
+            doubleton_dist(m, xy, Doubleton(u, v))
+        dd = min(sums)
+        c_old = _check(old_rows[i], old_t[j])
+        h_new = new_t[i][j]
+        c_new = _check(new_rows[i], new_t[j])
         stmts[1].applicable += 1
-        if not (h_new <= h_old and c_new >= max(c_old, r - dd)):
+        if not (h_new <= h_old and c_new >= max(c_old, rs - dd)):
             stmts[1].failures.append((u, v))
 
         if h_old != h_new:
             stmts[2].applicable += 1
-            if not (h_old - (h_xy - r) <= h_new == r + dd):
+            if not (h_old - (h_xy - rs) <= h_new == rs + dd):
                 stmts[2].failures.append((u, v))
             stmts[3].applicable += 1
-            if not (h_new - c_old >= r - c_xy):
+            if not (h_new - c_old >= rs - c_xy):
                 stmts[3].failures.append((u, v))
 
-        if c_old != c_new != r - dd and c_new > h_xy - 2 * r:
+        if c_old != c_new != rs - dd and c_new > h_xy - 2 * rs:
             stmts[4].applicable += 1
-            if not (c_new - c_old <= h_xy - r and h_old - c_new >= r - c_xy):
+            if not (c_new - c_old <= h_xy - rs and h_old - c_new >= rs - c_xy):
                 stmts[4].failures.append((u, v))
 
         if strong_lower:
             stmts[5].applicable += 1
-            bound = min(h_old - c_old, h_xy - r, 2 * dd)
+            bound = min(h_old - c_old, h_xy - rs, 2 * dd)
             if not (h_new - c_new >= bound):
                 stmts[5].failures.append((u, v))
     return StepPropertyReport(xy, r, stmts)
@@ -267,19 +290,34 @@ def _parse_order(order):
     raise MalformedInputError(f"unknown order policy {order!r}")
 
 
+def _gap_heap(m: PartialMetric):
+    """Heap of ``(check - hat, pair)`` over every non-edge, from one sweep: the largest gap is on top."""
+    heap = [(Fraction(c - h, m._scale), d) for d, h, c in _sweep(m)]
+    heapq.heapify(heap)
+    return heap
+
+
 def _next_pair(policy, rng, current, remaining):
+    """Take the next pair to adjoin out of ``remaining``.
+
+    For lex and random, ``remaining`` is the sorted list of missing pairs.
+    For maxgap it is a ``_gap_heap`` whose keys may be stale: a step never
+    raises hat or lowers check (statement (1)), so no gap grows and a stale
+    key is a lower bound on the fresh one.  The top is re-scored on
+    ``current`` and taken once its fresh key is still at most the next key;
+    otherwise it goes back.  This picks exactly the largest gap, ties going
+    to the lexicographically first pair (lazy greedy, Minoux 1978).
+    """
     if policy == "lex":
-        return remaining[0]
+        return remaining.pop(0)
     if policy == "random":
-        return remaining[rng.randrange(len(remaining))]
-    # maxgap: largest distance-minus-envelope gap, lexicographic tie-break
-    best = None
-    best_gap = None
-    for d in remaining:
-        gap = shortest_path(current, d.a, d.b) - lower_envelope(current, d.a, d.b)
-        if best_gap is None or gap > best_gap:
-            best, best_gap = d, gap
-    return best
+        return remaining.pop(rng.randrange(len(remaining)))
+    _, d = heapq.heappop(remaining)
+    while True:
+        fresh = (lower_envelope(current, d.a, d.b) - shortest_path(current, d.a, d.b), d)
+        if not remaining or fresh <= remaining[0]:
+            return d
+        _, d = heapq.heapreplace(remaining, fresh)
 
 
 def _bisect_unused(lo, hi, used):
@@ -321,12 +359,11 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     _require_floppy(m)
     policy, rng = _parse_order(order)
     current = m
-    remaining = list(m.non_edges())
+    remaining = _gap_heap(m) if policy == "maxgap" else m.non_edges()
     used = set()
     steps = []
     while remaining:
         d = _next_pair(policy, rng, current, remaining)
-        remaining.remove(d)
         interval = _interval(current, d)
         if choice == "midpoint":
             value = _bisect_unused(interval.lo, interval.hi, used)

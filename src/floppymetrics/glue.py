@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Doubleton,
     PartialMetric,
+    _check,
+    _scaled,
     is_floppy,
-    lower_envelope,
     shortest_path,
     validate,
 )
@@ -35,6 +37,11 @@ class Patchwork:
     def gateways(self, i: int) -> frozenset:
         """Vertices a piece shares with the base."""
         return self.pieces[i].vertices & self.base.vertices
+
+    @cached_property
+    def _report(self) -> PatchworkReport:
+        """``validate_patchwork`` of this patchwork, made once: its members are immutable."""
+        return validate_patchwork(self)
 
 
 @dataclass
@@ -105,7 +112,7 @@ def validate_patchwork(pw: Patchwork) -> PatchworkReport:
 
 
 def _require_valid(pw: Patchwork) -> PatchworkReport:
-    report = validate_patchwork(pw)
+    report = pw._report
     if not report.ok:
         raise MalformedInputError("invalid patchwork: " + "; ".join(report.witnesses))
     return report
@@ -142,8 +149,10 @@ def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
 
     Same member: the member's own distance.  Different members: minimum over
     gateway pairs of (distance to own gateway) + (base distance between
-    gateways) + (distance from the other gateway).
+    gateways) + (distance from the other gateway).  The closed form holds
+    only under the gluing hypotheses, so an invalid patchwork is rejected.
     """
+    _require_valid(pw)
     f, g = _home(pw, x), _home(pw, y)
     for member in (pw.base, *pw.pieces):
         if x in member.vertices and y in member.vertices:
@@ -247,20 +256,23 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
         return CertReport(False, base_full, pieces_floppy, slack_failures, None, [])
 
     glued_floppy = is_floppy(glued, require_metric=False).floppy
+    scale, index = glued._scale, glued._index
+    table, rows = _scaled(glued, scale)
+
+    def bound(x, y, delta):
+        i, j = index[x], index[y]
+        return GapBound(Doubleton(x, y), delta, Fraction(table[i][j] - _check(rows[i], table[j]), scale))
+
     bounds = []
     for i, piece in enumerate(pw.pieces):
         outside = sorted(piece.vertices - pw.base.vertices)
         # piece vertex vs base vertex not in the piece
         for x in outside:
             for y in sorted(pw.base.vertices - piece.vertices):
-                delta = min(piece_slacks[i][x], piece_slacks[i][y] / 2)
-                gap = shortest_path(glued, x, y) - lower_envelope(glued, x, y)
-                bounds.append(GapBound(Doubleton(x, y), delta, gap))
+                bounds.append(bound(x, y, min(piece_slacks[i][x], piece_slacks[i][y] / 2)))
         # piece vertex vs other-piece vertex
         for j in range(i + 1, len(pw.pieces)):
             for x in outside:
                 for y in sorted(pw.pieces[j].vertices - pw.base.vertices):
-                    delta = min(piece_slacks[i][x], piece_slacks[j][y])
-                    gap = shortest_path(glued, x, y) - lower_envelope(glued, x, y)
-                    bounds.append(GapBound(Doubleton(x, y), delta, gap))
+                    bounds.append(bound(x, y, min(piece_slacks[i][x], piece_slacks[j][y])))
     return CertReport(True, base_full, pieces_floppy, slack_failures, glued_floppy, bounds)

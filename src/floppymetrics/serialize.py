@@ -79,12 +79,16 @@ def patchwork_to_doc(pw: Patchwork) -> dict:
 
 
 def patchwork_from_doc(doc) -> Patchwork:
+    """``{"base": metric, "pieces": [metric, ...]}``; an object whose pieces are a list."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"patchwork document must be an object, got {type(doc).__name__}")
     try:
-        base = metric_from_doc(doc["base"])
-        pieces = [metric_from_doc(p) for p in doc["pieces"]]
-    except (TypeError, KeyError) as exc:
+        base, pieces = doc["base"], doc["pieces"]
+    except KeyError as exc:
         raise MalformedInputError(f"patchwork document missing field: {exc}") from exc
-    return Patchwork(base, pieces)
+    if not isinstance(pieces, list):
+        raise MalformedInputError(f"patchwork pieces must be a list, got {type(pieces).__name__}")
+    return Patchwork(metric_from_doc(base), [metric_from_doc(p) for p in pieces])
 
 
 def choice_set_from_doc(doc) -> ChoiceSet:

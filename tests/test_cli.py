@@ -292,10 +292,14 @@ class TestMalformedInput:
             ["game", "play", "--lambda", "-1", "{h}"],
             ["validate", "{list_labels}"],
             ["extend", "--choice", "set-file:{points_string}", "{path3}"],
+            ["glue", "--hat", "x", "b", "{gateway_disagreement}"],
+            ["glue", "--cert", "{pieces_object}"],
+            ["glue", "--cert", "{list_doc}"],
         ],
         ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
              "order-random-empty", "p2-random-x", "negative-lambda", "edge-labels-not-strings",
-             "set-file-points-string"],
+             "set-file-points-string", "glue-hat-gateway-disagreement", "glue-pieces-object",
+             "glue-list-doc"],
     )
     def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
         files = {"h": h_file}
@@ -306,6 +310,11 @@ class TestMalformedInput:
             ("list_labels", {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": ["b"], "w": 1}]}),
             ("points_string", {"v0,v2": {"points": "12"}}),
             ("path3", metric_to_doc(path_metric(3))),
+            ("gateway_disagreement", {
+                "base": {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "10"}]},
+                "pieces": [{"vertices": ["a", "b", "x"], "edges": [{"u": "a", "v": "b", "w": "1"}, {"u": "a", "v": "x", "w": "1"}]}],
+            }),
+            ("pieces_object", {"base": {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1"}]}, "pieces": {}}),
         ):
             files[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(content))

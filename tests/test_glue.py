@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,8 @@ from floppymetrics.errors import EmptyGatewaySetError, MalformedInputError, Unkn
 
 from conftest import random_patchwork
 
+glue_module = importlib.import_module("floppymetrics.glue")  # the package's ``glue`` name is the function
+
 
 def three_part_patchwork():
     """Base {a,b}, one piece adding x beyond a, one piece adding y beyond b."""
@@ -29,6 +32,14 @@ def three_part_patchwork():
     piece_x = PartialMetric(["a", "x"], {pair("a", "x"): 1})
     piece_y = PartialMetric(["b", "y"], {pair("b", "y"): 1})
     return Patchwork(base, (piece_x, piece_y))
+
+
+def times(pw, s):
+    """The patchwork with every weight multiplied by ``s``."""
+    def scale(m):
+        return PartialMetric(m.vertices, {d: w * s for d, w in m.edges.items()})
+
+    return Patchwork(scale(pw.base), [scale(p) for p in pw.pieces])
 
 
 class TestValidatePatchwork:
@@ -98,6 +109,24 @@ class TestGlueHat:
         with pytest.raises(UnknownVertexError):
             glue_hat(three_part_patchwork(), "x", "zzz")
 
+    def test_invalid_patchwork_rejected(self):
+        """Unchecked, the closed form would give d(a,b) = 10, d(x,b) = 2 and d(a,x) = 1 here."""
+        base = PartialMetric(["a", "b"], {pair("a", "b"): 10})
+        piece = PartialMetric(["a", "b", "x"], {pair("a", "b"): 1, pair("a", "x"): 1})
+        with pytest.raises(MalformedInputError, match="disagrees with the base"):
+            glue_hat(Patchwork(base, (piece,)), "x", "b")
+
+    def test_validates_once_per_patchwork(self, monkeypatch):
+        calls = []
+        validate_once = glue_module.validate_patchwork
+        monkeypatch.setattr(glue_module, "validate_patchwork", lambda pw: calls.append(pw) or validate_once(pw))
+        pw = three_part_patchwork()
+        assert [glue_hat(pw, x, y) for x, y in (("x", "y"), ("a", "y"), ("x", "b"))] == [4, 3, 3]
+        floppy_certificate(pw)
+        assert calls == [pw]
+        glue_hat(three_part_patchwork(), "x", "y")
+        assert len(calls) == 2
+
     def test_matches_union_shortest_path_on_random_patchworks(self):
         rng = random.Random(777)
         for _ in range(30):
@@ -159,20 +188,22 @@ class TestFloppyCertificate:
         assert rep.slack_failures
 
     def test_certified_random_patchworks_are_floppy_with_valid_bounds(self):
+        """Each patchwork is also tried with its weights times 3/7, so gaps are read over a denominator."""
         rng = random.Random(4242)
         certified = 0
         for _ in range(40):
-            pw = random_patchwork(rng)
-            rep = floppy_certificate(pw)
-            if not rep.certified:
-                continue
-            certified += 1
-            assert rep.glued_floppy
-            glued = glue(pw)
-            for b in rep.bounds:
-                gap = shortest_path(glued, b.pair.a, b.pair.b) - lower_envelope(
-                    glued, b.pair.a, b.pair.b
-                )
-                assert b.measured_gap == gap
-                assert gap >= b.delta > 0, (b.pair, b.delta, gap)
+            drawn = random_patchwork(rng)
+            for pw in (drawn, times(drawn, Fraction(3, 7))):
+                rep = floppy_certificate(pw)
+                if not rep.certified:
+                    continue
+                certified += 1
+                assert rep.glued_floppy
+                glued = glue(pw)
+                for b in rep.bounds:
+                    gap = shortest_path(glued, b.pair.a, b.pair.b) - lower_envelope(
+                        glued, b.pair.a, b.pair.b
+                    )
+                    assert b.measured_gap == gap
+                    assert gap >= b.delta > 0, (b.pair, b.delta, gap)
         assert certified >= 3  # the sampler does produce certified instances

@@ -92,6 +92,23 @@ class TestPatchworkDocs:
         with pytest.raises(MalformedInputError):
             patchwork_from_doc({"base": {"vertices": ["a"], "edges": []}})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "patchwork document must be an object, got list"),
+            ("pw", "patchwork document must be an object, got str"),
+            ({"base": {"vertices": ["a"], "edges": []}, "pieces": {}}, "patchwork pieces must be a list, got dict"),
+            ({"base": {"vertices": ["a"], "edges": []}, "pieces": "ab"}, "patchwork pieces must be a list, got str"),
+            ({"pieces": []}, "patchwork document missing field: 'base'"),
+            ({"base": {"vertices": ["a"], "edges": []}, "pieces": [5]}, "metric document missing field"),
+        ],
+    )
+    def test_shapes_rejected_with_accurate_message(self, doc, message):
+        """Nothing is coerced: an object of pieces is not zero pieces."""
+        with pytest.raises(MalformedInputError) as exc:
+            patchwork_from_doc(doc)
+        assert str(exc.value).startswith(message)
+
 
 class TestChoiceSetDocs:
     def test_points_and_intervals(self):
