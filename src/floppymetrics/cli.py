@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import serialize
@@ -23,13 +24,13 @@ from .serialize import _ESCAPES, _parse_pair, metric_to_doc, metric_to_dot
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2), flush=True)
 
 
 def _cmd_validate(args):
     m = serialize.load_metric(args.file)
     if args.dot:
-        print(metric_to_dot(m))
+        print(metric_to_dot(m), flush=True)
         return 0
     _emit(validate(m).to_json())
     return 0
@@ -73,8 +74,7 @@ def _cmd_extend(args):
     if args.choice != "midpoint":
         if not args.choice.startswith("set-file:"):
             raise MalformedInputError("--choice must be 'midpoint' or 'set-file:PATH'")
-        with open(args.choice.split(":", 1)[1]) as fh:
-            choice = serialize.choice_map_from_doc(json.load(fh))
+        choice = serialize.load_choice_map(args.choice.split(":", 1)[1])
     trace = full_extend(m, order=args.order, choice=choice)
     _emit(trace.to_json())
     return 0
@@ -101,8 +101,7 @@ def _cmd_game(args):
 
 
 def _cmd_glue(args):
-    with open(args.file) as fh:
-        pw = serialize.patchwork_from_doc(json.load(fh))
+    pw = serialize.load_patchwork(args.file)
     if args.cert:
         _emit(floppy_certificate(pw).to_json())
     elif args.hat:
@@ -115,20 +114,7 @@ def _cmd_glue(args):
 
 
 def _cmd_gen(args):
-    scale = as_rational(args.scale)
-    if args.kind == "cantor":
-        m = cantor_tree(args.depth)
-    elif args.kind == "path":
-        m = path_metric(args.n, scale)
-    elif args.kind == "cycle":
-        m = cycle_metric(args.n, scale)
-    elif args.kind == "star":
-        m = star_metric(args.n, scale)
-    elif args.kind == "complete":
-        m = complete_metric(args.n, scale)
-    else:
-        m = random_floppy(args.n, as_rational(args.density), args.seed, scale=scale)
-    _emit(metric_to_doc(m))
+    _emit(metric_to_doc(args.make(args)))
     return 0
 
 
@@ -189,13 +175,22 @@ def _build_parser():
     p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("gen", help="generate instances")
-    p.add_argument("kind", choices=["cantor", "path", "cycle", "star", "complete", "random"])
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--density", default="1/2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", default="1")
     p.set_defaults(func=_cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True)  # each kind takes only its own options
+    k = kinds.add_parser("cantor", help="truncated Cantor tree")
+    k.add_argument("--depth", type=int, default=2)
+    k.set_defaults(make=lambda a: cantor_tree(a.depth))
+    for kind, gen in (("path", path_metric), ("cycle", cycle_metric), ("star", star_metric), ("complete", complete_metric)):
+        k = kinds.add_parser(kind, help=f"{kind} on n vertices, edges of weight scale")
+        k.add_argument("--n", type=int, default=4)
+        k.add_argument("--scale", default="1")
+        k.set_defaults(make=lambda a, gen=gen: gen(a.n, as_rational(a.scale)))
+    k = kinds.add_parser("random", help="seeded random floppy metric")
+    k.add_argument("--n", type=int, default=4)
+    k.add_argument("--density", default="1/2")
+    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--scale", default="1")
+    k.set_defaults(make=lambda a: random_floppy(a.n, as_rational(a.density), a.seed, scale=as_rational(a.scale)))
 
     return parser
 
@@ -214,9 +209,11 @@ def main(argv=None) -> int:
     except MetricError as exc:
         _emit(exc.to_json())
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": "REJECT_MALFORMED", "message": str(exc)})
-        return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit cannot fail again, as the Python ``signal`` docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -285,8 +285,6 @@ def _parse_order(order):
         return order, None
     if isinstance(order, str) and order.startswith("random:"):
         return "random", random.Random(_seed_of(order))
-    if order == "random":
-        return "random", random.Random(0)
     raise MalformedInputError(f"unknown order policy {order!r}")
 
 
@@ -298,7 +296,7 @@ def _gap_heap(m: PartialMetric):
 
 
 def _next_pair(policy, rng, current, remaining):
-    """Take the next pair to adjoin out of ``remaining``.
+    """Take the next pair to adjoin out of ``remaining``; returns ``(pair, interval)``.
 
     For lex and random, ``remaining`` is the sorted list of missing pairs.
     For maxgap it is a ``_gap_heap`` whose keys may be stale: a step never
@@ -306,17 +304,18 @@ def _next_pair(policy, rng, current, remaining):
     key is a lower bound on the fresh one.  The top is re-scored on
     ``current`` and taken once its fresh key is still at most the next key;
     otherwise it goes back.  This picks exactly the largest gap, ties going
-    to the lexicographically first pair (lazy greedy, Minoux 1978).
+    to the lexicographically first pair (lazy greedy, Minoux 1978).  The
+    interval is built from the hat and check of that last re-score.
     """
-    if policy == "lex":
-        return remaining.pop(0)
-    if policy == "random":
-        return remaining.pop(rng.randrange(len(remaining)))
+    if policy != "maxgap":
+        d = remaining.pop(0 if policy == "lex" else rng.randrange(len(remaining)))
+        return d, _interval(current, d)
     _, d = heapq.heappop(remaining)
     while True:
-        fresh = (lower_envelope(current, d.a, d.b) - shortest_path(current, d.a, d.b), d)
+        h, c = shortest_path(current, d.a, d.b), lower_envelope(current, d.a, d.b)
+        fresh = (c - h, d)
         if not remaining or fresh <= remaining[0]:
-            return d
+            return d, _interval_from(h, c)
         _, d = heapq.heapreplace(remaining, fresh)
 
 
@@ -363,8 +362,7 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     used = set()
     steps = []
     while remaining:
-        d = _next_pair(policy, rng, current, remaining)
-        interval = _interval(current, d)
+        d, interval = _next_pair(policy, rng, current, remaining)
         if choice == "midpoint":
             value = _bisect_unused(interval.lo, interval.hi, used)
         else:

@@ -83,9 +83,11 @@ class ChoiceSet:
         return any(lo < v and (hi is None or v < hi) for lo, hi in self.intervals)
 
     def diameter(self):
-        """sup of pairwise distances; math.inf for unbounded sets."""
+        """sup of pairwise distances; math.inf for unbounded sets, whatever their lower bounds."""
+        if any(hi is None for _, hi in self.intervals):
+            return math.inf
         los = list(self.points) + [lo for lo, _ in self.intervals]
-        his = list(self.points) + [math.inf if hi is None else hi for _, hi in self.intervals]
+        his = list(self.points) + [hi for _, hi in self.intervals]
         return max(his) - min(los)
 
     def least_element(self) -> Fraction:

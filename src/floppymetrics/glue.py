@@ -6,6 +6,11 @@ pseudometric whose shortest-path distances have a closed form: within one
 member, the member's own distance; across members, the cheapest route through
 one gateway of each side.  ``floppy_certificate`` checks the hypotheses under
 which the glued metric is provably floppy and returns per-pair gap bounds.
+
+A ``Patchwork`` is immutable and caches two values on first use: its
+``validate_patchwork`` report, and its validated union, a ``PartialMetric``
+whose distance table and envelope rows are in turn built once.  ``glue``,
+``gateway_slack`` and ``floppy_certificate`` all read that one union.
 """
 
 from __future__ import annotations
@@ -14,15 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (
-    Doubleton,
-    PartialMetric,
-    _check,
-    _scaled,
-    is_floppy,
-    shortest_path,
-    validate,
-)
+from .core import Doubleton, PartialMetric, _sweep, is_floppy, shortest_path, validate
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
 @dataclass(frozen=True)
@@ -42,6 +39,19 @@ class Patchwork:
     def _report(self) -> PatchworkReport:
         """``validate_patchwork`` of this patchwork, made once: its members are immutable."""
         return validate_patchwork(self)
+
+    @cached_property
+    def _glued(self) -> PartialMetric:
+        """Union of the base and the pieces, made once, for a valid patchwork only.
+
+        Validity makes every overlapping weight coincide: an edge two members
+        share joins two gateways, and both weigh it at the base distance.
+        """
+        _require_valid(self)
+        edges = dict(self.base.edges)
+        for piece in self.pieces:
+            edges.update(piece.edges)
+        return PartialMetric(self.base.vertices.union(*(p.vertices for p in self.pieces)), edges)
 
 
 @dataclass
@@ -119,21 +129,8 @@ def _require_valid(pw: Patchwork) -> PatchworkReport:
 
 
 def glue(pw: Patchwork) -> PartialMetric:
-    """Union of the base and all pieces (overlapping weights must coincide)."""
-    _require_valid(pw)
-    return _union(pw)
-
-
-def _union(pw: Patchwork) -> PartialMetric:
-    vertices = set(pw.base.vertices)
-    edges = dict(pw.base.edges)
-    for piece in pw.pieces:
-        vertices |= piece.vertices
-        for d, w in piece.edges.items():
-            if d in edges and edges[d] != w:
-                raise MalformedInputError(f"pieces assign conflicting weights to {d}")
-            edges[d] = w
-    return PartialMetric(vertices, edges)
+    """Union of the base and all pieces, the same object on every call."""
+    return pw._glued
 
 
 def _home(pw: Patchwork, v: str) -> PartialMetric:
@@ -157,14 +154,9 @@ def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
     for member in (pw.base, *pw.pieces):
         if x in member.vertices and y in member.vertices:
             return shortest_path(member, x, y)
-    best = None
-    for a in sorted(f.vertices & pw.base.vertices):
-        fa = shortest_path(f, x, a)
-        for b in sorted(g.vertices & pw.base.vertices):
-            cand = fa + shortest_path(pw.base, a, b) + shortest_path(g, b, y)
-            if best is None or cand < best:
-                best = cand
-    return best
+    from_x = [(a, shortest_path(f, x, a)) for a in sorted(f.vertices & pw.base.vertices)]
+    to_y = [(b, shortest_path(g, b, y)) for b in sorted(g.vertices & pw.base.vertices)]
+    return min(xa + shortest_path(pw.base, a, b) + by for a, xa in from_x for b, by in to_y)
 
 
 def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
@@ -176,19 +168,12 @@ def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
     gates = sorted(set(gates))
     if not gates:
         raise EmptyGatewaySetError("gateway set must be nonempty")
-    glued = glue(pw)
-    return _slack(glued, v, gates)
+    return _slack(pw._glued, v, gates)
 
 
 def _slack(glued: PartialMetric, v: str, gates) -> Fraction:
-    best = None
-    for a in gates:
-        av = shortest_path(glued, a, v)
-        for b in gates:
-            cand = av + shortest_path(glued, v, b) - shortest_path(glued, a, b)
-            if best is None or cand < best:
-                best = cand
-    return best
+    to_v = [(a, shortest_path(glued, a, v)) for a in gates]
+    return min(av + bv - shortest_path(glued, a, b) for a, av in to_v for b, bv in to_v)
 
 
 @dataclass
@@ -236,7 +221,7 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     """
     base_full = _require_valid(pw).base_full_pseudometric
     pieces_floppy = [is_floppy(piece, require_metric=False).floppy for piece in pw.pieces]
-    glued = _union(pw)
+    glued = pw._glued
     slack_failures = []
     piece_slacks = []  # per piece: dict vertex -> slack against that piece's gateways
     for i, piece in enumerate(pw.pieces):
@@ -256,12 +241,11 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
         return CertReport(False, base_full, pieces_floppy, slack_failures, None, [])
 
     glued_floppy = is_floppy(glued, require_metric=False).floppy
-    scale, index = glued._scale, glued._index
-    table, rows = _scaled(glued, scale)
+    gaps = {d: h - c for d, h, c in _sweep(glued)}  # every bounded cross pair is a non-edge
 
     def bound(x, y, delta):
-        i, j = index[x], index[y]
-        return GapBound(Doubleton(x, y), delta, Fraction(table[i][j] - _check(rows[i], table[j]), scale))
+        d = Doubleton(x, y)
+        return GapBound(d, delta, Fraction(gaps[d], glued._scale))
 
     bounds = []
     for i, piece in enumerate(pw.pieces):

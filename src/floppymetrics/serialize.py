@@ -113,9 +113,25 @@ def choice_map_from_doc(doc) -> dict:
     return {_parse_pair(key): choice_set_from_doc(cs_doc) for key, cs_doc in doc.items()}
 
 
+def _read_json(path):
+    """The JSON document in a file; an unreadable file or text that is not JSON is malformed input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise MalformedInputError(str(exc)) from exc
+
+
 def load_metric(path) -> PartialMetric:
-    with open(path) as fh:
-        return metric_from_doc(json.load(fh))
+    return metric_from_doc(_read_json(path))
+
+
+def load_patchwork(path) -> Patchwork:
+    return patchwork_from_doc(_read_json(path))
+
+
+def load_choice_map(path) -> dict:
+    return choice_map_from_doc(_read_json(path))
 
 
 def dump_metric(m: PartialMetric, path):

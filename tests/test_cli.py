@@ -201,6 +201,20 @@ class TestExtend:
         values = [s["value"] for s in doc["steps"]]
         assert len(set(values)) == 3
 
+    def test_point_choice_sets_from_file(self, capsys, h_file, tmp_path):
+        """Point-only sets: each pair takes its first unused in-range point,
+        and a pair whose in-range points are all used takes the first again."""
+        sets = {"a,y": {"points": ["21/2"]}, "b,x": {"points": ["21/2", "12"]}, "x,y": {"points": ["11"]}}
+        cpath = tmp_path / "points.json"
+        cpath.write_text(json.dumps(sets))
+        code, doc = run(capsys, "extend", "--choice", f"set-file:{cpath}", h_file)
+        assert code == 0
+        assert [(s["pair"], s["value"]) for s in doc["steps"]] == [
+            (["a", "y"], "21/2"),
+            (["b", "x"], "21/2"),
+            (["x", "y"], "11"),
+        ]
+
     def test_bad_choice_spec(self, capsys, h_file):
         code, doc = run(capsys, "extend", "--choice", "oracle", h_file)
         assert code == 2
@@ -275,6 +289,16 @@ class TestGen:
         code, doc = run(capsys, "gen", "path", "--n", "3", "--scale", "huge")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cantor", "--scale", "5"], ["path", "--n", "3", "--seed", "9", "--depth", "7"], ["star", "--density", "1/3"]],
+        ids=["cantor-scale", "path-seed-depth", "star-density"],
+    )
+    def test_option_of_another_kind_rejected(self, capsys, argv):
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
+
 
 class TestMalformedInput:
     """Input the CLI cannot use exits 2 with ``REJECT_MALFORMED`` on stdout and
@@ -323,6 +347,70 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(out)["error"] == "REJECT_MALFORMED"
         assert err == ""
+
+
+class TestInputFiles:
+    """A file the CLI cannot read or parse is malformed input, for every kind of document."""
+
+    @pytest.mark.parametrize("content", [None, b"{nope", b"\xff\xfe"], ids=["missing", "not-json", "not-utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "{f}"], ["glue", "--cert", "{f}"], ["extend", "--choice", "set-file:{f}", "{h}"]],
+        ids=["metric", "patchwork", "choice-map"],
+    )
+    def test_rejected(self, capsys, h_file, tmp_path, content, argv):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        code = main([arg.format(f=path, h=h_file) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["error"], err) == (2, "REJECT_MALFORMED", "")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_1_and_silences_stdout(self, monkeypatch, tmp_path):
+        """No second write and no traceback: stdout is pointed at the null device."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert main(["gen", "cantor", "--depth", "2"]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize(
+        "argv", [["gen", "cantor", "--depth", "4"], ["validate", "--dot", "{h}"]], ids=["gen", "dot"]
+    )
+    def test_reader_gone_before_output(self, h_file, argv):
+        """``floppymetrics gen cantor --depth 4 | head -n 1``, with the reader already gone.
+        A short output fails at its flush, which must also happen inside ``main``."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "floppymetrics.cli", *(arg.format(h=h_file) for arg in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from floppymetrics.errors import (
     ROutOfRangeError,
 )
 from floppymetrics.game import ChoiceSet
-from floppymetrics.generators import random_floppy
+from floppymetrics.generators import cantor_tree, random_floppy
 
 
 class TestAdmissibleInterval:
@@ -173,6 +174,22 @@ class TestFullExtend:
     def test_unknown_order(self, h_graph):
         with pytest.raises(MalformedInputError):
             full_extend(h_graph, order="fifo")
+        with pytest.raises(MalformedInputError):  # a random order needs its seed, "random:SEED"
+            full_extend(h_graph, order="random")
+
+    def test_maxgap_reads_each_chosen_pair_once(self, monkeypatch):
+        """Cantor depth 4's 367 maxgap steps re-score 1,721 heap tops; the
+        step interval comes from the last re-score, with no envelope read of its own."""
+        ext = importlib.import_module("floppymetrics.extension")
+        calls = []
+
+        def counted(m, x, y):
+            calls.append((x, y))
+            return lower_envelope(m, x, y)
+
+        monkeypatch.setattr(ext, "lower_envelope", counted)
+        trace = full_extend(cantor_tree(4), order="maxgap")
+        assert (len(trace.steps), len(calls)) == (367, 1721)
 
     def test_values_distinct_with_midpoint_choice(self):
         m = random_floppy(7, Fraction(2, 5), 11)
@@ -186,6 +203,32 @@ class TestFullExtend:
         values = [s.value for s in trace.steps]
         assert len(values) == len(set(values))
         assert validate(trace.result).full
+
+    def test_choice_sets_of_points(self, h_graph):
+        """Each pair takes its first unused in-range point; out-of-range points are skipped."""
+        sets = {
+            pair("a", "y"): ChoiceSet.of_points(1, Fraction(21, 2), Fraction(32, 3)),
+            pair("b", "x"): ChoiceSet.of_points(Fraction(21, 2), Fraction(32, 3), 12),
+            pair("x", "y"): ChoiceSet.of_points(11),
+        }
+        trace = full_extend(h_graph, choice=sets)
+        assert [(s.pair, s.value) for s in trace.steps] == [
+            (pair("a", "y"), Fraction(21, 2)),
+            (pair("b", "x"), Fraction(32, 3)),
+            (pair("x", "y"), 11),
+        ]
+
+    def test_choice_sets_of_points_reuse_when_all_used(self, h_graph):
+        """Points alone cannot always keep values distinct: with its only
+        in-range point taken, a pair takes that point again."""
+        sets = {
+            pair("a", "y"): ChoiceSet.of_points(Fraction(21, 2)),
+            pair("b", "x"): ChoiceSet.of_points(Fraction(21, 2)),
+            pair("x", "y"): ChoiceSet.of_points(11),
+        }
+        trace = full_extend(h_graph, choice=sets)
+        assert [s.value for s in trace.steps] == [Fraction(21, 2), Fraction(21, 2), 11]
+        assert validate(trace.result).graph_metric
 
     def test_choice_set_missing_pair(self, h_graph):
         sets = {pair("x", "y"): ChoiceSet.open_interval(0)}

@@ -50,6 +50,11 @@ class TestChoiceSet:
         assert ChoiceSet.of_points(1, 100).diameter() == 99
         assert ChoiceSet.open_interval(1, 3).diameter() == 2
 
+    def test_unbounded_diameter_past_float_range(self):
+        # the lower bound is no float; the diameter is still inf, not an OverflowError
+        assert ChoiceSet(intervals=[(2**1100, None)]).diameter() == float("inf")
+        assert ChoiceSet(points=[1], intervals=[(2**1100, None)]).diameter() == float("inf")
+
     def test_rejects_empty_and_degenerate(self):
         with pytest.raises(MalformedInputError):
             ChoiceSet()
@@ -204,6 +209,23 @@ class TestSabotage:
         assert t.verdict == PLAYER_II_WINS
         assert t.reason.kind == "POLYGONAL_VIOLATION"
         assert "chain" in t.reason.detail
+
+    def test_unbounded_sets_past_float_range(self, path_abcd):
+        sets = {d: ChoiceSet(intervals=[(2**1100, None)]) for d in path_abcd.non_edges()}
+        plan = sabotage_witness(path_abcd, sets)
+        assert plan is not None
+        assert sets[plan.p].contains(plan.r_p) and sets[plan.q].contains(plan.r_q)
+        assert abs(plan.r_p - plan.r_q) > plan.separation
+
+    def test_plan_to_json(self, path_abcd):
+        sets = {d: ChoiceSet.of_points(1, 100) for d in path_abcd.non_edges()}
+        assert sabotage_witness(path_abcd, sets).to_json() == {
+            "p": ["a", "c"],
+            "q": ["a", "d"],
+            "r_p": "100",
+            "r_q": "1",
+            "separation": "1",
+        }
 
     def test_narrow_sets_give_no_witness(self, path_abcd):
         # diameter 0 sets can never beat the trigger

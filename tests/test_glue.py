@@ -96,6 +96,10 @@ class TestGlue:
         with pytest.raises(MalformedInputError):
             glue(Patchwork(base, (stray,)))
 
+    def test_union_is_built_once(self):
+        pw = three_part_patchwork()
+        assert glue(pw) is glue(pw)
+
 
 class TestGlueHat:
     def test_three_part_example(self):
@@ -148,6 +152,18 @@ class TestGatewaySlack:
         assert gateway_slack(pw, "y", ["a", "b"]) == min(
             2 * 3, 2 * 1, 3 + 1 - 2
         )
+
+    def test_calls_share_one_union(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return PartialMetric(*args)
+
+        pw = three_part_patchwork()
+        monkeypatch.setattr(glue_module, "PartialMetric", counted)
+        assert (gateway_slack(pw, "x", ["a"]), gateway_slack(pw, "y", ["a", "b"])) == (2, 2)
+        assert len(built) == 1
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyGatewaySetError):
