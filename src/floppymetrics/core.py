@@ -47,7 +47,8 @@ lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -61,26 +62,26 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, rational strings like "3/2", and Fractions to Fraction.
+    """Coerce ints, Fractions, and strings ``[+-]?\\d+(/\\d+)?`` in ASCII digits, like "3/2", to Fraction.
 
-    Floats and bools are rejected (bool is an int subclass, so a JSON ``true``
-    would otherwise load as weight 1).
+    Floats, bools (an int subclass: JSON ``true`` would load as 1), and text
+    with spaces, decimals or exponents are rejected, so a value is never
+    larger than its text: ``"1e100000000"`` would be a 330-million-bit integer.
     """
-    if isinstance(value, bool):
-        raise MalformedInputError(f"not a rational: {value!r} (booleans are rejected)")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
             raise MalformedInputError(f"not a rational: {value!r}") from exc
-    raise MalformedInputError(f"not a rational: {value!r} (floats are rejected)")
+    raise MalformedInputError(f"not a rational: {value!r} (an int, or a string n or p/q)")
 
 
 @dataclass(frozen=True, order=True)
@@ -478,20 +479,41 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     return Fraction(_check(_envelope_rows(m)[i], _scaled_row(m._table()[j], scale)), scale)
 
 
+def _jsonable(v):
+    """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record -> its to_json(),
+    frozenset -> sorted list, list or tuple -> list, dict -> str keys, PartialMetric -> metric document."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, Doubleton):
+        return [v.a, v.b]
+    if isinstance(v, _Record):
+        return v.to_json()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, frozenset):
+        return [_jsonable(x) for x in sorted(v)]
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, PartialMetric):
+        from .serialize import metric_to_doc  # serialize imports every report module
+
+        return metric_to_doc(v)
+    return v
+
+
+class _Record:
+    """Base of the result dataclasses: ``to_json`` writes the fields in declaration order."""
+
+    def to_json(self):
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     connected: bool
     graph_pseudometric: bool
     graph_metric: bool
     full: bool
-
-    def to_json(self):
-        return {
-            "connected": self.connected,
-            "graph_pseudometric": self.graph_pseudometric,
-            "graph_metric": self.graph_metric,
-            "full": self.full,
-        }
 
 
 def validate(m: PartialMetric) -> ValidationReport:
@@ -525,17 +547,14 @@ def _require_metric_grade(m: PartialMetric, *, allow_pseudometric=False):
 
 
 @dataclass(frozen=True)
-class FloppyReport:
+class FloppyReport(_Record):
     floppy: bool
     worst_pair: Doubleton | None
     gap: Fraction | None
 
     def to_json(self):
-        out = {"floppy": self.floppy}
-        if self.worst_pair is not None:
-            out["worst_pair"] = [self.worst_pair.a, self.worst_pair.b]
-            out["gap"] = str(self.gap)
-        return out
+        """The fields, without ``worst_pair`` and ``gap`` when there is no worst pair."""
+        return {"floppy": self.floppy} if self.worst_pair is None else super().to_json()
 
 
 def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:

@@ -26,7 +26,9 @@ from itertools import combinations
 from .core import (
     Doubleton,
     PartialMetric,
+    _Record,
     _check,
+    _jsonable,
     _scaled,
     _scaled_row,
     _sweep,
@@ -51,7 +53,7 @@ PROPOSITION = "proposition"
 
 
 @dataclass(frozen=True)
-class AdmissibleInterval:
+class AdmissibleInterval(_Record):
     """Value range [lo, hi) that keeps a one-step extension floppy."""
 
     lo: Fraction
@@ -63,9 +65,6 @@ class AdmissibleInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def to_json(self):
-        return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
 def _require_floppy(m: PartialMetric):
@@ -161,7 +160,7 @@ class StatementResult:
 
 
 @dataclass
-class StepPropertyReport:
+class StepPropertyReport(_Record):
     pair: Doubleton
     r: Fraction
     statements: dict
@@ -171,19 +170,10 @@ class StepPropertyReport:
         return all(s.holds for s in self.statements.values())
 
     def to_json(self):
-        return {
-            "pair": [self.pair.a, self.pair.b],
-            "r": str(self.r),
-            "ok": self.ok,
-            "statements": {
-                str(k): {
-                    "applicable_pairs": s.applicable,
-                    "holds": s.holds,
-                    "failures": [[u, v] for u, v in s.failures],
-                }
-                for k, s in self.statements.items()
-            },
-        }
+        """The fields with ``ok`` after ``r``; each statement as ``applicable_pairs``, ``holds``, ``failures``."""
+        statements = {k: {"applicable_pairs": s.applicable, "holds": s.holds, "failures": s.failures}
+                      for k, s in self.statements.items()}
+        return _jsonable({"pair": self.pair, "r": self.r, "ok": self.ok, "statements": statements})
 
 
 def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyReport:
@@ -248,28 +238,16 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
 # Full extension driver.
 
 @dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(_Record):
     pair: Doubleton
     interval: AdmissibleInterval
     value: Fraction
 
-    def to_json(self):
-        return {
-            "pair": [self.pair.a, self.pair.b],
-            "interval": self.interval.to_json(),
-            "value": str(self.value),
-        }
-
 
 @dataclass
-class ExtensionTrace:
+class ExtensionTrace(_Record):
     steps: list
     result: PartialMetric
-
-    def to_json(self):
-        from .serialize import metric_to_doc
-
-        return {"steps": [s.to_json() for s in self.steps], "result": metric_to_doc(self.result)}
 
 
 def _seed_of(spec: str) -> int:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .core import (
     Doubleton,
     PartialMetric,
+    _Record,
     _require_metric_grade,
     as_rational,
     doubleton_dist,
@@ -44,7 +45,7 @@ PLAYER_II_WINS = "PLAYER_II_WINS"
 
 
 @dataclass(frozen=True)
-class ChoiceSet:
+class ChoiceSet(_Record):
     """Finite union of rational points and open rational intervals in (0, inf).
 
     ``intervals`` entries are (lo, hi) with hi=None meaning unbounded above.
@@ -125,62 +126,26 @@ class ChoiceSet:
         k = rng.randrange(1, 1 << 16)
         return lo + (hi - lo) * Fraction(k, 1 << 16)
 
-    def to_json(self):
-        return {
-            "points": [str(p) for p in sorted(self.points)],
-            "intervals": [[str(lo), None if hi is None else str(hi)] for lo, hi in self.intervals],
-        }
-
 
 @dataclass(frozen=True)
-class Move:
+class Move(_Record):
     pair: Doubleton
     offered: ChoiceSet
     answer: Fraction
 
-    def to_json(self):
-        return {
-            "pair": [self.pair.a, self.pair.b],
-            "offered": self.offered.to_json(),
-            "answer": str(self.answer),
-        }
-
 
 @dataclass(frozen=True)
-class GameReason:
+class GameReason(_Record):
     kind: str
     detail: dict
 
-    def to_json(self):
-        return {"kind": self.kind, "detail": {k: _jsonable(v) for k, v in self.detail.items()}}
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Doubleton):
-        return [v.a, v.b]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
 
 @dataclass
-class GameTranscript:
+class GameTranscript(_Record):
     base: PartialMetric
     moves: list
     verdict: str
     reason: GameReason
-
-    def to_json(self):
-        from .serialize import metric_to_doc
-
-        return {
-            "base": metric_to_doc(self.base),
-            "moves": [m.to_json() for m in self.moves],
-            "verdict": self.verdict,
-            "reason": self.reason.to_json(),
-        }
 
 
 class PlayerIStrategy:
@@ -209,12 +174,11 @@ def accumulate(base: PartialMetric, moves):
 
 
 def _loss_witness(relation: PartialMetric, rep) -> GameReason:
+    """Why a relation is not a full metric.  No weight is <= 0: the base is
+    metric-grade and every answer lies in its offered set, inside (0, inf)."""
     if not rep.full:
         missing = relation.non_edges()[0]
         return GameReason("MISSING_PAIR", {"pair": missing})
-    for d, w in sorted(relation.edges.items()):
-        if w <= 0:
-            return GameReason("NON_POSITIVE", {"pair": d, "weight": w})
     for d, w in sorted(relation.edges.items()):
         h = shortest_path(relation, d.a, d.b)
         if w > h:
@@ -382,21 +346,12 @@ class PlanSecondPlayer(PlayerIIStrategy):
 
 
 @dataclass(frozen=True)
-class SabotagePlan:
+class SabotagePlan(_Record):
     p: Doubleton
     q: Doubleton
     r_p: Fraction
     r_q: Fraction
     separation: Fraction  # doubleton_dist(p, q); |r_p - r_q| exceeds it
-
-    def to_json(self):
-        return {
-            "p": [self.p.a, self.p.b],
-            "q": [self.q.a, self.q.b],
-            "r_p": str(self.r_p),
-            "r_q": str(self.r_q),
-            "separation": str(self.separation),
-        }
 
 
 def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:

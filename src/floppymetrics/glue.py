@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Doubleton, PartialMetric, _sweep, is_floppy, shortest_path, validate
+from .core import Doubleton, PartialMetric, _Record, _jsonable, _sweep, is_floppy, shortest_path, validate
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Patchwork:
 
 
 @dataclass
-class PatchworkReport:
+class PatchworkReport(_Record):
     base_full_pseudometric: bool
     pieces_pseudometric: list
     gateways_nonempty: list
@@ -74,15 +74,8 @@ class PatchworkReport:
         )
 
     def to_json(self):
-        return {
-            "ok": self.ok,
-            "base_full_pseudometric": self.base_full_pseudometric,
-            "pieces_pseudometric": self.pieces_pseudometric,
-            "gateways_nonempty": self.gateways_nonempty,
-            "gateway_agreement": self.gateway_agreement,
-            "intersections_in_base": self.intersections_in_base,
-            "witnesses": self.witnesses,
-        }
+        """``ok`` first, then the fields."""
+        return {"ok": self.ok, **super().to_json()}
 
 
 def validate_patchwork(pw: Patchwork) -> PatchworkReport:
@@ -177,37 +170,24 @@ def _slack(glued: PartialMetric, v: str, gates) -> Fraction:
 
 
 @dataclass
-class GapBound:
+class GapBound(_Record):
     pair: Doubleton
     delta: Fraction
     measured_gap: Fraction
 
     def to_json(self):
-        return {
-            "pair": [self.pair.a, self.pair.b],
-            "delta": str(self.delta),
-            "gap": str(self.measured_gap),
-        }
+        """The fields, with ``measured_gap`` written as ``gap``."""
+        return _jsonable({"pair": self.pair, "delta": self.delta, "gap": self.measured_gap})
 
 
 @dataclass
-class CertReport:
+class CertReport(_Record):
     certified: bool
     base_full: bool
     pieces_floppy: list
     slack_failures: list
     glued_floppy: bool | None
     bounds: list
-
-    def to_json(self):
-        return {
-            "certified": self.certified,
-            "base_full": self.base_full,
-            "pieces_floppy": self.pieces_floppy,
-            "slack_failures": [str(w) for w in self.slack_failures],
-            "glued_floppy": self.glued_floppy,
-            "bounds": [b.to_json() for b in self.bounds],
-        }
 
 
 def floppy_certificate(pw: Patchwork) -> CertReport:
@@ -240,8 +220,8 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     if not certified:
         return CertReport(False, base_full, pieces_floppy, slack_failures, None, [])
 
-    glued_floppy = is_floppy(glued, require_metric=False).floppy
     gaps = {d: h - c for d, h, c in _sweep(glued)}  # every bounded cross pair is a non-edge
+    glued_floppy = all(g > 0 for g in gaps.values())  # vacuously true when the union is full
 
     def bound(x, y, delta):
         d = Doubleton(x, y)

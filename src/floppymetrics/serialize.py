@@ -5,7 +5,11 @@ Metric document:
 
 Weights are reduced rational strings ("p/q" or "n").  Canonical serialization
 orders vertices and edges lexicographically, so documents round-trip
-losslessly and byte-identically.
+losslessly and byte-identically.  A weight is a JSON integer or a string
+``[+-]?\d+(/\d+)?``; decimals, exponents, floats and booleans are malformed.
+Reports, traces and transcripts follow one rule (``core._jsonable``): fields
+in declaration order, rationals as reduced ``"n"`` / ``"p/q"`` strings, pairs
+as ``[a, b]``, ``null`` for none, and a metric as its metric document.
 
 Pair text, as in the CLI's ``--pair`` and the keys of a choice-map document,
 is two labels separated by a comma, with ``\,`` for a comma and ``\\`` for a

@@ -319,11 +319,14 @@ class TestMalformedInput:
             ["glue", "--hat", "x", "b", "{gateway_disagreement}"],
             ["glue", "--cert", "{pieces_object}"],
             ["glue", "--cert", "{list_doc}"],
+            ["step", "--pair", "x,y", "--r", "10.5", "{h}"],
+            ["gen", "path", "--scale", "1.5"],
+            ["validate", "{decimal_weight}"],
         ],
         ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
              "order-random-empty", "p2-random-x", "negative-lambda", "edge-labels-not-strings",
              "set-file-points-string", "glue-hat-gateway-disagreement", "glue-pieces-object",
-             "glue-list-doc"],
+             "glue-list-doc", "decimal-r", "decimal-scale", "decimal-weight"],
     )
     def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
         files = {"h": h_file}
@@ -338,6 +341,7 @@ class TestMalformedInput:
                 "base": {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "10"}]},
                 "pieces": [{"vertices": ["a", "b", "x"], "edges": [{"u": "a", "v": "b", "w": "1"}, {"u": "a", "v": "x", "w": "1"}]}],
             }),
+            ("decimal_weight", {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1.5"}]}),
             ("pieces_object", {"base": {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1"}]}, "pieces": {}}),
         ):
             files[name] = str(tmp_path / f"{name}.json")
@@ -347,6 +351,19 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(out)["error"] == "REJECT_MALFORMED"
         assert err == ""
+
+
+class TestWeightGrammar:
+    def test_exponent_weight_rejected_at_once(self, tmp_path):
+        """``"1e100000000"`` is 12 bytes; read as a rational it is a 330-million-bit integer."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1e100000000"}]}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "floppymetrics.cli", "floppy", str(path)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "REJECT_MALFORMED", "")
 
 
 class TestInputFiles:

@@ -54,6 +54,17 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             PartialMetric(["a", "b"], {pair("a", "b"): 1.5})
 
+    @pytest.mark.parametrize("text", ["1e100000000", "1.5", "1/2e3", " 3/2", "3/2 ", "1_000", "3/-2", "++1", "",
+                                      "\u0663", "inf", "nan", "1/0"])
+    def test_rejects_text_outside_the_grammar(self, text):
+        """Only ``[+-]?\\d+(/\\d+)?`` in ASCII digits is a rational; no decimal, exponent or space."""
+        with pytest.raises(MalformedInputError):
+            as_rational(text)
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-4/6", Fraction(-2, 3)), ("+3/2", Fraction(3, 2)), ("0", 0)])
+    def test_reads_integers_and_ratios(self, text, value):
+        assert as_rational(text) == value
+
     @pytest.mark.parametrize("value", [True, False])
     def test_rejects_bool_weight(self, value):
         with pytest.raises(MalformedInputError):

@@ -193,6 +193,12 @@ class TestFloppyCertificate:
         for delta, gap in bounds.values():
             assert 0 < delta <= gap
 
+    def test_full_union_is_floppy_vacuously(self):
+        """A piece inside the base adds no vertex: the union is full, with no gap to bound."""
+        base = PartialMetric(["a", "b"], {pair("a", "b"): 2})
+        rep = floppy_certificate(Patchwork(base, (base,)))
+        assert (rep.certified, rep.glued_floppy, rep.bounds) == (True, True, [])
+
     def test_zero_slack_blocks_certification(self):
         base = PartialMetric(
             ["a", "b", "c"],
@@ -216,6 +222,7 @@ class TestFloppyCertificate:
                 certified += 1
                 assert rep.glued_floppy
                 glued = glue(pw)
+                assert rep.glued_floppy == is_floppy(glued, require_metric=False).floppy
                 for b in rep.bounds:
                     gap = shortest_path(glued, b.pair.a, b.pair.b) - lower_envelope(
                         glued, b.pair.a, b.pair.b
