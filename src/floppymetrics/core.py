@@ -26,14 +26,15 @@ pass and the metric caches them whole, so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
 per pair, and ``_check`` is the one place that scan is written.
 ``lower_envelope`` answers one pair, converting only hat row y to ints.
-Whole-metric questions (``is_floppy``, ``minimal_floppy_extension``, and in
-other modules the step statements, certificate bounds and the maxgap order)
-read the table and the rows once as ints with ``_scaled``, the one home of
-that conversion, and sweep every pair on them, so checking every non-edge
-costs O(n|E| + n^3) integer operations and builds a Fraction only for what
-is reported.  The table stays on Fractions: every public distance is read
-from it as one, and shared Fractions keep it small.  Moving the table and
-its relaxation to ints as well is an open item (ROADMAP item 2).
+Whole-metric questions (``is_floppy``, the one round of forced pairs in
+``minimal_floppy_extension``, and in other modules the step statements,
+certificate bounds and the maxgap order) read the table and the rows once
+as ints with ``_scaled``, the one home of that conversion, and sweep every
+pair on them, so checking every non-edge costs O(n|E| + n^3) integer
+operations and builds a Fraction only for what is reported.  The table
+stays on Fractions: every public distance is read from it as one, and
+shared Fractions keep it small.  Moving the table and its relaxation to
+ints as well is an open item (ROADMAP item 2).
 
 ``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
 through the new edge: the table by relaxation, and, when the parent has its
@@ -55,7 +56,6 @@ from types import MappingProxyType
 
 from .errors import (
     DisconnectedError,
-    ExtensionDivergedError,
     MalformedInputError,
     NotGraphMetricError,
     UnknownVertexError,
@@ -577,18 +577,22 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
 
 
 def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
-    """Adjoin every forced pair (envelope == distance > 0) until none remain.
+    """Adjoin every forced pair xy (check(x, y) == hat(x, y)) at weight hat(x, y), in one round.
 
-    Whether a single pass suffices is not settled, so we iterate to a
-    fixpoint and cap at n^2 rounds defensively.
+    One round settles it.  In a graph metric h = hat(x, y) > 0, so a forced
+    pair has h = check(x, y) = w(ab) - dd(ab, xy) for some edge ab, where dd
+    is the doubleton distance read from hat.  Adjoining xy at h changes no
+    hat, since h is already the shortest chain, and so no dd either.  It
+    changes no check, because the triangle inequality of dd bounds the new
+    edge's term at any pair uv:
+    h - dd(xy, uv) = w(ab) - dd(ab, xy) - dd(xy, uv) <= w(ab) - dd(ab, uv) <= check(u, v).
+    So every remaining non-edge keeps its hat and check: the pairs one sweep
+    finds forced are adjoined together, and none is forced afterwards.
+    ``return_iterations=True`` also returns the number of rounds, 0 or 1.
     """
     _require_metric_grade(m)
-    current = m
-    cap = len(m.vertices) ** 2
-    for iteration in range(cap + 1):
-        forced = [(d, Fraction(h, current._scale)) for d, h, c in _sweep(current) if h > 0 and c == h]
-        if not forced:
-            return (current, iteration) if return_iterations else current
-        for d, h in forced:
-            current = current.with_edge(d, h)
-    raise ExtensionDivergedError(f"no fixpoint after {cap} rounds")
+    out = m
+    for d, h, c in _sweep(m):
+        if c == h:
+            out = out.with_edge(d, Fraction(h, m._scale))
+    return (out, int(out is not m)) if return_iterations else out

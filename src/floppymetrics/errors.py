@@ -11,7 +11,9 @@ class MetricError(Exception):
         self.details = details
 
     def to_json(self):
-        return {"error": self.code, "message": str(self), "details": {k: str(v) for k, v in self.details.items()}}
+        from .core import _jsonable  # core imports errors
+
+        return {"error": self.code, "message": str(self), "details": _jsonable(self.details)}
 
 
 class MalformedInputError(MetricError):
@@ -40,10 +42,6 @@ class AlreadyEdgeError(MetricError):
 
 class ROutOfRangeError(MetricError):
     code = "R_OUT_OF_RANGE"
-
-
-class ExtensionDivergedError(MetricError):
-    code = "EXTENSION_DIVERGED"
 
 
 class ChoiceSetMissesIntervalError(MetricError):

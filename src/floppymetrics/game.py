@@ -174,20 +174,17 @@ def accumulate(base: PartialMetric, moves):
 
 
 def _loss_witness(relation: PartialMetric, rep) -> GameReason:
-    """Why a relation is not a full metric.  No weight is <= 0: the base is
-    metric-grade and every answer lies in its offered set, inside (0, inf)."""
+    """Why a relation is not a full metric: a missing pair, or else the first
+    edge heavier than its shortest chain.  No weight is <= 0 (the base is
+    metric-grade and every answer lies in its offered set, inside (0, inf)),
+    so a full relation fails only the polygonal inequality, and such an edge
+    exists."""
     if not rep.full:
-        missing = relation.non_edges()[0]
-        return GameReason("MISSING_PAIR", {"pair": missing})
-    for d, w in sorted(relation.edges.items()):
-        h = shortest_path(relation, d.a, d.b)
-        if w > h:
-            chain = shortest_chain(relation, d.a, d.b)
-            return GameReason(
-                "POLYGONAL_VIOLATION",
-                {"pair": d, "weight": w, "chain": chain, "chain_weight": h},
-            )
-    return GameReason("NOT_FULL_METRIC", {})
+        return GameReason("MISSING_PAIR", {"pair": relation.non_edges()[0]})
+    d, w = next((d, w) for d, w in sorted(relation.edges.items()) if w > shortest_path(relation, d.a, d.b))
+    h = shortest_path(relation, d.a, d.b)
+    chain = shortest_chain(relation, d.a, d.b)
+    return GameReason("POLYGONAL_VIOLATION", {"pair": d, "weight": w, "chain": chain, "chain_weight": h})
 
 
 def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, player_two: PlayerIIStrategy) -> GameTranscript:
@@ -223,7 +220,7 @@ def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, pla
             base, moves, PLAYER_II_WINS, GameReason("MULTIVALUED_PAIR", {"pair": conflict})
         )
     rep = validate(relation)
-    if rep.full and rep.graph_metric and rep.connected:
+    if rep.full and rep.graph_metric:
         return GameTranscript(base, moves, PLAYER_I_WINS, GameReason("FULL_METRIC", {}))
     return GameTranscript(base, moves, PLAYER_II_WINS, _loss_witness(relation, rep))
 
@@ -357,9 +354,12 @@ class SabotagePlan(_Record):
 def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
     """Find two missing pairs whose choice sets force a non-metric completion.
 
-    Trigger: 3 * doubleton_dist(p, q) < diameter(F_p).  Then some value of F_p
-    sits farther from any fixed F_q value than the pair pseudometric allows,
-    and no full metric extension can take both values.
+    Trigger: 3 * sep < diameter(F_p), with sep = doubleton_dist(p, q).  Then
+    F_p holds two values more than 2 * sep apart, so one of them is more than
+    sep from any fixed value r_q of F_q, and no full metric extension can take
+    both.  ``element_far_from(r_q, sep)`` returns None only when every point
+    and every open interval of F_p lies within sep of r_q, so here it always
+    finds such a value.
     """
     missing = base.non_edges()
     for d in missing:
@@ -373,10 +373,7 @@ def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
             sep = doubleton_dist(base, p, q)
             if 3 * sep < diam:
                 r_q = choice_sets[q].least_element()
-                r_p = choice_sets[p].element_far_from(r_q, sep)
-                if r_p is None:  # cannot happen when the trigger fired
-                    continue
-                return SabotagePlan(p, q, r_p, r_q, sep)
+                return SabotagePlan(p, q, choice_sets[p].element_far_from(r_q, sep), r_q, sep)
     return None
 
 

@@ -243,7 +243,7 @@ class TestGame:
         code, doc = run(capsys, "game", "play", str(path))
         assert code == 1
         assert doc["error"] == "NOT_FLOPPY"
-        assert doc["details"] == {"pair": "{a,c}", "gap": "0"}
+        assert doc["details"] == {"pair": ["a", "c"], "gap": "0"}
 
 
 class TestGlue:

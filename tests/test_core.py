@@ -270,7 +270,7 @@ class TestMinimalFloppyExtension:
         extended, iterations = minimal_floppy_extension(collinear_witness, return_iterations=True)
         assert extended.is_edge(pair("a", "c"))
         assert extended.weight(pair("a", "c")) == 2
-        assert iterations >= 1
+        assert iterations == 1
         assert is_floppy(extended).floppy  # now full
 
     def test_contains_original(self, collinear_witness):

@@ -71,6 +71,31 @@ class TestChoiceSet:
         v = iv.element_far_from(Fraction(2), Fraction(3))
         assert v is not None and abs(v - 2) > 3 and iv.contains(v)
 
+    def test_element_far_from_whenever_three_gaps_fit_in_the_diameter(self):
+        """sabotage_witness relies on this: 3 * gap < diameter() means a member more than gap from any centre."""
+        import random
+
+        rng = random.Random(11)
+
+        def rational(top):
+            den = rng.choice((1, 2, 3, 7))
+            return Fraction(rng.randrange(top * den), den)
+
+        fired = 0
+        for _ in range(3000):
+            points = [rational(40) + 1 for _ in range(rng.randrange(3))]
+            intervals = []
+            for _ in range(rng.randrange(3) if points else rng.randrange(1, 3)):
+                lo = rational(40)
+                intervals.append((lo, None if rng.random() < 0.15 else lo + rational(20) + Fraction(1, 5)))
+            cs = ChoiceSet(points=points, intervals=intervals)
+            center, gap = rational(50), rational(15)
+            if 3 * gap < cs.diameter():
+                fired += 1
+                v = cs.element_far_from(center, gap)
+                assert v is not None and cs.contains(v) and abs(v - center) > gap, (cs, center, gap)
+        assert fired > 1000
+
     def test_sample_is_member_and_seeded(self):
         import random
 

@@ -213,6 +213,29 @@ class TestFloppinessSweep:
         if seed == 0:
             assert forced_seen > 0  # the grid metrics do have forced pairs
 
+    @pytest.mark.parametrize("block", range(4))
+    def test_one_round_moves_no_hat_or_check(self, block):
+        """Adjoining every forced pair at its hat leaves hat and check at every other non-edge as they were."""
+        batches = []
+        for seed in range(20 * block, 20 * block + 20):
+            for m in sample_metrics(seed):
+                if not validate(m).graph_metric:
+                    continue
+                before = {d: (shortest_path(m, d.a, d.b), lower_envelope(m, d.a, d.b)) for d in m.non_edges()}
+                forced = [(d, h) for d, (h, c) in before.items() if c == h]
+                extended = m
+                for d, h in forced:
+                    extended = extended.with_edge(d, h)
+                for d in extended.non_edges():
+                    h, c = shortest_path(extended, d.a, d.b), lower_envelope(extended, d.a, d.b)
+                    assert (h, c) == before[d]
+                    assert c < h
+                got, iterations = minimal_floppy_extension(m, return_iterations=True)
+                assert got == extended
+                assert iterations == (1 if forced else 0)
+                batches.append(len(forced))
+        assert max(batches) > 1  # some metric adjoins several forced pairs in its one round
+
 
 class TestStepPropertySweep:
     @pytest.mark.parametrize("seed", range(10))
