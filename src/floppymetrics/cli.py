@@ -1,7 +1,9 @@
 """Command-line front-end: every library operation over metric JSON documents.
 
-Exit codes: 0 success, 1 domain error (machine-readable error object on
-stdout), 2 malformed input or bad usage.
+Handlers return results; ``main`` is the one writer.  It writes a result or
+error object by the one JSON rule (``core._jsonable``), a DOT string as is,
+and owns the exit codes: 0 success, 1 domain error (error object on stdout),
+2 malformed input, bad usage, or a result too long to write.
 """
 
 from __future__ import annotations
@@ -13,59 +15,42 @@ import os
 import sys
 
 from . import serialize
-from .core import as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
+from .core import _jsonable, as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
 from .errors import MalformedInputError, MetricError
 from .extension import _seed_of, full_extend, one_step_extend, verify_step_properties
 from .game import adversary_player_two, play, winning_player_one
 from .game import ProbeSecondPlayer, RandomSecondPlayer
 from .generators import cantor_tree, complete_metric, cycle_metric, path_metric, random_floppy, star_metric
 from .glue import floppy_certificate, glue, glue_hat, validate_patchwork
-from .serialize import _ESCAPES, _parse_pair, metric_to_doc, metric_to_dot
-
-
-def _emit(obj):
-    print(json.dumps(obj, indent=2), flush=True)
+from .serialize import _ESCAPES, _parse_pair, metric_to_dot
 
 
 def _cmd_validate(args):
     m = serialize.load_metric(args.file)
-    if args.dot:
-        print(metric_to_dot(m), flush=True)
-        return 0
-    _emit(validate(m).to_json())
-    return 0
+    return metric_to_dot(m) if args.dot else validate(m)
 
 
 def _cmd_query(args):
     m = serialize.load_metric(args.file)
     if args.hat:
-        value = shortest_path(m, args.hat[0], args.hat[1])
-    elif args.check:
-        value = lower_envelope(m, args.check[0], args.check[1])
-    else:
-        value = doubleton_dist(m, _parse_pair(args.ddot[0]), _parse_pair(args.ddot[1]))
-    _emit({"value": str(value)})
-    return 0
+        return {"value": shortest_path(m, *args.hat)}
+    if args.check:
+        return {"value": lower_envelope(m, *args.check)}
+    return {"value": doubleton_dist(m, *map(_parse_pair, args.ddot))}
 
 
 def _cmd_floppy(args):
-    m = serialize.load_metric(args.file)
-    _emit(is_floppy(m).to_json())
-    return 0
+    return is_floppy(serialize.load_metric(args.file))
 
 
 def _cmd_step(args):
     m = serialize.load_metric(args.file)
-    extended = one_step_extend(m, _parse_pair(args.pair), as_rational(args.r), args.mode)
-    _emit(metric_to_doc(extended))
-    return 0
+    return one_step_extend(m, _parse_pair(args.pair), as_rational(args.r), args.mode)
 
 
 def _cmd_pstep(args):
     m = serialize.load_metric(args.file)
-    report = verify_step_properties(m, _parse_pair(args.pair), as_rational(args.r))
-    _emit(report.to_json())
-    return 0
+    return verify_step_properties(m, _parse_pair(args.pair), as_rational(args.r))
 
 
 def _cmd_extend(args):
@@ -75,9 +60,7 @@ def _cmd_extend(args):
         if not args.choice.startswith("set-file:"):
             raise MalformedInputError("--choice must be 'midpoint' or 'set-file:PATH'")
         choice = serialize.load_choice_map(args.choice.split(":", 1)[1])
-    trace = full_extend(m, order=args.order, choice=choice)
-    _emit(trace.to_json())
-    return 0
+    return full_extend(m, order=args.order, choice=choice)
 
 
 def _make_player_two(spec: str):
@@ -92,30 +75,19 @@ def _make_player_two(spec: str):
 
 def _cmd_game(args):
     base = serialize.load_metric(args.file)
-    p1 = winning_player_one(base)
-    p2 = _make_player_two(args.p2)
     length = args.game_length if args.game_length is not None else len(base.non_edges())
-    transcript = play(base, length, p1, p2)
-    _emit(transcript.to_json())
-    return 0
+    return play(base, length, winning_player_one(base), _make_player_two(args.p2))
 
 
 def _cmd_glue(args):
     pw = serialize.load_patchwork(args.file)
     if args.cert:
-        _emit(floppy_certificate(pw).to_json())
-    elif args.hat:
-        _emit({"value": str(glue_hat(pw, args.hat[0], args.hat[1]))})
-    elif args.check_only:
-        _emit(validate_patchwork(pw).to_json())
-    else:
-        _emit(metric_to_doc(glue(pw)))
-    return 0
-
-
-def _cmd_gen(args):
-    _emit(metric_to_doc(args.make(args)))
-    return 0
+        return floppy_certificate(pw)
+    if args.hat:
+        return {"value": glue_hat(pw, *args.hat)}
+    if args.check_only:
+        return validate_patchwork(pw)
+    return glue(pw)
 
 
 @functools.cache
@@ -175,7 +147,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("gen", help="generate instances")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=lambda a: a.make(a))
     kinds = p.add_subparsers(dest="kind", required=True)  # each kind takes only its own options
     k = kinds.add_parser("cantor", help="truncated Cantor tree")
     k.add_argument("--depth", type=int, default=2)
@@ -195,6 +167,10 @@ def _build_parser():
     return parser
 
 
+def _encode(result) -> str:
+    return result if isinstance(result, str) else json.dumps(_jsonable(result), indent=2)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -202,18 +178,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except MalformedInputError as exc:
-        _emit(exc.to_json())
-        return 2
-    except MetricError as exc:
-        _emit(exc.to_json())
-        return 1
+        try:
+            text, code = _encode(args.func(args)), 0
+        except MetricError as exc:
+            text, code = _encode(exc), 2 if isinstance(exc, MalformedInputError) else 1
+    except ValueError as exc:
+        # CPython will not write an integer longer than sys.get_int_max_str_digits()
+        # digits, in a result or in an error's message or details.
+        text, code = _encode(MalformedInputError(f"the result cannot be written: {exc}")), 2
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the flush at
         # exit cannot fail again, as the Python ``signal`` docs advise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

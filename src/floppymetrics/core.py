@@ -57,6 +57,7 @@ from types import MappingProxyType
 from .errors import (
     DisconnectedError,
     MalformedInputError,
+    MetricError,
     NotGraphMetricError,
     UnknownVertexError,
 )
@@ -480,13 +481,13 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
 
 
 def _jsonable(v):
-    """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record -> its to_json(),
+    """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record or error -> its to_json(),
     frozenset -> sorted list, list or tuple -> list, dict -> str keys, PartialMetric -> metric document."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, Doubleton):
         return [v.a, v.b]
-    if isinstance(v, _Record):
+    if isinstance(v, (_Record, MetricError)):
         return v.to_json()
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
@@ -576,7 +577,7 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
     return FloppyReport(worst_gap > 0, worst, Fraction(worst_gap, m._scale))
 
 
-def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
+def minimal_floppy_extension(m: PartialMetric) -> PartialMetric:
     """Adjoin every forced pair xy (check(x, y) == hat(x, y)) at weight hat(x, y), in one round.
 
     One round settles it.  In a graph metric h = hat(x, y) > 0, so a forced
@@ -588,11 +589,10 @@ def minimal_floppy_extension(m: PartialMetric, *, return_iterations=False):
     h - dd(xy, uv) = w(ab) - dd(ab, xy) - dd(xy, uv) <= w(ab) - dd(ab, uv) <= check(u, v).
     So every remaining non-edge keeps its hat and check: the pairs one sweep
     finds forced are adjoined together, and none is forced afterwards.
-    ``return_iterations=True`` also returns the number of rounds, 0 or 1.
     """
     _require_metric_grade(m)
     out = m
     for d, h, c in _sweep(m):
         if c == h:
             out = out.with_edge(d, Fraction(h, m._scale))
-    return (out, int(out is not m)) if return_iterations else out
+    return out

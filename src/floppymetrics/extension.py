@@ -329,9 +329,10 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     """Extend to a full metric, one admissible step per missing pair.
 
     ``order``: "lex", "maxgap", or "random:SEED".  ``choice``: "midpoint" or a
-    mapping from Doubleton to a game ChoiceSet; with per-pair choice sets the
-    chosen values are kept pairwise distinct (bisecting toward the upper end
-    on collision).
+    mapping from Doubleton to a game ChoiceSet.  Values are pairwise distinct
+    (bisecting toward the upper end on collision) for midpoints, and for sets
+    that each meet their admissible interval in an open interval, as the
+    paper's dense F_e do; a set of points alone may repeat a value.
     """
     _require_floppy(m)
     policy, rng = _parse_order(order)

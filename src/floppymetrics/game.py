@@ -148,18 +148,6 @@ class GameTranscript(_Record):
     reason: GameReason
 
 
-class PlayerIStrategy:
-    def propose(self, base: PartialMetric, history: list):
-        """Return (Doubleton, ChoiceSet) for the next inning."""
-        raise NotImplementedError
-
-
-class PlayerIIStrategy:
-    def respond(self, base: PartialMetric, history: list, pair: Doubleton, offered: ChoiceSet):
-        """Return an answer value from the offered set."""
-        raise NotImplementedError
-
-
 def accumulate(base: PartialMetric, moves):
     """Relation base-union-moves as one metric, or (None, pair) on conflicting values.
 
@@ -187,11 +175,16 @@ def _loss_witness(relation: PartialMetric, rep) -> GameReason:
     return GameReason("POLYGONAL_VIOLATION", {"pair": d, "weight": w, "chain": chain, "chain_weight": h})
 
 
-def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, player_two: PlayerIIStrategy) -> GameTranscript:
+def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameTranscript:
     """Referee a finite game and return the full transcript with verdict.
 
-    Moves are only checked against their offered sets while the game runs;
-    the accumulated relation is validated once, after the last inning.
+    A player is any object with the one method its role needs:
+    ``player_one.propose(base, history)`` returns the next inning's
+    (Doubleton, ChoiceSet), and ``player_two.respond(base, history, pair,
+    offered)`` returns an answer from the offered set; ``history`` is the
+    list of moves so far.  Moves are only checked against their offered
+    sets while the game runs; the accumulated relation is validated once,
+    after the last inning.
     """
     if game_length < 0:
         raise MalformedInputError(f"game length must be nonnegative, got {game_length}")
@@ -225,7 +218,7 @@ def play(base: PartialMetric, game_length: int, player_one: PlayerIStrategy, pla
     return GameTranscript(base, moves, PLAYER_II_WINS, _loss_witness(relation, rep))
 
 
-class WinningFirstPlayer(PlayerIStrategy):
+class WinningFirstPlayer:
     """Walks the missing pairs in a fixed order, offering the open floppiness
     interval against the running metric.  Wins every game whose length equals
     the number of missing pairs.
@@ -266,7 +259,7 @@ def winning_player_one(base: PartialMetric) -> WinningFirstPlayer:
     return WinningFirstPlayer(base)
 
 
-class AdversarySecondPlayer(PlayerIIStrategy):
+class AdversarySecondPlayer:
     """Answers canonically until an offered set permits a value whose distance
     from some earlier answer exceeds the pair pseudometric between the two
     doubletons; then takes that value."""
@@ -286,7 +279,7 @@ def adversary_player_two() -> AdversarySecondPlayer:
     return AdversarySecondPlayer()
 
 
-class RandomSecondPlayer(PlayerIIStrategy):
+class RandomSecondPlayer:
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
@@ -294,7 +287,7 @@ class RandomSecondPlayer(PlayerIIStrategy):
         return offered.sample(self._rng)
 
 
-class ProbeSecondPlayer(PlayerIIStrategy):
+class ProbeSecondPlayer:
     """Deterministic answers near an end (or the middle) of offered intervals."""
 
     def __init__(self, mode: str):
@@ -316,7 +309,7 @@ class ProbeSecondPlayer(PlayerIIStrategy):
         return offered.least_element()
 
 
-class ScriptedFirstPlayer(PlayerIStrategy):
+class ScriptedFirstPlayer:
     """Plays a fixed script of (pair, choice set) moves."""
 
     def __init__(self, script):
@@ -328,7 +321,7 @@ class ScriptedFirstPlayer(PlayerIStrategy):
         return self.script[len(history)]
 
 
-class PlanSecondPlayer(PlayerIIStrategy):
+class PlanSecondPlayer:
     """Executes a sabotage plan, answering canonically elsewhere."""
 
     def __init__(self, plan: "SabotagePlan"):

@@ -19,8 +19,9 @@ from .errors import DepthZeroError, GenerationExhaustedError, MalformedInputErro
 _MAX_ATTEMPTS = 64  # floppiness checks random_floppy makes before it gives up
 
 
-def cantor_tree(depth: int, *, verify=True) -> PartialMetric:
-    """Truncated Cantor tree metric on all binary strings of length <= depth."""
+def cantor_tree(depth: int) -> PartialMetric:
+    """Truncated Cantor tree metric on all binary strings of length <= depth;
+    every call checks that it is floppy with check(s, t) = |2^-|s| - 2^-|t||."""
     if depth < 1:
         raise DepthZeroError("depth must be at least 1")
     vertices = [""]
@@ -32,12 +33,11 @@ def cantor_tree(depth: int, *, verify=True) -> PartialMetric:
             if len(s) < len(t) and t.startswith(s):
                 edges[Doubleton(s, t)] = Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t))
     m = PartialMetric(vertices, edges)
-    if verify:
-        report = is_floppy(m)
-        assert report.floppy, f"cantor tree depth {depth} not floppy: {report}"
-        for s, t in combinations(vertices, 2):
-            expected = abs(Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t)))
-            assert lower_envelope(m, s, t) == expected, (s, t)
+    report = is_floppy(m)
+    assert report.floppy, f"cantor tree depth {depth} not floppy: {report}"
+    for s, t in combinations(vertices, 2):
+        expected = abs(Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t)))
+        assert lower_envelope(m, s, t) == expected, (s, t)
     return m
 
 

@@ -129,7 +129,7 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_winning_strategy():
     """The first-player strategy wins every long-enough game on every base."""
-    bases = [("h", h_graph()), ("cantor2", cantor_tree(2, verify=False))]
+    bases = [("h", h_graph()), ("cantor2", cantor_tree(2))]
     for k in range(20):
         bases.append((f"random{k}", random_floppy(4 + k % 2, Fraction(1, 2), 9000 + k)))
     games_per_base = 1000
@@ -216,7 +216,7 @@ def test_criterion_8_cantor():
     """Envelope closed form and floppiness on truncated Cantor trees, depths 1-4."""
     pairs_checked = 0
     for depth in range(1, 5):
-        m = cantor_tree(depth, verify=False)
+        m = cantor_tree(depth)
         assert is_floppy(m).floppy, depth
         for s, t in combinations(sorted(m.vertices), 2):
             expected = abs(Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t)))

@@ -366,6 +366,41 @@ class TestWeightGrammar:
         assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "REJECT_MALFORMED", "")
 
 
+class TestUnprintableResult:
+    """Each weight has 4300 digits, the most the reader accepts, so hat(a, c) has
+    4301: more than CPython writes as a string.  Such a result, or an error
+    whose message names such a number, exits 2 with ``REJECT_MALFORMED``."""
+
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        w = "9" * 4300
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [
+            {"u": "a", "v": "b", "w": w}, {"u": "b", "v": "c", "w": w}]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["query", "--hat", "a", "c"], ["floppy"], ["extend"], ["step", "--pair", "a,c", "--r", "1"]],
+        ids=["query-hat", "floppy", "extend", "step-r-out-of-range"],
+    )
+    def test_error_object(self, capsys, big_file, argv):
+        code = main([*argv, big_file])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["error"], err) == (2, "REJECT_MALFORMED", "")
+
+    def test_no_traceback_from_the_console(self, big_file):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "floppymetrics.cli", "query", "--hat", "a", "c", big_file],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "REJECT_MALFORMED", "")
+
+    def test_small_values_of_the_same_metric_still_print(self, capsys, big_file):
+        assert run(capsys, "query", "--check", "a", "c", big_file) == (0, {"value": "0"})
+
+
 class TestInputFiles:
     """A file the CLI cannot read or parse is malformed input, for every kind of document."""
 

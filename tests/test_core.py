@@ -267,10 +267,10 @@ class TestMinimalFloppyExtension:
         assert minimal_floppy_extension(path_abc) == path_abc
 
     def test_collinear_witness_forces_pair(self, collinear_witness):
-        extended, iterations = minimal_floppy_extension(collinear_witness, return_iterations=True)
+        extended = minimal_floppy_extension(collinear_witness)
         assert extended.is_edge(pair("a", "c"))
         assert extended.weight(pair("a", "c")) == 2
-        assert iterations == 1
+        assert minimal_floppy_extension(extended) is extended  # one round settles it
         assert is_floppy(extended).floppy  # now full
 
     def test_contains_original(self, collinear_witness):

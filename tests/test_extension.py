@@ -28,7 +28,7 @@ from floppymetrics.errors import (
     ROutOfRangeError,
 )
 from floppymetrics.game import ChoiceSet
-from floppymetrics.generators import cantor_tree, random_floppy
+from floppymetrics.generators import cantor_tree, random_floppy, star_metric
 
 
 class TestAdmissibleInterval:
@@ -229,6 +229,17 @@ class TestFullExtend:
         trace = full_extend(h_graph, choice=sets)
         assert [s.value for s in trace.steps] == [Fraction(21, 2), Fraction(21, 2), 11]
         assert validate(trace.result).graph_metric
+
+    def test_distinct_values_need_an_open_interval_in_each_set(self):
+        """One point per set repeats that point at every step; adding an open
+        interval that meets the admissible interval makes the values distinct."""
+        m = star_metric(3)
+        points = {d: ChoiceSet.of_points(Fraction(3, 2)) for d in m.non_edges()}
+        trace = full_extend(m, choice=points)
+        assert [(s.interval.lo, s.interval.hi, s.value) for s in trace.steps] == [(Fraction(4, 3), 2, Fraction(3, 2))] * 3
+        dense = {d: ChoiceSet(frozenset({Fraction(3, 2)}), ((Fraction(7, 5), Fraction(8, 5)),)) for d in m.non_edges()}
+        values = [s.value for s in full_extend(m, choice=dense).steps]
+        assert values[0] == Fraction(3, 2) and len(set(values)) == 3
 
     def test_choice_set_missing_pair(self, h_graph):
         sets = {pair("x", "y"): ChoiceSet.open_interval(0)}

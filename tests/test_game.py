@@ -23,7 +23,6 @@ from floppymetrics.errors import (
     NotGraphMetricError,
 )
 from floppymetrics.game import (
-    PlayerIIStrategy,
     ProbeSecondPlayer,
     RandomSecondPlayer,
     ScriptedFirstPlayer,
@@ -150,7 +149,7 @@ class TestReferee:
         assert t.reason.kind == "ILLEGAL_MOVE_I"
 
     def test_answer_outside_offered_set(self, path_abc):
-        class Cheat(PlayerIIStrategy):
+        class Cheat:
             def respond(self, base, history, pair, offered):
                 return Fraction(999)
 
@@ -200,7 +199,7 @@ class TestWinningStrategy:
             assert t.verdict == PLAYER_I_WINS
 
     def test_strategy_restarts_after_aborted_game(self):
-        class CheatOnSecondInning(PlayerIIStrategy):
+        class CheatOnSecondInning:
             def respond(self, base, history, pair, offered):
                 if history:
                     return Fraction(10**6)
