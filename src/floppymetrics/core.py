@@ -523,10 +523,10 @@ def validate(m: PartialMetric) -> ValidationReport:
     A weight function is a graph pseudometric exactly when every edge weight
     equals the induced shortest-chain distance between its endpoints.
     """
-    t = m._table()
+    t, index = m._table(), m._index
     n = len(t)
     connected = None not in t[0]
-    pseudometric = all(t[_index_of(m, d.a)][_index_of(m, d.b)] == w for d, w in m.edges.items())
+    pseudometric = all(t[index[d.a]][index[d.b]] == w for d, w in m.edges.items())  # _admit_edge checked the endpoints
     metric = pseudometric and all(w > 0 for w in m.edges.values())
     full = len(m.edges) == n * (n - 1) // 2
     return ValidationReport(connected, pseudometric, metric, full)
@@ -544,7 +544,6 @@ def _require_metric_grade(m: PartialMetric, *, allow_pseudometric=False):
             "not a graph metric"
             + ("" if rep.graph_pseudometric else " (weights violate the polygonal inequality)")
         )
-    return rep
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ value must lie in the admissible interval ``[lo, hi)`` with
 ``lo = envelope/3 + 2*distance/3`` and ``hi = distance``; the result is then
 again a floppy graph metric.  In *proposition* mode any value between the
 envelope and the distance (inclusive) is accepted and the result is only
-guaranteed to be a graph pseudometric.
+guaranteed to be a graph pseudometric.  The input is checked once and the
+result not at all: the theorem and the proposition guarantee it.
 
 ``full_extend`` drives one-step extension over every missing pair and records
 the interval and chosen value of each step.  Its maxgap order keeps a lazy
@@ -37,7 +38,6 @@ from .core import (
     is_floppy,
     lower_envelope,
     shortest_path,
-    validate,
 )
 from .errors import (
     AlreadyEdgeError,
@@ -105,45 +105,33 @@ def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
         raise ROutOfRangeError(f"r={r} not below admissible upper bound {h}", bound="hi", lo=lo, hi=h)
 
 
-def admissible_interval(m: PartialMetric, xy: Doubleton, *, assume_floppy=False) -> AdmissibleInterval:
+def _require_extendable(m: PartialMetric, xy: Doubleton):
+    """The precondition of both entry points: ``xy`` is not an edge, then ``m`` is floppy."""
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
-    if not assume_floppy:
-        _require_floppy(m)
+    _require_floppy(m)
+
+
+def admissible_interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
+    _require_extendable(m, xy)
     return _interval(m, xy)
 
 
-def one_step_extend(
-    m: PartialMetric,
-    xy: Doubleton,
-    r,
-    mode: str = THEOREM,
-    *,
-    assume_floppy=False,
-    verify=True,
-) -> PartialMetric:
-    """Adjoin the pair ``xy`` at value ``r``; see module docstring for modes."""
+def one_step_extend(m: PartialMetric, xy: Doubleton, r, mode: str = THEOREM) -> PartialMetric:
+    """Adjoin the pair ``xy`` at value ``r``; see module docstring for modes.
+
+    Checks the mode, ``_require_extendable``, then ``r`` and its range; the
+    result is not checked (``test_extension.py::TestStepOracle`` checks it).
+    """
     if mode not in (THEOREM, PROPOSITION):
         raise MalformedInputError(f"unknown mode {mode!r}")
-    if m.is_edge(xy):
-        raise AlreadyEdgeError(f"{xy} is already an edge")
-    if not assume_floppy:
-        _require_floppy(m)
+    _require_extendable(m, xy)
     r = as_rational(r)
     if mode == THEOREM:
         _require_in_interval(r, _interval(m, xy))
     else:
         _require_in_closed_range(m, xy, r)
-    extended = m.with_edge(xy, r)
-    if verify:
-        if mode == THEOREM:
-            rep = is_floppy(extended)
-            if not rep.floppy:
-                raise AssertionError(f"one-step extension lost floppiness at {rep.worst_pair}")
-        else:
-            if not validate(extended).graph_pseudometric:
-                raise AssertionError("one-step extension broke the polygonal inequality")
-    return extended
+    return m.with_edge(xy, r)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +321,8 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     (bisecting toward the upper end on collision) for midpoints, and for sets
     that each meet their admissible interval in an open interval, as the
     paper's dense F_e do; a set of points alone may repeat a value.
+    ``_bisect_unused`` and ``_choose_from_set`` return only values in ``[lo, hi)``
+    (``test_extension.py::TestFullExtend::test_every_value_lies_in_its_interval``).
     """
     _require_floppy(m)
     policy, rng = _parse_order(order)
@@ -351,7 +341,6 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
                 raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
             value = _choose_from_set(cs, interval, used)
         used.add(value)
-        _require_in_interval(value, interval)
         current = current.with_edge(d, value)
         steps.append(ExtensionStep(d, interval, value))
     return ExtensionTrace(steps, current)

@@ -199,7 +199,7 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     success the report carries, for every cross pair, the provable lower
     bound on its floppiness gap together with the measured gap.
     """
-    base_full = _require_valid(pw).base_full_pseudometric
+    _require_valid(pw)  # the base is a full pseudometric from here on: base_full is True
     pieces_floppy = [is_floppy(piece, require_metric=False).floppy for piece in pw.pieces]
     glued = pw._glued
     slack_failures = []
@@ -216,9 +216,9 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
             if slacks[y] <= 0:
                 slack_failures.append(f"piece {i}: slack of base vertex {y} against gateways is {slacks[y]}")
         piece_slacks.append(slacks)
-    certified = base_full and all(pieces_floppy) and not slack_failures
+    certified = all(pieces_floppy) and not slack_failures
     if not certified:
-        return CertReport(False, base_full, pieces_floppy, slack_failures, None, [])
+        return CertReport(False, True, pieces_floppy, slack_failures, None, [])
 
     gaps = {d: h - c for d, h, c in _sweep(glued)}  # every bounded cross pair is a non-edge
     glued_floppy = all(g > 0 for g in gaps.values())  # vacuously true when the union is full
@@ -239,4 +239,4 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
             for x in outside:
                 for y in sorted(pw.pieces[j].vertices - pw.base.vertices):
                     bounds.append(bound(x, y, min(piece_slacks[i][x], piece_slacks[j][y])))
-    return CertReport(True, base_full, pieces_floppy, slack_failures, glued_floppy, bounds)
+    return CertReport(True, True, pieces_floppy, slack_failures, glued_floppy, bounds)

@@ -55,10 +55,10 @@ def test_criterion_1_one_step_closure(corpus):
     checked = 0
     for seed, m in corpus:
         for d in m.non_edges():
-            iv = admissible_interval(m, d, assume_floppy=True)
+            iv = admissible_interval(m, d)
             lo, hi = iv.lo, iv.hi
             for r in (lo, (lo + hi) / 2, hi - (hi - lo) / 8):
-                extended = one_step_extend(m, d, r, THEOREM, assume_floppy=True, verify=False)
+                extended = one_step_extend(m, d, r, THEOREM)
                 rep = is_floppy(extended)
                 assert rep.floppy, (seed, d, r, rep.worst_pair, rep.gap)
                 checked += 1

@@ -389,13 +389,27 @@ class TestUnprintableResult:
         out, err = capsys.readouterr()
         assert (code, json.loads(out)["error"], err) == (2, "REJECT_MALFORMED", "")
 
-    def test_no_traceback_from_the_console(self, big_file):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run(
+    def test_message_names_the_environment_variable(self, capsys, big_file):
+        main(["query", "--hat", "a", "c", big_file])
+        message = json.loads(capsys.readouterr().out)["message"]
+        assert "PYTHONINTMAXSTRDIGITS" in message and "set_int_max_str_digits" not in message
+
+    @staticmethod
+    def console(big_file, **env):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+        return subprocess.run(
             [sys.executable, "-m", "floppymetrics.cli", "query", "--hat", "a", "c", big_file],
             capture_output=True, text=True, env=env, timeout=30,
         )
+
+    def test_no_traceback_from_the_console(self, big_file):
+        proc = self.console(big_file)
         assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "REJECT_MALFORMED", "")
+
+    def test_the_environment_variable_lifts_the_limit(self, big_file):
+        proc = self.console(big_file, PYTHONINTMAXSTRDIGITS="0")
+        # 2 * (10**4300 - 1), written out without converting it here
+        assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (0, {"value": "1" + "9" * 4299 + "8"}, "")
 
     def test_small_values_of_the_same_metric_still_print(self, capsys, big_file):
         assert run(capsys, "query", "--check", "a", "c", big_file) == (0, {"value": "0"})

@@ -23,12 +23,15 @@ from floppymetrics.errors import (
     ChoiceSetMissesIntervalError,
     DisconnectedError,
     MalformedInputError,
+    MetricError,
     MissingChoiceSetError,
     NotFloppyError,
     ROutOfRangeError,
 )
 from floppymetrics.game import ChoiceSet
 from floppymetrics.generators import cantor_tree, random_floppy, star_metric
+
+from conftest import brute_check, brute_hat
 
 
 class TestAdmissibleInterval:
@@ -103,6 +106,62 @@ class TestOneStepProposition:
     def test_rejects_above_distance(self, h_graph):
         with pytest.raises(ROutOfRangeError):
             one_step_extend(h_graph, pair("x", "y"), 13, PROPOSITION)
+
+
+class TestStepOracle:
+    """``one_step_extend`` does not check its result; the brute-force oracles
+    of ``conftest`` do, on small random floppy metrics.  A proposition step
+    must give a graph pseudometric: every edge weight is the shortest chain
+    between its endpoints.  A theorem step must also stay floppy: check is
+    below hat at every remaining non-edge."""
+
+    @staticmethod
+    def assert_pseudometric(m):
+        for d, w in m.edges.items():
+            assert w == brute_hat(m, d.a, d.b), (d, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_slice(self, seed):
+        m = random_floppy(6, Fraction(1, 2), seed + 40)
+        for d in m.non_edges()[:2]:
+            h, c = shortest_path(m, d.a, d.b), lower_envelope(m, d.a, d.b)
+            for r in (c, (c + h) / 2, h):
+                self.assert_pseudometric(one_step_extend(m, d, r, PROPOSITION))
+            iv = admissible_interval(m, d)
+            for r in (iv.lo, iv.midpoint):
+                extended = one_step_extend(m, d, r, THEOREM)
+                self.assert_pseudometric(extended)
+                for u in extended.non_edges():
+                    assert brute_check(extended, u.a, u.b) < brute_hat(extended, u.a, u.b), (d, r, u)
+
+
+class TestErrorOrder:
+    """Each input has two faults; the entry point raises the one checked first.
+    ``one_step_extend`` checks the mode, that the pair is not an edge, that
+    the metric is floppy, that r is a rational, and last that r is in range."""
+
+    @pytest.mark.parametrize(
+        "metric, xy, r, mode, code",
+        [
+            ("h_graph", ("a", "b"), 10, "midpoint", "REJECT_MALFORMED"),  # unknown mode, edge
+            ("collinear_witness", ("a", "c"), 2, "midpoint", "REJECT_MALFORMED"),  # unknown mode, not floppy
+            ("collinear_witness", ("a", "b"), 1, THEOREM, "ALREADY_EDGE"),  # edge, not floppy
+            ("h_graph", ("a", "b"), "1.5", THEOREM, "ALREADY_EDGE"),  # edge, malformed r
+            ("collinear_witness", ("a", "c"), "1.5", PROPOSITION, "NOT_FLOPPY"),  # not floppy, malformed r
+            ("collinear_witness", ("a", "c"), 100, THEOREM, "NOT_FLOPPY"),  # not floppy, r out of range
+            ("h_graph", ("x", "y"), "1e3", THEOREM, "REJECT_MALFORMED"),  # malformed r, out of range
+            ("h_graph", ("x", "y"), "1e3", PROPOSITION, "REJECT_MALFORMED"),  # malformed r, out of range
+        ],
+    )
+    def test_one_step_extend(self, request, metric, xy, r, mode, code):
+        with pytest.raises(MetricError) as exc:
+            one_step_extend(request.getfixturevalue(metric), pair(*xy), r, mode)
+        assert exc.value.code == code
+
+    def test_admissible_interval(self, collinear_witness):
+        with pytest.raises(MetricError) as exc:
+            admissible_interval(collinear_witness, pair("a", "b"))  # edge, not floppy
+        assert exc.value.code == "ALREADY_EDGE"
 
 
 class TestStepProperties:
@@ -240,6 +299,19 @@ class TestFullExtend:
         dense = {d: ChoiceSet(frozenset({Fraction(3, 2)}), ((Fraction(7, 5), Fraction(8, 5)),)) for d in m.non_edges()}
         values = [s.value for s in full_extend(m, choice=dense).steps]
         assert values[0] == Fraction(3, 2) and len(set(values)) == 3
+
+    @pytest.mark.parametrize("order", ["lex", "maxgap", "random:5"])
+    @pytest.mark.parametrize("choice", ["midpoint", "points", "intervals"])
+    def test_every_value_lies_in_its_interval(self, order, choice):
+        """``full_extend`` does not check its values; this does, for every kind of choice."""
+        m = random_floppy(7, Fraction(2, 5), 11)
+        if choice == "points":
+            choice = {d: ChoiceSet.of_points(*(Fraction(k, 4) for k in range(1, 200))) for d in m.non_edges()}
+        elif choice == "intervals":
+            spans = ((0, 3), (Fraction(5, 2), 9), (4, None))
+            choice = {d: ChoiceSet(frozenset(), spans) for d in m.non_edges()}
+        for s in full_extend(m, order=order, choice=choice).steps:
+            assert s.interval.lo < s.interval.hi and s.interval.contains(s.value), s.to_json()
 
     def test_choice_set_missing_pair(self, h_graph):
         sets = {pair("x", "y"): ChoiceSet.open_interval(0)}

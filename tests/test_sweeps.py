@@ -103,7 +103,7 @@ def eager_maxgap(m):
             if best_gap is None or gap > best_gap:
                 best, best_gap = d, gap
         remaining.remove(best)
-        interval = admissible_interval(current, best, assume_floppy=True)
+        interval = admissible_interval(current, best)
         value = interval.midpoint
         while value in used:
             value = (value + interval.hi) / 2
