@@ -36,13 +36,18 @@ stays on Fractions: every public distance is read from it as one, and
 shared Fractions keep it small.  Moving the table and its relaxation to
 ints as well is an open item (ROADMAP item 2).
 
-``with_edge`` copies derive both caches from the parent's in one O(n^2) pass
-through the new edge: the table by relaxation, and, when the parent has its
-rows, every row by the matching max-plus update (rows the edge cannot change
-are shared).  The rows are built, carried and rescaled whole: a metric holds
-all of them or none.  A new weight denominator moves the copy to
-``L' = lcm(L, w.denominator)``, and the carried rows are rescaled into new
-lists.
+``with_edge`` copies derive both caches from the parent's through the new
+edge ij, touching only the pairs it can shorten: one O(n) scan finds the
+vertices that now reach i, or j, more cheaply across the edge, the table
+update is the block of those two sets, and, when the parent has its rows,
+each affected row rises only where the far endpoint's row beats the near
+one's.  Everything else is shared.  The cost is O(n) plus the affected
+block; along the steps of ``full_extend`` and the game that block is a few
+entries, not the O(n^2) of a relaxation through every row.  The rows are
+built, carried and rescaled whole: a metric holds all of them or none.  A
+new weight denominator moves the copy to ``L' = lcm(L, w.denominator)``,
+and the carried rows are rescaled into new lists.  A metric also keeps its
+``is_floppy`` report once one is made; a copy starts without one.
 """
 
 from __future__ import annotations
@@ -122,12 +127,14 @@ class PartialMetric:
     n x n distance table of exact Fractions (``None`` between components) and
     the max-plus envelope rows, held as ints times ``_scale``, are built
     lazily and cached.  ``_rows`` is ``None`` or holds every vertex's row: the
-    rows are built, carried and rescaled whole.  ``with_edge`` copies share
-    the vertex index, extend ``_scale`` by the new weight's denominator, and
-    carry the parent's table and envelope rows over through the new edge.
+    rows are built, carried and rescaled whole.  ``_floppy`` holds the
+    ``FloppyReport`` once ``is_floppy`` has swept the metric.  ``with_edge``
+    copies share the vertex index, extend ``_scale`` by the new weight's
+    denominator, carry the parent's table and envelope rows over through the
+    new edge, and start without a report.
     """
 
-    __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows")
+    __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows", "_floppy")
 
     def __init__(self, vertices, edges):
         vset = frozenset(vertices)
@@ -147,6 +154,7 @@ class PartialMetric:
         self._scale = math.lcm(*(w.denominator for w in emap.values()))
         self._dist = None
         self._rows = None
+        self._floppy = None
 
     @property
     def vertices(self) -> frozenset:
@@ -183,8 +191,9 @@ class PartialMetric:
 
         When this instance's distance table is already computed and the pair
         is new, the copy's table and envelope rows are carried over through
-        the new edge (``_relax_through``), which is O(n^2) instead of a full
-        recompute and O(n|E|) of row rebuilds.
+        the new edge (``_relax_through``), which costs O(n) plus the entries
+        the edge can change, instead of a full recompute and O(n|E|) of row
+        rebuilds.  The copy has no ``is_floppy`` report yet.
         """
         w = _admit_edge(self._vertices, d, w)
         out = PartialMetric.__new__(PartialMetric)
@@ -195,6 +204,7 @@ class PartialMetric:
         out._scale = math.lcm(self._scale, w.denominator)
         out._dist = None
         out._rows = None
+        out._floppy = None
         if self._dist is not None and d not in self._edges:
             rows = self._rows
             k = out._scale // self._scale
@@ -267,63 +277,80 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     """Distance table and envelope rows after inserting edge ``ij`` of weight ``w``.
 
     A shortest chain uses the new edge at most once, so
-    hat'(u, a) = min(hat(u, a), hat(u, i) + w + hat(j, a), hat(u, j) + w + hat(i, a)),
+    hat'(u, v) = min(hat(u, v), hat(u, i) + w + hat(j, v), hat(u, j) + w + hat(i, v)),
     and in max-plus form the row of u becomes
     R'_u = max(R_u, R_j - (hat(u, i) + w), R_i - (hat(u, j) + w)) plus the new
     edge's two orientations, R'_u[j] >= w - hat'(u, i) and R'_u[i] >= w - hat'(u, j).
-    A through-term counts only when its chain beats the direct distance to the
-    far endpoint, and since ``w >= 0`` at most one of the two can.  A row with
-    neither cannot improve, so its table row is shared unchanged, and so does
-    a row that reaches neither endpoint (``None`` entries are skipped).
+    Only the pairs the new edge can shorten are touched.  One O(n) scan of
+    rows i and j builds the affected sets (``None`` is +inf)
+
+        S_i = {v : hat(j, v) + w < hat(i, v)},  S_j = {v : hat(i, v) + w < hat(j, v)},
+
+    which are disjoint because ``w >= 0``.  The table is symmetric, so the
+    rows whose chains route through i are exactly S_j, and in those rows only
+    the columns in S_i can drop: for v outside S_i,
+    hat(u, i) + w + hat(j, v) >= hat(u, i) + hat(i, v) >= hat(u, v).
+    So the update is the block S_j x S_i and its mirror S_i x S_j; every other
+    table row is shared unchanged.
+
+    For the envelope rows, R_u[b] >= R_i[b] - hat(u, i) for every u (an edge
+    ab seen from u costs at most hat(u, i) more than from i).  So a row u in
+    S_j can rise only at the entries b with R_j[b] - w > R_i[b], and a row in
+    S_i only where R_i[b] - w > R_j[b]; ``_max_plus_shift`` scans only those
+    b.  The new edge's two orientations are set in every row.  The cost is
+    O(n) plus the affected block, instead of O((|S_i| + |S_j|) * n).
 
     ``rows`` is the parent's whole row cache, which ``with_edge`` has already
     rescaled to the copy's ``scale``, or ``None``.  Rows are built, carried
     and rescaled whole: every row of the copy is derived, or the copy has
     none.  Parent rows are shared or copied, never written.
     """
+    s_i, s_j = [], []
+    for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
+        if hj is not None and (hi is None or hj + w < hi):
+            s_i.append(v)
+        elif hi is not None and (hj is None or hi + w < hj):
+            s_j.append(v)
+    sides = ((s_j, s_i, i, j), (s_i, s_j, j, i))  # (rows u, columns v, near, far): u -> near -> far -> v
+    out = list(dist)
+    for us, vs, near, far in sides:
+        hfar = dist[far]
+        for u in us:
+            new = out[u] = list(dist[u])
+            via = new[near] + w
+            for v in vs:
+                alt = via + hfar[v]
+                if new[v] is None or alt < new[v]:
+                    new[v] = alt
+    if rows is None:
+        return out, None
     ws = w.numerator * (scale // w.denominator)
-    out, out_rows = [], (None if rows is None else [])
-    for u, row in enumerate(dist):
-        via = None
-        hi, hj = row[i], row[j]
-        if hi is not None and (hj is None or hi + w < hj):  # u -> i -> j -> v
-            via, far = hi + w, j
-        elif hj is not None and (hi is None or hj + w < hi):  # u -> j -> i -> v
-            via, far = hj + w, i
-        new = row
-        if via is not None:
-            new = list(row)
-            for v, h in enumerate(dist[far]):
-                if h is not None:
-                    alt = via + h
-                    if new[v] is None or alt < new[v]:
-                        new[v] = alt
-        out.append(new)
-        if rows is None:
-            continue
-        r = rows[u]
-        copied = via is not None
-        if copied:
-            r = _max_plus_shift(r, rows[far], via.numerator * (scale // via.denominator))
+    out_rows = list(rows)
+    for us, _, near, far in sides:
+        rnear = rows[near]
+        lift = [(b, f - ws) for b, f in enumerate(rows[far]) if f is not None and (rnear[b] is None or f - ws > rnear[b])]
+        for u in us:
+            h = dist[u][near]
+            out_rows[u] = _max_plus_shift(rows[u], lift, h.numerator * (scale // h.denominator))
+    for u, new in enumerate(out):
+        r = out_rows[u]
         for b, h in ((j, new[i]), (i, new[j])):
             if h is not None:
                 val = ws - h.numerator * (scale // h.denominator)
                 if r[b] is None or val > r[b]:
-                    if not copied:
-                        r, copied = list(r), True
+                    if r is rows[u]:
+                        r = out_rows[u] = list(r)
                     r[b] = val
-        out_rows.append(r)
     return out, out_rows
 
 
-def _max_plus_shift(row, far, via):
-    """Entrywise ``max(row, far - via)`` as a new list (``None`` is -inf)."""
+def _max_plus_shift(row, lift, hat):
+    """``max(row[b], f - hat)`` at every ``(b, f)`` of ``lift``, as a new list (``None`` is -inf)."""
     out = list(row)
-    for b, f in enumerate(far):
-        if f is not None:
-            val = f - via
-            if out[b] is None or val > out[b]:
-                out[b] = val
+    for b, f in lift:
+        val = f - hat
+        if out[b] is None or val > out[b]:
+            out[b] = val
     return out
 
 
@@ -563,17 +590,23 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
     The worst pair is the first minimal gap in sorted non-edge order.  Full
     (pseudo)metrics are floppy vacuously and report no worst pair.
     ``require_metric=False`` admits pseudometric-grade inputs (used by the
-    glued-patchwork certificate).
+    glued-patchwork certificate).  The grade is checked on every call; the
+    sweep runs once per metric, whose report is kept on the instance, so
+    extending one metric at many pairs or values proves its floppiness once.
     """
     _require_metric_grade(m, allow_pseudometric=not require_metric)
+    if m._floppy is not None:
+        return m._floppy
     worst = None
     worst_gap = None
     for d, h, c in _sweep(m):
         if worst_gap is None or h - c < worst_gap:
             worst, worst_gap = d, h - c
     if worst is None:
-        return FloppyReport(True, None, None)
-    return FloppyReport(worst_gap > 0, worst, Fraction(worst_gap, m._scale))
+        m._floppy = FloppyReport(True, None, None)
+    else:
+        m._floppy = FloppyReport(worst_gap > 0, worst, Fraction(worst_gap, m._scale))
+    return m._floppy
 
 
 def minimal_floppy_extension(m: PartialMetric) -> PartialMetric:

@@ -258,6 +258,20 @@ class TestIsFloppy:
         with pytest.raises(NotGraphMetricError):
             is_floppy(bad)
 
+    def test_report_is_kept_and_copies_start_without_one(self, collinear_witness):
+        rep = is_floppy(collinear_witness)
+        assert is_floppy(collinear_witness) is rep and not rep.floppy
+        full = collinear_witness.with_edge(pair("a", "c"), 2)  # the forced pair, so the copy is floppy
+        assert is_floppy(full).floppy
+        assert is_floppy(collinear_witness) is rep
+
+    def test_grade_is_checked_on_every_call(self):
+        zero = PartialMetric(["a", "b", "c"], {pair("a", "b"): 0, pair("b", "c"): 1})
+        rep = is_floppy(zero, require_metric=False)
+        with pytest.raises(NotGraphMetricError):
+            is_floppy(zero)
+        assert is_floppy(zero, require_metric=False) is rep
+
 
 class TestMinimalFloppyExtension:
     def test_h_graph_unchanged(self, h_graph):

@@ -2,10 +2,14 @@
 
 ``test_cli.py`` parses the CLI's output into dicts, which hides key order;
 these tests compare stdout byte for byte with the files in ``tests/golden/``.
+The two largest outputs, ``extend --order maxgap`` and ``game play --p2 mid``
+on the Cantor depth-4 tree (about 100 KB each), are pinned by the SHA-256 of
+their stdout in ``tests/golden/cantor4.sha256.json`` instead of a file.
 A document that is meant to change is re-recorded with
 ``PYTHONPATH=src python tests/test_golden.py``, and the diff is reviewed.
 """
 
+import hashlib
 import io
 import json
 import tempfile
@@ -17,6 +21,7 @@ import pytest
 from floppymetrics import PartialMetric, Patchwork, dump_metric, pair, patchwork_to_doc
 from floppymetrics.cli import main
 from floppymetrics.game import ChoiceSet, replay_sabotage, sabotage_witness
+from floppymetrics.generators import cantor_tree
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -61,6 +66,13 @@ CLI_CASES = {
     "error_not_floppy": (["game", "play", "{file}"], COLLINEAR, 1),
     "error_r_out_of_range": (["step", "--pair", "x,y", "--r", "12", "{file}"], H_GRAPH, 1),
 }
+CANTOR_4 = cantor_tree(4)
+# Pinned by digest only, in DIGESTS; the benchmark's digests cover Cantor-4 in lex order alone.
+DIGEST_CASES = {
+    "cantor4_extend_maxgap": (["extend", "--order", "maxgap", "{file}"], CANTOR_4, 0),
+    "cantor4_game_mid": (["game", "play", "--p2", "mid", "{file}"], CANTOR_4, 0),
+}
+DIGESTS = GOLDEN / "cantor4.sha256.json"
 
 
 def _write_input(doc, path):
@@ -71,7 +83,7 @@ def _write_input(doc, path):
 
 
 def _cli_stdout(name, tmp_path):
-    argv, doc, _ = CLI_CASES[name]
+    argv, doc, _ = {**CLI_CASES, **DIGEST_CASES}[name]
     path = tmp_path / f"{name}.json"
     _write_input(doc, path)
     out = io.StringIO()
@@ -99,6 +111,13 @@ def test_cli_bytes(name, tmp_path):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_cli_digests(name, tmp_path):
+    code, out = _cli_stdout(name, tmp_path)
+    assert code == DIGEST_CASES[name][2]
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(DIGESTS.read_text())[name]
+
+
 @pytest.mark.parametrize("name", sorted(_library_documents()))
 def test_library_bytes(name):
     out = json.dumps(_library_documents()[name], indent=2) + "\n"
@@ -106,15 +125,18 @@ def test_library_bytes(name):
 
 
 def _record():
-    """Rewrite every golden file from the current code."""
+    """Rewrite every golden file and digest from the current code."""
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {name: _cli_stdout(name, Path(tmp))[1] for name in CLI_CASES}
+        digests = {name: hashlib.sha256(_cli_stdout(name, Path(tmp))[1].encode()).hexdigest() for name in DIGEST_CASES}
     outputs.update({name: json.dumps(doc, indent=2) + "\n" for name, doc in _library_documents().items()})
     for name, text in outputs.items():
         path = GOLDEN / f"{name}.json"
         path.write_text(text)
         print(f"wrote {path}")
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {DIGESTS}")
 
 
 if __name__ == "__main__":

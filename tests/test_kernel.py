@@ -14,6 +14,9 @@ over from a parent that holds all of its rows or none.
 ``TestIntegerRows`` covers the common denominator those rows are scaled by,
 when a chain brings in new denominators, also ones past the float range, and
 weights whose values pass the float range between components.
+``TestAffectedPairs`` covers the weights that decide which pairs a new edge
+can shorten: just below hat, as the extension driver and the game choose
+them, and exact ties on the boundary of the affected sets.
 
 A property test then checks the lemma the constructive instances rely on at
 sizes the brute oracles cannot reach.
@@ -196,9 +199,10 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None,
     its children:
     a child that wrote into a shared row would show up in its parent or its
     sibling.  ``prefer(m)`` narrows the candidate new pairs when non-empty;
-    ``weight(rng)`` draws the new weights (default ``random_weight``).
+    ``weight(rng, parent, d)`` draws the new weight of pair ``d`` (default
+    ``random_weight``).
     """
-    draw = weight or (lambda rng: random_weight(rng, zero_share))
+    draw = weight or (lambda rng, *_: random_weight(rng, zero_share))
     out = [m]
     for _ in range(links):
         parent = cache_rows(out[-1], rng.choice(["carried", "carried", "none", "all", "all", "cold"]))
@@ -214,7 +218,7 @@ def grow_chain(rng, m, links, *, zero_share=0.0, replace_share=0.0, prefer=None,
                     picks.append(rng.choice(missing))
         if not picks:
             break
-        sibling, child = (parent.with_edge(d, draw(rng)) for d in (picks[0], picks[-1]))
+        sibling, child = (parent.with_edge(d, draw(rng, parent, d)) for d in (picks[0], picks[-1]))
         out += [sibling, child]
     return out
 
@@ -288,7 +292,7 @@ def weights_over(denominators, zero_share=0.0, magnitudes=(1,)):
     queue = itertools.cycle(denominators)
     factors = itertools.cycle(magnitudes)
 
-    def draw(rng):
+    def draw(rng, *_):
         q, k = next(queue), next(factors)
         return Fraction(0) if rng.random() < zero_share else Fraction(rng.randrange(1, 40 * q) * k, q)
 
@@ -352,6 +356,91 @@ class TestIntegerRows:
         assert shortest_path(joined, "a", "d") == 2**1101 + 1
         for link in (m, joined):
             assert_matches_reference(link)
+
+
+def below_hat(ks, zero_share=0.0):
+    """Weight draws h - (h - c)/k at the new pair, with h and c from the
+    references (so the parent's caches stay as they are) and k taking ``ks``
+    in turn; a pair between components gets a ``random_weight``."""
+    queue = itertools.cycle(ks)
+
+    def draw(rng, m, d):
+        table = reference_table(m)
+        h = table[(d.a, d.b)]
+        if h is None:
+            return random_weight(rng, zero_share)
+        return h - (h - reference_envelope(m, table, d.a, d.b)) / next(queue)
+
+    return draw
+
+
+def exact_tie(rng, m, d):
+    """A weight w = |hat(a, v) - hat(b, v)| for a random vertex v, so that
+    hat(b, v) + w == hat(a, v) (or its mirror): v lies on the boundary of an
+    affected set.  Between components, a ``random_weight``."""
+    table = reference_table(m)
+    ties = [
+        abs(table[(d.a, v)] - table[(d.b, v)])
+        for v in sorted(m.vertices)
+        if table[(d.a, v)] is not None and table[(d.b, v)] is not None
+    ]
+    return rng.choice(ties) if ties else random_weight(rng)
+
+
+class TestAffectedPairs:
+    """``with_edge`` updates only the pairs that the new edge ij of weight w
+    can shorten: hat(j, v) + w < hat(i, v) or its mirror.
+
+    The weights here sit where that set is decided: just below hat(x, y), as
+    ``full_extend`` and the game choose them, and exactly on the boundary.
+    Every copy, parent and sibling is compared with the references after the
+    whole chain is built.
+    """
+
+    @pytest.mark.parametrize("k", [2, 8, 1000])
+    def test_just_below_hat_on_floppy_metrics(self, k):
+        rng = random.Random(4600 + k)
+        for trial in range(4):
+            m, _ = taxicab_plus_one_subgraph(rng, rng.randrange(4, 10), Fraction(rng.randrange(3), 4))
+            for n, link in enumerate(grow_chain(rng, m, 6, weight=below_hat([k]))):
+                assert_matches_reference(link, (trial, n))
+
+    def test_just_below_hat_with_zero_weights_and_joins(self):
+        rng = random.Random(4610)
+        for trial in range(6):
+            m = random_graph(rng, rng.randrange(4, 12), 0.2, zero_share=0.25)
+            draw = below_hat([2, 8, 1000], zero_share=0.25)
+            for n, link in enumerate(grow_chain(rng, m, 6, weight=draw, prefer=cross_component_pairs)):
+                assert_matches_reference(link, (trial, n))
+
+    def test_exact_ties(self):
+        rng = random.Random(4620)
+        for trial in range(6):
+            m = random_connected_graph(rng, rng.randrange(3, 11), extra_edges=rng.randrange(0, 8))
+            for n, link in enumerate(grow_chain(rng, m, 6, weight=exact_tie)):
+                assert_matches_reference(link, (trial, n))
+
+    def test_exact_ties_with_zero_weights_and_joins(self):
+        rng = random.Random(4630)
+        for trial in range(6):
+            m = random_graph(rng, rng.randrange(4, 12), 0.25, zero_share=0.3)
+            for n, link in enumerate(grow_chain(rng, m, 6, weight=exact_tie, prefer=cross_component_pairs)):
+                assert_matches_reference(link, (trial, n))
+
+    def test_steps_of_full_extend(self):
+        """Midpoint steps of the theorem's interval, h - (h - c)/6, one after
+        another from one floppy metric, so every link derives from its parent's
+        carried table and rows."""
+        rng = random.Random(4640)
+        for trial in range(3):
+            m, _ = taxicab_plus_one_subgraph(rng, 9, Fraction(1, 4))
+            lower_envelope(m, "p0", "p1")  # builds every row, so each copy carries them
+            chain = [m]
+            for d in m.non_edges()[:12]:
+                chain.append(chain[-1].with_edge(d, below_hat([6])(rng, chain[-1], d)))
+            assert all(link._rows is not None for link in chain)
+            for n, link in enumerate(chain):
+                assert_matches_reference(link, (trial, n))
 
 
 def taxicab_plus_one_subgraph(rng, n, density):
