@@ -8,33 +8,29 @@ a graph over labeled vertices.  From it we derive
 * ``lower_envelope(m, x, y)`` -- the largest value any extension of ``m`` is
   forced to respect at the pair ``xy``.
 
-All arithmetic is exact: ``fractions.Fraction`` at the API and in the
-distance table, integers over a common denominator inside the envelope
-kernel, and no floats anywhere in this module.  ``None`` marks a pair that no
-chain connects (the paper's +infinity), in the table and in the envelope rows
-alike.  Verdicts like floppiness hinge on strict inequalities, so rounding is
-never acceptable.
+All arithmetic is exact: ``fractions.Fraction`` at the API, integers over a
+common denominator inside the kernel, and no floats anywhere in this module.
+``None`` marks a pair that no chain connects (the paper's +infinity), in the
+table and in the envelope rows alike.  Verdicts like floppiness hinge on
+strict inequalities, so rounding is never acceptable.
 
 One kernel serves all three.  Each metric keeps ``L``, a common denominator
 of its weights (the LCM of their denominators), and caches an n x n list
-table of Fractions over its sorted vertex index.  Floyd-Warshall builds it on
-integers scaled by ``L`` and converts once at the end, sharing one Fraction
-per distinct value.  Envelopes come from per-vertex max-plus rows
-``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, stored as ints times
-``L``.  The first envelope query builds every vertex's row in one O(n|E|)
-pass and the metric caches them whole, so
+table of hat values as ints times ``L`` over its sorted vertex index, built
+by an integer Floyd-Warshall.  Envelopes come from per-vertex max-plus rows
+``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, also ints times ``L``.
+The first envelope query builds every vertex's row in one O(n|E|) pass and
+the metric caches them whole, so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
-per pair, and ``_check`` is the one place that scan is written.
-``lower_envelope`` answers one pair, converting only hat row y to ints.
-Whole-metric questions (``is_floppy``, the one round of forced pairs in
+per pair, and ``_check`` is the one place that scan is written.  A value
+becomes a Fraction only where it leaves the API: ``shortest_path``,
+``doubleton_dist`` and ``lower_envelope`` each build one.  Whole-metric
+questions (``is_floppy``, the one round of forced pairs in
 ``minimal_floppy_extension``, and in other modules the step statements,
-certificate bounds and the maxgap order) read the table and the rows once
-as ints with ``_scaled``, the one home of that conversion, and sweep every
-pair on them, so checking every non-edge costs O(n|E| + n^3) integer
-operations and builds a Fraction only for what is reported.  The table
-stays on Fractions: every public distance is read from it as one, and
-shared Fractions keep it small.  Moving the table and its relaxation to
-ints as well is an open item (ROADMAP item 2).
+certificate bounds and the maxgap order) sweep every pair on the cached
+table and rows (``_scaled`` lifts both to a larger denominator when two
+metrics are compared), so checking every non-edge costs O(n|E| + n^3)
+integer operations and builds a Fraction only for what is reported.
 
 ``with_edge`` copies derive both caches from the parent's through the new
 edge ij, touching only the pairs it can shorten: one O(n) scan finds the
@@ -46,8 +42,8 @@ block; along the steps of ``full_extend`` and the game that block is a few
 entries, not the O(n^2) of a relaxation through every row.  The rows are
 built, carried and rescaled whole: a metric holds all of them or none.  A
 new weight denominator moves the copy to ``L' = lcm(L, w.denominator)``,
-and the carried rows are rescaled into new lists.  A metric also keeps its
-``is_floppy`` report once one is made; a copy starts without one.
+and the carried table and rows are rescaled into new lists.  A metric also
+keeps its ``is_floppy`` report once one is made; a copy starts without one.
 """
 
 from __future__ import annotations
@@ -124,9 +120,9 @@ class PartialMetric:
     must sort together (all ``str`` or all ``int``, say).  Instances are
     immutable.  The vertex index (sorted labels to 0..n-1) and the common
     denominator ``_scale`` of the weights are built with the instance; the
-    n x n distance table of exact Fractions (``None`` between components) and
-    the max-plus envelope rows, held as ints times ``_scale``, are built
-    lazily and cached.  ``_rows`` is ``None`` or holds every vertex's row: the
+    n x n distance table (``None`` between components) and the max-plus
+    envelope rows, both held as ints times ``_scale``, are built lazily and
+    cached.  ``_rows`` is ``None`` or holds every vertex's row: the
     rows are built, carried and rescaled whole.  ``_floppy`` holds the
     ``FloppyReport`` once ``is_floppy`` has swept the metric.  ``with_edge``
     copies share the vertex index, extend ``_scale`` by the new weight's
@@ -206,17 +202,17 @@ class PartialMetric:
         out._rows = None
         out._floppy = None
         if self._dist is not None and d not in self._edges:
-            rows = self._rows
+            dist, rows = self._dist, self._rows
             k = out._scale // self._scale
-            if rows is not None and k != 1:  # rescale into new lists; parent rows stay as they are
-                rows = _lifted(rows, k)
-            out._dist, out._rows = _relax_through(
-                self._dist, rows, self._index[d.a], self._index[d.b], w, out._scale
-            )
+            if k != 1:  # rescale into new lists; parent lists stay as they are
+                dist = _lifted(dist, k)
+                rows = None if rows is None else _lifted(rows, k)
+            ws = w.numerator * (out._scale // w.denominator)
+            out._dist, out._rows = _relax_through(dist, rows, self._index[d.a], self._index[d.b], ws)
         return out
 
     def _table(self):
-        """The n x n distance table, indexed through ``self._index``."""
+        """The n x n distance table as ints times ``self._scale``, indexed through ``self._index``."""
         if self._dist is None:
             self._dist = _all_pairs_shortest(self._index, self._edges, self._scale)
         return self._dist
@@ -235,9 +231,8 @@ def _admit_edge(vertices, d: Doubleton, raw) -> Fraction:
 def _all_pairs_shortest(index, edges, scale):
     """Floyd-Warshall on integers scaled by ``scale``, a common denominator of the weights.
 
-    Exact: every chain weight times ``scale`` is an integer.  Entries are
-    converted to Fractions (``None`` for unreachable pairs) once at the end,
-    one shared Fraction per distinct value.
+    Exact: every chain weight times ``scale`` is an integer.  Unreachable
+    pairs are ``None``.
     """
     n = len(index)
     big = 1 + sum(w.numerator * (scale // w.denominator) for w in edges.values())
@@ -260,21 +255,14 @@ def _all_pairs_shortest(index, edges, scale):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    shared = {}
-    for row in dist:
-        for j, s in enumerate(row):
-            if s == big:  # before the lookup, whose miss is None too
-                row[j] = None
-                continue
-            f = shared.get(s)
-            if f is None:
-                f = shared[s] = Fraction(s, scale)
-            row[j] = f
-    return dist
+    return [[None if s == big else s for s in row] for row in dist]
 
 
-def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
+def _relax_through(dist, rows, i: int, j: int, w: int):
     """Distance table and envelope rows after inserting edge ``ij`` of weight ``w``.
+
+    ``w``, the table and the rows are ints times the copy's common
+    denominator; ``with_edge`` has already rescaled the parent's lists to it.
 
     A shortest chain uses the new edge at most once, so
     hat'(u, v) = min(hat(u, v), hat(u, i) + w + hat(j, v), hat(u, j) + w + hat(i, v)),
@@ -300,10 +288,9 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
     b.  The new edge's two orientations are set in every row.  The cost is
     O(n) plus the affected block, instead of O((|S_i| + |S_j|) * n).
 
-    ``rows`` is the parent's whole row cache, which ``with_edge`` has already
-    rescaled to the copy's ``scale``, or ``None``.  Rows are built, carried
-    and rescaled whole: every row of the copy is derived, or the copy has
-    none.  Parent rows are shared or copied, never written.
+    ``rows`` is the parent's whole row cache, or ``None``.  Rows are built,
+    carried and rescaled whole: every row of the copy is derived, or the copy
+    has none.  Parent lists are shared or copied, never written.
     """
     s_i, s_j = [], []
     for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
@@ -324,19 +311,17 @@ def _relax_through(dist, rows, i: int, j: int, w: Fraction, scale: int):
                     new[v] = alt
     if rows is None:
         return out, None
-    ws = w.numerator * (scale // w.denominator)
     out_rows = list(rows)
     for us, _, near, far in sides:
         rnear = rows[near]
-        lift = [(b, f - ws) for b, f in enumerate(rows[far]) if f is not None and (rnear[b] is None or f - ws > rnear[b])]
+        lift = [(b, f - w) for b, f in enumerate(rows[far]) if f is not None and (rnear[b] is None or f - w > rnear[b])]
         for u in us:
-            h = dist[u][near]
-            out_rows[u] = _max_plus_shift(rows[u], lift, h.numerator * (scale // h.denominator))
+            out_rows[u] = _max_plus_shift(rows[u], lift, dist[u][near])
     for u, new in enumerate(out):
         r = out_rows[u]
         for b, h in ((j, new[i]), (i, new[j])):
             if h is not None:
-                val = ws - h.numerator * (scale // h.denominator)
+                val = w - h
                 if r[b] is None or val > r[b]:
                     if r is rows[u]:
                         r = out_rows[u] = list(r)
@@ -354,27 +339,21 @@ def _max_plus_shift(row, lift, hat):
     return out
 
 
-def _scaled_row(values, scale: int):
-    """Fractions (or ``None``) as ints times ``scale``, a multiple of each one's denominator."""
-    return [None if h is None else h.numerator * (scale // h.denominator) for h in values]
-
-
 def _lifted(rows, k: int):
-    """Envelope rows times ``k``, as new lists (``None`` stays ``None``)."""
+    """Table or envelope rows times ``k``, as new lists (``None`` stays ``None``)."""
     return [[None if v is None else v * k for v in r] for r in rows]
 
 
 def _scaled(m: PartialMetric, scale: int):
     """``(table, rows)``: the distance table and the envelope rows as ints times ``scale``.
 
-    ``scale`` is a multiple of ``m._scale``; rows cached at ``m._scale`` are
-    lifted by the quotient into new lists.  One O(n^2) conversion, made once
-    per whole-metric query.
+    ``scale`` is a multiple of ``m._scale``.  At ``m._scale`` these are the
+    cached lists themselves; at a larger scale, copies lifted by the
+    quotient.  Callers only read them.
     """
-    table = [_scaled_row(row, scale) for row in m._table()]
-    rows = _envelope_rows(m)
+    table, rows = m._table(), _envelope_rows(m)
     k = scale // m._scale
-    return table, rows if k == 1 else _lifted(rows, k)
+    return (table, rows) if k == 1 else (_lifted(table, k), _lifted(rows, k))
 
 
 def _envelope_rows(m: PartialMetric):
@@ -389,8 +368,7 @@ def _envelope_rows(m: PartialMetric):
         scale, index = m._scale, m._index
         edges = [(index[d.a], index[d.b], w.numerator * (scale // w.denominator)) for d, w in m._edges.items()]
         rows = []
-        for table_row in m._table():
-            hx = _scaled_row(table_row, scale)
+        for hx in m._table():
             row = [None] * len(hx)
             for a, b, s in edges:
                 h = hx[a]
@@ -411,7 +389,7 @@ def _envelope_rows(m: PartialMetric):
 def _check(row, hy) -> int:
     """The envelope scan ``max(0, max_b row[b] - hy[b])`` on ints over one denominator.
 
-    ``row`` is the envelope row of x and ``hy`` the scaled hat row of y; a
+    ``row`` is the envelope row of x and ``hy`` the table row of y; a
     ``None`` in either is -inf and contributes nothing.
     """
     best = 0
@@ -424,9 +402,9 @@ def _check(row, hy) -> int:
 def _sweep(m: PartialMetric):
     """``(pair, hat, check)`` at every non-edge in sorted order, as ints times ``m._scale``.
 
-    One table conversion and the cached rows serve every pair.
+    The cached table and rows serve every pair.
     """
-    t, rows = _scaled(m, m._scale)
+    t, rows = m._table(), _envelope_rows(m)
     index = m._index
     for d in m.non_edges():
         i, j = index[d.a], index[d.b]
@@ -447,7 +425,7 @@ def shortest_path(m: PartialMetric, x: str, y: str) -> Fraction:
     val = m._table()[i][j]
     if val is None:
         raise DisconnectedError(f"no chain connects {x!r} and {y!r}")
-    return val
+    return Fraction(val, m._scale)
 
 
 def shortest_chain(m: PartialMetric, x: str, y: str):
@@ -487,7 +465,7 @@ def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     sums = [h + k for h, k in ((t[pa][qa], t[pb][qb]), (t[pa][qb], t[pb][qa])) if h is not None and k is not None]
     if not sums:
         raise DisconnectedError(f"pairs {p} and {q} span disconnected components")
-    return min(sums)
+    return Fraction(min(sums), m._scale)
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
@@ -497,14 +475,13 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     Splitting the doubleton distance into its two orientations gives the
     max-plus form ``max over b of R_x[b] - hat(b, y)`` with the cached row
     R_x of ``_envelope_rows``, so each pair costs O(n) once the rows exist.
-    The scan is ``_check`` on ints over the metric's common denominator; only
-    hat row y is converted.  Whole-metric queries use ``_sweep`` instead.
+    The scan is ``_check`` on the cached row and table row y, ints over the
+    metric's common denominator.  Whole-metric queries use ``_sweep`` instead.
     """
     i, j = _index_of(m, x), _index_of(m, y)
     if i == j:
         return _ZERO
-    scale = m._scale
-    return Fraction(_check(_envelope_rows(m)[i], _scaled_row(m._table()[j], scale)), scale)
+    return Fraction(_check(_envelope_rows(m)[i], m._table()[j]), m._scale)
 
 
 def _jsonable(v):
@@ -550,10 +527,12 @@ def validate(m: PartialMetric) -> ValidationReport:
     A weight function is a graph pseudometric exactly when every edge weight
     equals the induced shortest-chain distance between its endpoints.
     """
-    t, index = m._table(), m._index
+    t, index, scale = m._table(), m._index, m._scale
     n = len(t)
     connected = None not in t[0]
-    pseudometric = all(t[index[d.a]][index[d.b]] == w for d, w in m.edges.items())  # _admit_edge checked the endpoints
+    pseudometric = all(  # _admit_edge checked the endpoints
+        t[index[d.a]][index[d.b]] == w.numerator * (scale // w.denominator) for d, w in m.edges.items()
+    )
     metric = pseudometric and all(w > 0 for w in m.edges.values())
     full = len(m.edges) == n * (n - 1) // 2
     return ValidationReport(connected, pseudometric, metric, full)

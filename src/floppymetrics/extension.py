@@ -31,7 +31,6 @@ from .core import (
     _check,
     _jsonable,
     _scaled,
-    _scaled_row,
     _sweep,
     as_rational,
     doubleton_dist,
@@ -183,7 +182,7 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     scale = extended._scale
     old_t, old_rows = _scaled(m, scale)
     new_t, new_rows = _scaled(extended, scale)
-    rs, h_xy, c_xy = _scaled_row((r, h_xy, c_xy), scale)
+    rs, h_xy, c_xy = (v.numerator * (scale // v.denominator) for v in (r, h_xy, c_xy))
     tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}

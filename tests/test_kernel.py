@@ -14,6 +14,8 @@ over from a parent that holds all of its rows or none.
 ``TestIntegerRows`` covers the common denominator those rows are scaled by,
 when a chain brings in new denominators, also ones past the float range, and
 weights whose values pass the float range between components.
+``TestIntegerTable`` covers the distance table, held as ints over the same
+denominator, and the Fractions the API builds from it.
 ``TestAffectedPairs`` covers the weights that decide which pairs a new edge
 can shorten: just below hat, as the extension driver and the game choose
 them, and exact ties on the boundary of the affected sets.
@@ -356,6 +358,80 @@ class TestIntegerRows:
         assert shortest_path(joined, "a", "d") == 2**1101 + 1
         for link in (m, joined):
             assert_matches_reference(link)
+
+
+def assert_integer_table(m, label=""):
+    """m's table holds ints (or ``None``) equal to the reference times ``m._scale``."""
+    table = reference_table(m)
+    verts = sorted(m.vertices)
+    for u, row in zip(verts, m._table()):
+        for v, got in zip(verts, row):
+            ref = table[(u, v)]
+            assert got is None if ref is None else type(got) is int and got == ref * m._scale, (label, u, v)
+
+
+class TestIntegerTable:
+    """The distance table holds ints times the common denominator L, or
+    ``None`` between components, whether Floyd-Warshall built it or a
+    ``with_edge`` copy derived it through a new edge, also one that moves L;
+    ``shortest_path``, ``doubleton_dist`` and ``lower_envelope`` turn its
+    values into Fractions."""
+
+    def test_floyd_warshall_builds_ints(self):
+        rng = random.Random(4701)
+        for trial in range(12):
+            m = random_graph(rng, rng.randrange(2, 11), 0.3, zero_share=0.1)
+            assert m._dist is None  # the first read builds it
+            assert_integer_table(m, trial)
+
+    def test_chains_with_new_denominators(self):
+        rng = random.Random(4702)
+        derived = 0
+        for trial in range(10):
+            m = integer_graph(rng, rng.randrange(4, 11), 0.3)
+            draw = weights_over([2, 3, 7, 2**1100 + 1], magnitudes=[1, 1, 2**1100])
+            chain = grow_chain(rng, m, 6, weight=draw)
+            derived += sum(link._dist is not None for link in chain[1:])
+            for k, link in enumerate(chain):
+                assert_integer_table(link, (trial, k))
+        assert derived >= 20  # most links relaxed a parent's table rather than building their own
+
+    def test_rescaling_copy_leaves_parent_lists(self):
+        """A copy whose weight moves L lifts the parent's table and rows into
+        new lists; the parent keeps its own, unchanged and still correct."""
+        rng = random.Random(4703)
+        base = random_connected_graph(rng, 8, extra_edges=4)
+        m = cache_rows(PartialMetric(base.vertices, {d: w.numerator for d, w in base.edges.items()}), "all")
+        dist, rows = [list(r) for r in m._dist], [list(r) for r in m._rows]
+        d = m.non_edges()[0]
+        child = m.with_edge(d, shortest_path(m, d.a, d.b) - Fraction(1, 7))
+        assert (m._scale, child._scale) == (1, 7)
+        assert child._dist is not None and child._rows is not None
+        assert [list(r) for r in m._dist] == dist and [list(r) for r in m._rows] == rows
+        for link in (m, child):
+            assert_integer_table(link)
+            assert_matches_reference(link)
+
+    def test_api_returns_fractions(self):
+        rng = random.Random(4704)
+        for trial in range(6):
+            m = integer_graph(rng, rng.randrange(3, 8), 0.4)
+            chain = grow_chain(rng, m, 4, weight=weights_over([1, 3, 7, 1]))
+            for k, link in enumerate(chain):
+                table = reference_table(link)
+                doubletons = [pair(u, v) for u, v in combinations(sorted(link.vertices), 2)]
+                for u, v in doubletons:
+                    c = lower_envelope(link, u, v)
+                    assert type(c) is Fraction and c == reference_envelope(link, table, u, v), (trial, k, u, v)
+                    if table[(u, v)] is not None:
+                        h = shortest_path(link, u, v)
+                        assert type(h) is Fraction and h == table[(u, v)], (trial, k, u, v)
+                for p, q in combinations(doubletons, 2):
+                    sums = [table[(p.a, a)] + table[(p.b, b)] for a, b in ((q.a, q.b), (q.b, q.a))
+                            if table[(p.a, a)] is not None and table[(p.b, b)] is not None]
+                    if sums:
+                        got = doubleton_dist(link, p, q)
+                        assert type(got) is Fraction and got == min(sums), (trial, k, p, q)
 
 
 def below_hat(ks, zero_share=0.0):
