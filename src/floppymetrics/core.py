@@ -32,18 +32,19 @@ table and rows (``_scaled`` lifts both to a larger denominator when two
 metrics are compared), so checking every non-edge costs O(n|E| + n^3)
 integer operations and builds a Fraction only for what is reported.
 
-``with_edge`` copies derive both caches from the parent's through the new
-edge ij, touching only the pairs it can shorten: one O(n) scan finds the
-vertices that now reach i, or j, more cheaply across the edge, the table
-update is the block of those two sets, and, when the parent has its rows,
-each affected row rises only where the far endpoint's row beats the near
-one's.  Everything else is shared.  The cost is O(n) plus the affected
-block; along the steps of ``full_extend`` and the game that block is a few
-entries, not the O(n^2) of a relaxation through every row.  The rows are
-built, carried and rescaled whole: a metric holds all of them or none.  A
-new weight denominator moves the copy to ``L' = lcm(L, w.denominator)``,
-and the carried table and rows are rescaled into new lists.  A metric also
-keeps its ``is_floppy`` report once one is made; a copy starts without one.
+A metric grows by ``_adjoin``, which writes a new edge ij into the
+instance's own dict, table and rows in place, touching only the pairs it
+can shorten: one O(n) scan finds the vertices that now reach i, or j, more
+cheaply across the edge, the table update is the block of those two sets,
+and, when the metric has its rows, each affected row rises only where the
+far endpoint's row beats the near one's.  The cost is O(n) plus the affected
+block, a few entries along ``full_extend`` and the game.  ``_adjoin`` writes
+only a fresh ``_copy``: ``with_edge`` is a copy and one adjoin, and
+``full_extend``, the winning strategy and ``minimal_floppy_extension`` each
+adjoin into one copy.  The rows are built, carried and rescaled whole.  A
+new weight denominator moves the metric to ``L' = lcm(L, w.denominator)``.
+A metric keeps its ``is_floppy`` report once one is made; a copy starts
+without one.
 """
 
 from __future__ import annotations
@@ -117,17 +118,16 @@ class PartialMetric:
 
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Vertex labels
-    must sort together (all ``str`` or all ``int``, say).  Instances are
-    immutable.  The vertex index (sorted labels to 0..n-1) and the common
-    denominator ``_scale`` of the weights are built with the instance; the
-    n x n distance table (``None`` between components) and the max-plus
-    envelope rows, both held as ints times ``_scale``, are built lazily and
-    cached.  ``_rows`` is ``None`` or holds every vertex's row: the
-    rows are built, carried and rescaled whole.  ``_floppy`` holds the
-    ``FloppyReport`` once ``is_floppy`` has swept the metric.  ``with_edge``
-    copies share the vertex index, extend ``_scale`` by the new weight's
-    denominator, carry the parent's table and envelope rows over through the
-    new edge, and start without a report.
+    must sort together (all ``str`` or all ``int``, say), and keys naming one
+    pair must agree.  Instances are immutable once handed out; ``_adjoin``
+    writes only a fresh ``_copy``.  The vertex index (sorted labels to
+    0..n-1) and the common denominator ``_scale`` of the weights are built
+    with the instance; the n x n distance table (``None`` between
+    components) and the max-plus envelope rows, both held as ints times
+    ``_scale``, are built lazily and cached.  ``_rows`` is ``None`` or holds
+    every vertex's row.  ``_floppy`` holds the ``FloppyReport`` once
+    ``is_floppy`` has swept the metric.  A copy shares the vertex index, owns
+    its edge dict and lists, and starts without a report.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows", "_floppy")
@@ -143,7 +143,9 @@ class PartialMetric:
         emap = {}
         for key, raw in dict(edges).items():
             d = key if isinstance(key, Doubleton) else Doubleton(*key)
-            emap[d] = _admit_edge(vset, d, raw)
+            w = _admit_edge(vset, d, raw)
+            if emap.setdefault(d, w) != w:
+                raise MalformedInputError(f"duplicate edge {d} with conflicting weights")
         self._vertices = vset
         self._edges = emap
         self._index = {v: i for i, v in enumerate(labels)}
@@ -183,33 +185,40 @@ class PartialMetric:
         return [d for u, v in combinations(self._index, 2) if (d := Doubleton(u, v)) not in edges]
 
     def with_edge(self, d: Doubleton, w) -> "PartialMetric":
-        """New metric with one extra (or replaced) edge.
+        """New metric with one extra (or replaced) edge: a ``_copy``, then ``_adjoin``."""
+        out = self._copy()
+        out._adjoin(d, w)
+        return out
 
-        When this instance's distance table is already computed and the pair
-        is new, the copy's table and envelope rows are carried over through
-        the new edge (``_relax_through``), which costs O(n) plus the entries
-        the edge can change, instead of a full recompute and O(n|E|) of row
-        rebuilds.  The copy has no ``is_floppy`` report yet.
-        """
-        w = _admit_edge(self._vertices, d, w)
+    def _copy(self) -> "PartialMetric":
+        """An instance with its own edge dict, table rows and envelope rows, and no report."""
         out = PartialMetric.__new__(PartialMetric)
         out._vertices = self._vertices
         out._edges = dict(self._edges)
-        out._edges[d] = w
         out._index = self._index
-        out._scale = math.lcm(self._scale, w.denominator)
-        out._dist = None
-        out._rows = None
+        out._scale = self._scale
+        out._dist, out._rows = (None if t is None else [list(r) for r in t] for t in (self._dist, self._rows))
         out._floppy = None
-        if self._dist is not None and d not in self._edges:
-            dist, rows = self._dist, self._rows
-            k = out._scale // self._scale
-            if k != 1:  # rescale into new lists; parent lists stay as they are
-                dist = _lifted(dist, k)
-                rows = None if rows is None else _lifted(rows, k)
-            ws = w.numerator * (out._scale // w.denominator)
-            out._dist, out._rows = _relax_through(dist, rows, self._index[d.a], self._index[d.b], ws)
         return out
+
+    def _adjoin(self, d: Doubleton, w):
+        """Write edge ``d`` of weight ``w`` into this fresh ``_copy``, in place.
+
+        A new pair is relaxed into the cached table and rows (``_relax_through``);
+        a replaced edge drops both caches.  The ``is_floppy`` report is always dropped.
+        """
+        w = _admit_edge(self._vertices, d, w)
+        if d in self._edges:
+            self._dist = self._rows = None
+        self._edges[d] = w
+        self._floppy = None
+        scale = math.lcm(self._scale, w.denominator)
+        k, self._scale = scale // self._scale, scale
+        if self._dist is not None:
+            if k != 1:
+                self._dist, self._rows = (None if t is None else _lifted(t, k) for t in (self._dist, self._rows))
+            ws = w.numerator * (scale // w.denominator)
+            _relax_through(self._dist, self._rows, self._index[d.a], self._index[d.b], ws)
 
     def _table(self):
         """The n x n distance table as ints times ``self._scale``, indexed through ``self._index``."""
@@ -259,10 +268,10 @@ def _all_pairs_shortest(index, edges, scale):
 
 
 def _relax_through(dist, rows, i: int, j: int, w: int):
-    """Distance table and envelope rows after inserting edge ``ij`` of weight ``w``.
+    """Relax the distance table and envelope rows, in place, through a new edge ``ij`` of weight ``w``.
 
-    ``w``, the table and the rows are ints times the copy's common
-    denominator; ``with_edge`` has already rescaled the parent's lists to it.
+    ``w``, the table and the rows are ints times the metric's common
+    denominator; ``_adjoin`` has already rescaled the lists to it.
 
     A shortest chain uses the new edge at most once, so
     hat'(u, v) = min(hat(u, v), hat(u, i) + w + hat(j, v), hat(u, j) + w + hat(i, v)),
@@ -278,19 +287,21 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
     rows whose chains route through i are exactly S_j, and in those rows only
     the columns in S_i can drop: for v outside S_i,
     hat(u, i) + w + hat(j, v) >= hat(u, i) + hat(i, v) >= hat(u, v).
-    So the update is the block S_j x S_i and its mirror S_i x S_j; every other
-    table row is shared unchanged.
+    So the update is the block S_j x S_i and its mirror S_i x S_j.
 
     For the envelope rows, R_u[b] >= R_i[b] - hat(u, i) for every u (an edge
     ab seen from u costs at most hat(u, i) more than from i).  So a row u in
     S_j can rise only at the entries b with R_j[b] - w > R_i[b], and a row in
-    S_i only where R_i[b] - w > R_j[b]; ``_max_plus_shift`` scans only those
-    b.  The new edge's two orientations are set in every row.  The cost is
-    O(n) plus the affected block, instead of O((|S_i| + |S_j|) * n).
+    S_i only where R_i[b] - w > R_j[b]; only those b are scanned.  The new
+    edge's two orientations are set in every row.  The cost is O(n) plus the
+    affected block, instead of O((|S_i| + |S_j|) * n).
 
-    ``rows`` is the parent's whole row cache, or ``None``.  Rows are built,
-    carried and rescaled whole: every row of the copy is derived, or the copy
-    has none.  Parent lists are shared or copied, never written.
+    In place, no read sees a write: i is not in S_i (that needs
+    hat(j, i) + w < 0), nor j in S_j, so the block S_j x S_i writes neither
+    column i nor row j, the only entries it reads outside itself, and its
+    mirror neither column j nor row i.  Row i may lie in S_j, so both lifts
+    are read before any envelope row is written.  ``rows`` is the whole row
+    cache, or ``None``.
     """
     s_i, s_j = [], []
     for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
@@ -299,44 +310,29 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
         elif hi is not None and (hj is None or hi + w < hj):
             s_j.append(v)
     sides = ((s_j, s_i, i, j), (s_i, s_j, j, i))  # (rows u, columns v, near, far): u -> near -> far -> v
-    out = list(dist)
     for us, vs, near, far in sides:
         hfar = dist[far]
         for u in us:
-            new = out[u] = list(dist[u])
-            via = new[near] + w
+            row = dist[u]
+            via = row[near] + w
             for v in vs:
                 alt = via + hfar[v]
-                if new[v] is None or alt < new[v]:
-                    new[v] = alt
+                if row[v] is None or alt < row[v]:
+                    row[v] = alt
     if rows is None:
-        return out, None
-    out_rows = list(rows)
-    for us, _, near, far in sides:
-        rnear = rows[near]
-        lift = [(b, f - w) for b, f in enumerate(rows[far]) if f is not None and (rnear[b] is None or f - w > rnear[b])]
+        return
+    lifts = [[(b, f - w) for b, (f, g) in enumerate(zip(rows[far], rows[near]))
+              if f is not None and (g is None or f - w > g)] for _, _, near, far in sides]
+    for (us, _, near, _), lift in zip(sides, lifts):
         for u in us:
-            out_rows[u] = _max_plus_shift(rows[u], lift, dist[u][near])
-    for u, new in enumerate(out):
-        r = out_rows[u]
+            row, hat = rows[u], dist[u][near]
+            for b, f in lift:
+                if row[b] is None or f - hat > row[b]:
+                    row[b] = f - hat
+    for r, new in zip(rows, dist):
         for b, h in ((j, new[i]), (i, new[j])):
-            if h is not None:
-                val = w - h
-                if r[b] is None or val > r[b]:
-                    if r is rows[u]:
-                        r = out_rows[u] = list(r)
-                    r[b] = val
-    return out, out_rows
-
-
-def _max_plus_shift(row, lift, hat):
-    """``max(row[b], f - hat)`` at every ``(b, f)`` of ``lift``, as a new list (``None`` is -inf)."""
-    out = list(row)
-    for b, f in lift:
-        val = f - hat
-        if out[b] is None or val > out[b]:
-            out[b] = val
-    return out
+            if h is not None and (r[b] is None or w - h > r[b]):
+                r[b] = w - h
 
 
 def _lifted(rows, k: int):
@@ -602,8 +598,8 @@ def minimal_floppy_extension(m: PartialMetric) -> PartialMetric:
     finds forced are adjoined together, and none is forced afterwards.
     """
     _require_metric_grade(m)
-    out = m
-    for d, h, c in _sweep(m):
-        if c == h:
-            out = out.with_edge(d, Fraction(h, m._scale))
+    forced = [(d, h) for d, h, c in _sweep(m) if c == h]
+    out = m._copy() if forced else m
+    for d, h in forced:
+        out._adjoin(d, Fraction(h, m._scale))
     return out

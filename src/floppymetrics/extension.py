@@ -322,10 +322,11 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     paper's dense F_e do; a set of points alone may repeat a value.
     ``_bisect_unused`` and ``_choose_from_set`` return only values in ``[lo, hi)``
     (``test_extension.py::TestFullExtend::test_every_value_lies_in_its_interval``).
+    Every step is adjoined in place into one copy of ``m``, the trace's result.
     """
     _require_floppy(m)
     policy, rng = _parse_order(order)
-    current = m
+    current = m._copy()
     remaining = _gap_heap(m) if policy == "maxgap" else m.non_edges()
     used = set()
     steps = []
@@ -340,6 +341,6 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
                 raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
             value = _choose_from_set(cs, interval, used)
         used.add(value)
-        current = current.with_edge(d, value)
+        current._adjoin(d, value)
         steps.append(ExtensionStep(d, interval, value))
     return ExtensionTrace(steps, current)

@@ -169,8 +169,8 @@ def _loss_witness(relation: PartialMetric, rep) -> GameReason:
     exists."""
     if not rep.full:
         return GameReason("MISSING_PAIR", {"pair": relation.non_edges()[0]})
-    d, w = next((d, w) for d, w in sorted(relation.edges.items()) if w > shortest_path(relation, d.a, d.b))
-    h = shortest_path(relation, d.a, d.b)
+    d, w, h = next((d, w, h) for d, w in sorted(relation.edges.items())
+                   if w > (h := shortest_path(relation, d.a, d.b)))
     chain = shortest_chain(relation, d.a, d.b)
     return GameReason("POLYGONAL_VIOLATION", {"pair": d, "weight": w, "chain": chain, "chain_weight": h})
 
@@ -223,24 +223,25 @@ class WinningFirstPlayer:
     interval against the running metric.  Wins every game whose length equals
     the number of missing pairs.
 
-    The strategy is the only holder of a running metric: each call folds in
-    the history moves it has not yet seen, and a history shorter than the
-    last one means a new game, so the metric restarts from the base.
+    The strategy is the only holder of a running metric, its own copy of
+    the base: each call adjoins the history moves it has not yet seen, in
+    place, and a history shorter than the last one means a new game, so the
+    metric restarts from a fresh copy of the base.
     """
 
     def __init__(self, base: PartialMetric):
         _require_floppy(base)
         self._missing = base.non_edges()
         self._base = base
-        self._running = base
+        self._running = base._copy()
         self._seen = 0
 
     def propose(self, base, history):
         if len(history) < self._seen:  # a new game has started
-            self._running, self._seen = self._base, 0
+            self._running, self._seen = self._base._copy(), 0
         for mv in history[self._seen :]:
             if not self._running.is_edge(mv.pair):
-                self._running = self._running.with_edge(mv.pair, mv.answer)
+                self._running._adjoin(mv.pair, mv.answer)
         self._seen = len(history)
         current = self._running
         k = len(history)

@@ -39,6 +39,15 @@ def brute_hat(m, x, y):
     return best[0]
 
 
+def metric_state(m):
+    """Deep copies of a metric's edge dict, table, envelope rows, and its ``is_floppy`` report.
+
+    Code that adjoins into its own copy of ``m`` must leave all four as they were.
+    """
+    lists = [None if rows is None else [list(r) for r in rows] for rows in (m._dist, m._rows)]
+    return dict(m._edges), *lists, m._floppy
+
+
 def brute_ddot(m, p, q):
     straight = brute_hat(m, p.a, q.a) + brute_hat(m, p.b, q.b)
     crossed = brute_hat(m, p.a, q.b) + brute_hat(m, p.b, q.a)

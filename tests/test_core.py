@@ -82,6 +82,16 @@ class TestConstruction:
             assert validate(m).graph_metric
             assert shortest_path(m, labels[0], labels[2]) == 3
 
+    @pytest.mark.parametrize("edges", [{("a", "b"): 1, ("b", "a"): 2}, {pair("a", "b"): "1/2", ("b", "a"): "1/3"}])
+    def test_rejects_conflicting_duplicate_keys(self, edges):
+        """Two keys that name one pair with different weights; the constructor used to keep the last."""
+        with pytest.raises(MalformedInputError, match="duplicate edge .* with conflicting weights"):
+            PartialMetric(["a", "b"], edges)
+
+    def test_accepts_equal_duplicate_keys(self):
+        m = PartialMetric(["a", "b"], {("a", "b"): 1, ("b", "a"): "2/2", pair("a", "b"): Fraction(1)})
+        assert dict(m.edges) == {pair("a", "b"): 1}
+
     def test_single_vertex_is_full_and_floppy(self):
         m = PartialMetric(["a"], {})
         rep = validate(m)

@@ -30,6 +30,8 @@ from floppymetrics.game import (
 )
 from floppymetrics.generators import cantor_tree, random_floppy
 
+from conftest import metric_state
+
 
 class TestChoiceSet:
     def test_points_and_intervals(self):
@@ -216,6 +218,16 @@ class TestWinningStrategy:
         fresh = play(base, length, winning_player_one(base), ProbeSecondPlayer("high"))
         assert reused.verdict == PLAYER_I_WINS
         assert [mv.offered for mv in reused.moves] == [mv.offered for mv in fresh.moves]
+
+    def test_two_games_leave_the_base_unchanged(self):
+        """The strategy adjoins into its own copy of the base, at construction and on restart."""
+        base = cantor_tree(2)
+        length = len(base.non_edges())
+        p1 = winning_player_one(base)
+        before = metric_state(base)
+        for p2 in (ProbeSecondPlayer("mid"), ProbeSecondPlayer("low")):
+            assert play(base, length, p1, p2).verdict == PLAYER_I_WINS
+            assert metric_state(base) == before
 
 
 class TestSabotage:

@@ -19,6 +19,9 @@ denominator, and the Fractions the API builds from it.
 ``TestAffectedPairs`` covers the weights that decide which pairs a new edge
 can shorten: just below hat, as the extension driver and the game choose
 them, and exact ties on the boundary of the affected sets.
+``TestRunningMetric`` covers the running metric that ``full_extend`` and
+``minimal_floppy_extension`` adjoin into in place: the same steps as a
+``with_edge`` chain, and an input left as it was.
 
 A property test then checks the lemma the constructive instances rely on at
 sizes the brute oracles cannot reach.
@@ -32,10 +35,21 @@ from itertools import combinations
 
 import pytest
 
-from floppymetrics import PartialMetric, doubleton_dist, is_floppy, lower_envelope, pair, shortest_path, validate
+from floppymetrics import (
+    PartialMetric,
+    cantor_tree,
+    doubleton_dist,
+    full_extend,
+    is_floppy,
+    lower_envelope,
+    minimal_floppy_extension,
+    pair,
+    shortest_path,
+    validate,
+)
 from floppymetrics.errors import DisconnectedError
 
-from conftest import brute_check, brute_hat, random_connected_graph
+from conftest import brute_check, brute_hat, metric_state, random_connected_graph
 
 
 def reference_table(m):
@@ -559,3 +573,67 @@ class TestStrictMetricLemma:
                 assert c <= ambient[d] < shortest_path(m, d.a, d.b), (n, density, d)
             for d, w in m.edges.items():
                 assert lower_envelope(m, d.a, d.b) == shortest_path(m, d.a, d.b) == w
+
+
+def replay_with_edge(m, trace, order):
+    """The trace's steps replayed as a ``with_edge`` chain from ``m``: each
+    step's pair is the one its order picks on the link before it, and its
+    interval is the theorem's on that link.  Returns the last link."""
+    link = m
+    for k, step in enumerate(trace.steps):
+        missing = link.non_edges()
+        hat_check = {d: (shortest_path(link, d.a, d.b), lower_envelope(link, d.a, d.b)) for d in missing}
+        if order == "lex":
+            assert step.pair == missing[0], k
+        elif order == "maxgap":
+            assert step.pair == min(missing, key=lambda d: (hat_check[d][1] - hat_check[d][0], d)), k
+        else:
+            assert step.pair in hat_check, k
+        h, c = hat_check[step.pair]
+        assert (step.interval.lo, step.interval.hi) == (c / 3 + 2 * h / 3, h), k
+        link = link.with_edge(step.pair, step.value)
+    return link
+
+
+class TestRunningMetric:
+    """``full_extend`` adjoins every step in place into one copy of its input.
+
+    Its steps must be the ones a ``with_edge`` chain takes, its running
+    metric must end with the chain's edges, table and rows, and the input
+    must keep its edges, caches and report.
+    """
+
+    @staticmethod
+    def floppy_bases():
+        rng = random.Random(4800)
+        for density in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+            for _ in range(2):
+                yield taxicab_plus_one_subgraph(rng, rng.randrange(4, 10), density)[0]
+        yield cantor_tree(3)
+
+    @pytest.mark.parametrize("order", ["lex", "maxgap", "random:0"])
+    def test_steps_equal_a_with_edge_chain(self, order):
+        for n, m in enumerate(self.floppy_bases()):
+            trace = full_extend(m, order=order)
+            last = replay_with_edge(m, trace, order)
+            result = trace.result
+            assert result == last, n
+            assert (result._scale, result._dist, result._rows) == (last._scale, last._dist, last._rows), n
+            assert_matches_reference(result, n)
+
+    @pytest.mark.parametrize("order", ["lex", "maxgap", "random:0"])
+    def test_full_extend_leaves_its_input(self, order):
+        for n, m in enumerate(self.floppy_bases()):
+            is_floppy(m)  # the input holds its table, rows and report
+            before = metric_state(m)
+            full_extend(m, order=order)
+            assert metric_state(m) == before, n
+
+    def test_minimal_floppy_extension_leaves_its_input(self, collinear_witness):
+        m = collinear_witness
+        assert not is_floppy(m).floppy  # check(a, c) = hat(a, c) = 2
+        before = metric_state(m)
+        out = minimal_floppy_extension(m)
+        assert out.weight(pair("a", "c")) == 2 and not m.is_edge(pair("a", "c"))
+        assert metric_state(m) == before
+        assert_matches_reference(out)
