@@ -140,9 +140,10 @@ def _build_parser():
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("glue", help="glued-patchwork operations")
-    p.add_argument("--cert", action="store_true", help="emit the floppiness certificate")
-    p.add_argument("--check-only", dest="check_only", action="store_true", help="validate only")
-    p.add_argument("--hat", nargs=2, metavar=("X", "Y"), help="closed-form glued distance")
+    group = p.add_mutually_exclusive_group()  # none of them: the glued metric
+    group.add_argument("--cert", action="store_true", help="emit the floppiness certificate")
+    group.add_argument("--check-only", dest="check_only", action="store_true", help="validate only")
+    group.add_argument("--hat", nargs=2, metavar=("X", "Y"), help="closed-form glued distance")
     p.add_argument("file")
     p.set_defaults(func=_cmd_glue)
 

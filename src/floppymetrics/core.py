@@ -28,9 +28,8 @@ becomes a Fraction only where it leaves the API: ``shortest_path``,
 questions (``is_floppy``, the one round of forced pairs in
 ``minimal_floppy_extension``, and in other modules the step statements,
 certificate bounds and the maxgap order) sweep every pair on the cached
-table and rows (``_scaled`` lifts both to a larger denominator when two
-metrics are compared), so checking every non-edge costs O(n|E| + n^3)
-integer operations and builds a Fraction only for what is reported.
+table and rows, so checking every non-edge costs O(n|E| + n^3) integer
+operations and builds a Fraction only for what is reported.
 
 A metric grows by ``_adjoin``, which writes a new edge ij into the
 instance's own dict, table and rows in place, touching only the pairs it
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
@@ -118,30 +118,35 @@ class PartialMetric:
 
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Vertex labels
-    must sort together (all ``str`` or all ``int``, say), and keys naming one
-    pair must agree.  Instances are immutable once handed out; ``_adjoin``
-    writes only a fresh ``_copy``.  The vertex index (sorted labels to
-    0..n-1) and the common denominator ``_scale`` of the weights are built
-    with the instance; the n x n distance table (``None`` between
-    components) and the max-plus envelope rows, both held as ints times
-    ``_scale``, are built lazily and cached.  ``_rows`` is ``None`` or holds
-    every vertex's row.  ``_floppy`` holds the ``FloppyReport`` once
-    ``is_floppy`` has swept the metric.  A copy shares the vertex index, owns
-    its edge dict and lists, and starts without a report.
+    must be distinct and sort together (all ``str`` or all ``int``, say).
+    ``edges`` maps pairs to weights or is an iterable of ``(pair, weight)``
+    entries; entries naming one pair must agree.  Instances are immutable
+    once handed out; ``_adjoin`` writes only a fresh ``_copy``.  The vertex
+    index (sorted labels to 0..n-1) and the common denominator ``_scale`` of
+    the weights are built with the instance; the n x n distance table
+    (``None`` between components) and the max-plus envelope rows, both held
+    as ints times ``_scale``, are built lazily and cached.  ``_rows`` is
+    ``None`` or holds every vertex's row.  ``_floppy`` holds the
+    ``FloppyReport`` once ``is_floppy`` has swept the metric.  A copy shares
+    the vertex index, owns its edge dict and lists, and starts without a
+    report.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows", "_floppy")
 
     def __init__(self, vertices, edges):
-        vset = frozenset(vertices)
+        labels = list(vertices)
+        vset = frozenset(labels)
         if not vset:
             raise MalformedInputError("a metric needs at least one vertex")
+        if len(vset) != len(labels):
+            raise MalformedInputError("vertex labels must be pairwise distinct")
         try:
-            labels = sorted(vset)
+            labels.sort()
         except TypeError:
             raise MalformedInputError("vertex labels must be mutually comparable (e.g. all strings)") from None
         emap = {}
-        for key, raw in dict(edges).items():
+        for key, raw in edges.items() if isinstance(edges, Mapping) else edges:
             d = key if isinstance(key, Doubleton) else Doubleton(*key)
             w = _admit_edge(vset, d, raw)
             if emap.setdefault(d, w) != w:
@@ -338,18 +343,6 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
 def _lifted(rows, k: int):
     """Table or envelope rows times ``k``, as new lists (``None`` stays ``None``)."""
     return [[None if v is None else v * k for v in r] for r in rows]
-
-
-def _scaled(m: PartialMetric, scale: int):
-    """``(table, rows)``: the distance table and the envelope rows as ints times ``scale``.
-
-    ``scale`` is a multiple of ``m._scale``.  At ``m._scale`` these are the
-    cached lists themselves; at a larger scale, copies lifted by the
-    quotient.  Callers only read them.
-    """
-    table, rows = m._table(), _envelope_rows(m)
-    k = scale // m._scale
-    return (table, rows) if k == 1 else (_lifted(table, k), _lifted(rows, k))
 
 
 def _envelope_rows(m: PartialMetric):

@@ -11,9 +11,9 @@ result not at all: the theorem and the proposition guarantee it.
 ``full_extend`` drives one-step extension over every missing pair and records
 the interval and chosen value of each step.  Its maxgap order keeps a lazy
 heap of gaps seeded by one integer sweep, and re-scores only the pairs that
-reach the top (``_next_pair``).  ``verify_step_properties`` reads both
-metrics once as ints over the extended metric's denominator and evaluates
-the five statements on them.
+reach the top (``_next_pair``).  ``verify_step_properties`` reads each
+metric's ints once, scales the old ones by L'/L, and evaluates the five
+statements on them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .core import (
     PartialMetric,
     _Record,
     _check,
+    _envelope_rows,
     _jsonable,
-    _scaled,
     _sweep,
     as_rational,
     doubleton_dist,
@@ -167,10 +167,11 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     """Evaluate the five step-extension properties over every vertex pair.
 
     The guard of each conditional statement is evaluated exactly; pairs where
-    a guard fails are simply not counted as applicable.  Both metrics are
-    read once, as ints at the extended metric's common denominator ``L'``
-    (the old table and rows are multiplied by ``L'/L``); every statement is
-    linear in its values, so the integer comparisons are the exact ones.
+    a guard fails are simply not counted as applicable.  Each metric's table
+    and rows are read once at its own denominator; old values, read at L, are
+    multiplied by k = L'/L, which is exact since max(0, max_b k(R[b] - h[b]))
+    = k * max(0, max_b (R[b] - h[b])).  Every statement is linear in its
+    values, so the integer comparisons at L' are the exact ones.
     """
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
@@ -180,8 +181,9 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     extended = m.with_edge(xy, r)
 
     scale = extended._scale
-    old_t, old_rows = _scaled(m, scale)
-    new_t, new_rows = _scaled(extended, scale)
+    k = scale // m._scale
+    old_t, old_rows = m._table(), _envelope_rows(m)
+    new_t, new_rows = extended._table(), _envelope_rows(extended)
     rs, h_xy, c_xy = (v.numerator * (scale // v.denominator) for v in (r, h_xy, c_xy))
     tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
 
@@ -192,8 +194,7 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
         if h_old is None or not sums:  # the per-pair API raises the DisconnectedError, in its order
             shortest_path(m, u, v)
             doubleton_dist(m, xy, Doubleton(u, v))
-        dd = min(sums)
-        c_old = _check(old_rows[i], old_t[j])
+        h_old, dd, c_old = h_old * k, min(sums) * k, _check(old_rows[i], old_t[j]) * k
         h_new = new_t[i][j]
         c_new = _check(new_rows[i], new_t[j])
         stmts[1].applicable += 1

@@ -182,9 +182,9 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
     ``player_one.propose(base, history)`` returns the next inning's
     (Doubleton, ChoiceSet), and ``player_two.respond(base, history, pair,
     offered)`` returns an answer from the offered set; ``history`` is the
-    list of moves so far.  Moves are only checked against their offered
-    sets while the game runs; the accumulated relation is validated once,
-    after the last inning.
+    list of moves so far.  Any other proposal loses by ``ILLEGAL_MOVE_I``.
+    Moves are only checked against their offered sets while the game runs;
+    the accumulated relation is validated once, after the last inning.
     """
     if game_length < 0:
         raise MalformedInputError(f"game length must be nonnegative, got {game_length}")
@@ -192,7 +192,10 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
     moves = []
     for _ in range(game_length):
         try:
-            d, offered = player_one.propose(base, moves)
+            proposal = player_one.propose(base, moves)
+            if not (isinstance(proposal, (tuple, list)) and len(proposal) == 2 and isinstance(proposal[0], Doubleton)):
+                raise MalformedInputError(f"a proposal must be a (Doubleton, ChoiceSet) pair, got {proposal!r}")
+            d, offered = proposal
             if d.a not in base.vertices or d.b not in base.vertices:
                 raise MalformedInputError(f"pair {d} outside the vertex set")
             if not isinstance(offered, ChoiceSet):

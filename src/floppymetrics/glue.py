@@ -44,14 +44,12 @@ class Patchwork:
     def _glued(self) -> PartialMetric:
         """Union of the base and the pieces, made once, for a valid patchwork only.
 
-        Validity makes every overlapping weight coincide: an edge two members
+        Validity makes every overlapping entry agree: an edge two members
         share joins two gateways, and both weigh it at the base distance.
         """
         _require_valid(self)
-        edges = dict(self.base.edges)
-        for piece in self.pieces:
-            edges.update(piece.edges)
-        return PartialMetric(self.base.vertices.union(*(p.vertices for p in self.pieces)), edges)
+        return PartialMetric(self.base.vertices.union(*(p.vertices for p in self.pieces)),
+                             (e for m in (self.base, *self.pieces) for e in m.edges.items()))
 
 
 @dataclass
@@ -144,9 +142,9 @@ def glue_hat(pw: Patchwork, x: str, y: str) -> Fraction:
     """
     _require_valid(pw)
     f, g = _home(pw, x), _home(pw, y)
-    for member in (pw.base, *pw.pieces):
-        if x in member.vertices and y in member.vertices:
-            return shortest_path(member, x, y)
+    shared = f if y in f.vertices else g  # a vertex outside the base lies only in its home member
+    if x in shared.vertices:
+        return shortest_path(shared, x, y)
     from_x = [(a, shortest_path(f, x, a)) for a in sorted(f.vertices & pw.base.vertices)]
     to_y = [(b, shortest_path(g, b, y)) for b in sorted(g.vertices & pw.base.vertices)]
     return min(xa + shortest_path(pw.base, a, b) + by for a, xa in from_x for b, by in to_y)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import Doubleton, PartialMetric, as_rational
+from .core import Doubleton, PartialMetric
 from .errors import MalformedInputError
 from .game import ChoiceSet
 from .glue import Patchwork
@@ -51,6 +51,7 @@ def metric_to_doc(m: PartialMetric) -> dict:
 
 
 def metric_from_doc(doc) -> PartialMetric:
+    """Check only the JSON shape; ``PartialMetric`` admits the labels and the ``((u, v), w)`` entries."""
     try:
         vertices = doc["vertices"]
         raw_edges = doc["edges"]
@@ -58,11 +59,9 @@ def metric_from_doc(doc) -> PartialMetric:
         raise MalformedInputError(f"metric document missing field: {exc}") from exc
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise MalformedInputError("vertices must be a list of strings")
-    if len(set(vertices)) != len(vertices):
-        raise MalformedInputError("vertex labels must be pairwise distinct")
     if not isinstance(raw_edges, list):
         raise MalformedInputError("edges must be a list")
-    edges = {}
+    entries = []
     for e in raw_edges:
         try:
             u, v, raw = e["u"], e["v"], e["w"]
@@ -70,12 +69,8 @@ def metric_from_doc(doc) -> PartialMetric:
             raise MalformedInputError(f"bad edge entry {e!r}") from exc
         if not (isinstance(u, str) and isinstance(v, str)):
             raise MalformedInputError(f"bad edge entry {e!r} (endpoints must be strings)")
-        d = Doubleton(u, v)
-        w = as_rational(raw)
-        if d in edges and edges[d] != w:
-            raise MalformedInputError(f"duplicate edge {d} with conflicting weights")
-        edges[d] = w
-    return PartialMetric(vertices, edges)
+        entries.append(((u, v), raw))
+    return PartialMetric(vertices, entries)
 
 
 def patchwork_to_doc(pw: Patchwork) -> dict:

@@ -486,6 +486,19 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cert", "--hat", "a", "b"], ["--check-only", "--hat", "a", "b"], ["--cert", "--check-only"],
+         ["--hat", "a", "b", "--cert"]],
+        ids=["cert-hat", "check-only-hat", "cert-check-only", "hat-cert"],
+    )
+    def test_glue_modes_exclude_each_other(self, capsys, pw_file, flags):
+        """One glue mode per call: a second one is a usage error, not silently ignored."""
+        assert main(["glue", *flags, pw_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: floppymetrics glue") and "not allowed with argument" in err
+
 
 class TestParserReuse:
     def test_repeated_calls_match_fresh_processes(self, capfd, h_file):

@@ -92,6 +92,28 @@ class TestConstruction:
         m = PartialMetric(["a", "b"], {("a", "b"): 1, ("b", "a"): "2/2", pair("a", "b"): Fraction(1)})
         assert dict(m.edges) == {pair("a", "b"): 1}
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[(("a", "b"), 1), (("a", "b"), 2)], [(pair("a", "b"), "1/2"), (("b", "a"), "1/3")],
+         iter([(("b", "c"), 1), (("a", "b"), 1), (("b", "c"), 2)])],
+        ids=["same-key", "either-orientation", "iterator"],
+    )
+    def test_rejects_conflicting_duplicate_entries(self, entries):
+        """An entry list names one pair twice with different weights; no dict collapses it first."""
+        with pytest.raises(MalformedInputError, match="duplicate edge .* with conflicting weights"):
+            PartialMetric(["a", "b", "c"], entries)
+
+    @pytest.mark.parametrize("labels", [["a", "b", "a"], ("x", "x"), [1, 2, 2]])
+    def test_rejects_repeated_vertex_labels(self, labels):
+        with pytest.raises(MalformedInputError, match="vertex labels must be pairwise distinct"):
+            PartialMetric(labels, {})
+
+    def test_equal_duplicate_entries_match_the_mapping_form(self):
+        entries = [(("a", "b"), 1), (("b", "c"), "3/2"), (("b", "a"), "2/2"), (pair("c", "b"), Fraction(3, 2))]
+        m = PartialMetric(["a", "b", "c"], entries)
+        assert m == PartialMetric(["a", "b", "c"], {pair("a", "b"): 1, pair("b", "c"): Fraction(3, 2)})
+        assert m._scale == 2 and shortest_path(m, "a", "c") == Fraction(5, 2)
+
     def test_single_vertex_is_full_and_floppy(self):
         m = PartialMetric(["a"], {})
         rep = validate(m)

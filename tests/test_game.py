@@ -150,6 +150,24 @@ class TestReferee:
         assert t.verdict == PLAYER_II_WINS
         assert t.reason.kind == "ILLEGAL_MOVE_I"
 
+    @pytest.mark.parametrize(
+        "proposal, message",
+        [
+            ((("a", "c"), ChoiceSet.open_interval(1, 20)), "a proposal must be a (Doubleton, ChoiceSet) pair"),
+            ((pair("a", "c"),), "a proposal must be a (Doubleton, ChoiceSet) pair"),
+            (pair("a", "c"), "a proposal must be a (Doubleton, ChoiceSet) pair"),
+            (None, "a proposal must be a (Doubleton, ChoiceSet) pair"),
+            ((pair("a", "c"), ChoiceSet.of_points(1), 3), "a proposal must be a (Doubleton, ChoiceSet) pair"),
+            ((pair("a", "c"), (1, 20)), "offered set must be a ChoiceSet"),
+        ],
+        ids=["tuple-pair", "one-tuple", "bare-pair", "none", "three-tuple", "tuple-offer"],
+    )
+    def test_malformed_proposal_loses_for_player_one(self, path_abc, proposal, message):
+        """A proposal that is not a (Doubleton, ChoiceSet) pair ends the game, like an offer that is not a ChoiceSet."""
+        t = play(path_abc, 1, ScriptedFirstPlayer([proposal]), ProbeSecondPlayer("mid"))
+        assert (t.verdict, t.reason.kind, t.moves) == (PLAYER_II_WINS, "ILLEGAL_MOVE_I", [])
+        assert t.reason.detail["message"].startswith(message)
+
     def test_answer_outside_offered_set(self, path_abc):
         class Cheat:
             def respond(self, base, history, pair, offered):
