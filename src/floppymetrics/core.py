@@ -31,26 +31,26 @@ certificate bounds and the maxgap order) sweep every pair on the cached
 table and rows, so checking every non-edge costs O(n|E| + n^3) integer
 operations and builds a Fraction only for what is reported.
 
-A metric grows by ``_adjoin``, which writes a new edge ij into the
-instance's own dict, table and rows in place, touching only the pairs it
-can shorten: one O(n) scan finds the vertices that now reach i, or j, more
-cheaply across the edge, the table update is the block of those two sets,
-and, when the metric has its rows, each affected row rises only where the
-far endpoint's row beats the near one's.  The cost is O(n) plus the affected
-block, a few entries along ``full_extend`` and the game.  ``_adjoin`` writes
-only a fresh ``_copy``: ``with_edge`` is a copy and one adjoin, and
-``full_extend``, the winning strategy and ``minimal_floppy_extension`` each
-adjoin into one copy.  The rows are built, carried and rescaled whole.  A
-new weight denominator moves the metric to ``L' = lcm(L, w.denominator)``.
-A metric keeps its ``is_floppy`` report once one is made; a copy starts
-without one.
+A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
+own dict, table and rows in place, touching only the pairs it can shorten.
+One O(n) scan finds the vertices that now reach i, or j, more cheaply
+across the edge, the table update is the block of those two sets, and each
+affected row rises only where the far endpoint's row beats the near one's.
+The cost is O(n) plus the affected block, a few entries along
+``full_extend`` and the game.  A copy carries the table together with every
+row, or neither, so an adjoin relaxes both or writes the edge alone.
+``with_edge`` is a copy and one adjoin, and ``full_extend``, the winning
+strategy and ``minimal_floppy_extension`` each adjoin into one copy;
+reweighting an edge builds a new, cold metric instead.  A new weight
+denominator moves the metric to ``L' = lcm(L, w.denominator)``.  A metric
+keeps its ``is_floppy`` report once one is made; a copy starts without one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
@@ -119,22 +119,24 @@ class PartialMetric:
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Vertex labels
     must be distinct and sort together (all ``str`` or all ``int``, say).
-    ``edges`` maps pairs to weights or is an iterable of ``(pair, weight)``
-    entries; entries naming one pair must agree.  Instances are immutable
-    once handed out; ``_adjoin`` writes only a fresh ``_copy``.  The vertex
-    index (sorted labels to 0..n-1) and the common denominator ``_scale`` of
-    the weights are built with the instance; the n x n distance table
-    (``None`` between components) and the max-plus envelope rows, both held
-    as ints times ``_scale``, are built lazily and cached.  ``_rows`` is
-    ``None`` or holds every vertex's row.  ``_floppy`` holds the
-    ``FloppyReport`` once ``is_floppy`` has swept the metric.  A copy shares
-    the vertex index, owns its edge dict and lists, and starts without a
-    report.
+    ``edges`` maps pairs to weights or is an iterable of 2-item ``(pair,
+    weight)`` tuples or lists, a pair being a ``Doubleton`` or a 2-item tuple
+    or list of labels; entries naming one pair must agree, and neither
+    argument is a ``str``.  Instances are immutable once handed out; only a
+    fresh ``_copy`` is written (``_adjoin``).  The vertex index (sorted labels
+    to 0..n-1) and the common denominator ``_scale`` of the weights are built
+    with the instance; the n x n distance table (``None`` between components)
+    and every vertex's max-plus envelope row, both ints times ``_scale``, are
+    built lazily and cached.  ``_floppy`` holds the ``FloppyReport`` once
+    ``is_floppy`` has swept the metric.  A copy shares the vertex index and
+    owns its edge dict, the table and rows if the parent has both, and no report.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows", "_floppy")
 
     def __init__(self, vertices, edges):
+        if any(isinstance(arg, str) or not isinstance(arg, Iterable) for arg in (vertices, edges)):
+            raise MalformedInputError(f"vertices and edges must be non-str collections: {vertices!r:.20}, {edges!r:.20}")
         labels = list(vertices)
         vset = frozenset(labels)
         if not vset:
@@ -146,8 +148,14 @@ class PartialMetric:
         except TypeError:
             raise MalformedInputError("vertex labels must be mutually comparable (e.g. all strings)") from None
         emap = {}
-        for key, raw in edges.items() if isinstance(edges, Mapping) else edges:
-            d = key if isinstance(key, Doubleton) else Doubleton(*key)
+        for entry in edges.items() if isinstance(edges, Mapping) else edges:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise MalformedInputError(f"edge entry must be a (pair, weight) tuple or list, got {entry!r}")
+            d, raw = entry
+            if not isinstance(d, Doubleton):
+                if not (isinstance(d, (tuple, list)) and len(d) == 2):
+                    raise MalformedInputError(f"edge pair must be a Doubleton or a (u, v) tuple or list, got {d!r}")
+                d = Doubleton(*d)
             w = _admit_edge(vset, d, raw)
             if emap.setdefault(d, w) != w:
                 raise MalformedInputError(f"duplicate edge {d} with conflicting weights")
@@ -190,38 +198,36 @@ class PartialMetric:
         return [d for u, v in combinations(self._index, 2) if (d := Doubleton(u, v)) not in edges]
 
     def with_edge(self, d: Doubleton, w) -> "PartialMetric":
-        """New metric with one extra (or replaced) edge: a ``_copy``, then ``_adjoin``."""
+        """New metric with one extra edge, a ``_copy`` then ``_adjoin``; a reweighted edge gives a cold metric."""
+        if d in self._edges:
+            return PartialMetric(self._vertices, {**self._edges, d: w})
         out = self._copy()
         out._adjoin(d, w)
         return out
 
     def _copy(self) -> "PartialMetric":
-        """An instance with its own edge dict, table rows and envelope rows, and no report."""
+        """An instance with its own edge dict, no report, and its own table and rows if both are cached."""
         out = PartialMetric.__new__(PartialMetric)
         out._vertices = self._vertices
         out._edges = dict(self._edges)
         out._index = self._index
         out._scale = self._scale
-        out._dist, out._rows = (None if t is None else [list(r) for r in t] for t in (self._dist, self._rows))
+        out._dist, out._rows = ([list(r) for r in t] if self._rows else None for t in (self._dist, self._rows))
         out._floppy = None
         return out
 
     def _adjoin(self, d: Doubleton, w):
-        """Write edge ``d`` of weight ``w`` into this fresh ``_copy``, in place.
+        """Write ``d``, not an edge yet (callers adjoin only missing pairs), at weight ``w`` into this ``_copy``.
 
-        A new pair is relaxed into the cached table and rows (``_relax_through``);
-        a replaced edge drops both caches.  The ``is_floppy`` report is always dropped.
+        A carried table and rows are relaxed in place (``_relax_through``); a copy has no report to drop.
         """
         w = _admit_edge(self._vertices, d, w)
-        if d in self._edges:
-            self._dist = self._rows = None
         self._edges[d] = w
-        self._floppy = None
         scale = math.lcm(self._scale, w.denominator)
         k, self._scale = scale // self._scale, scale
         if self._dist is not None:
             if k != 1:
-                self._dist, self._rows = (None if t is None else _lifted(t, k) for t in (self._dist, self._rows))
+                self._dist, self._rows = _lifted(self._dist, k), _lifted(self._rows, k)
             ws = w.numerator * (scale // w.denominator)
             _relax_through(self._dist, self._rows, self._index[d.a], self._index[d.b], ws)
 
@@ -306,7 +312,7 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
     column i nor row j, the only entries it reads outside itself, and its
     mirror neither column j nor row i.  Row i may lie in S_j, so both lifts
     are read before any envelope row is written.  ``rows`` is the whole row
-    cache, or ``None``.
+    cache.
     """
     s_i, s_j = [], []
     for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
@@ -324,8 +330,6 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
                 alt = via + hfar[v]
                 if row[v] is None or alt < row[v]:
                     row[v] = alt
-    if rows is None:
-        return
     lifts = [[(b, f - w) for b, (f, g) in enumerate(zip(rows[far], rows[near]))
               if f is not None and (g is None or f - w > g)] for _, _, near, far in sides]
     for (us, _, near, _), lift in zip(sides, lifts):

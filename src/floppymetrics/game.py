@@ -48,24 +48,28 @@ PLAYER_II_WINS = "PLAYER_II_WINS"
 class ChoiceSet(_Record):
     """Finite union of rational points and open rational intervals in (0, inf).
 
-    ``intervals`` entries are (lo, hi) with hi=None meaning unbounded above.
+    The constructor admits both lists and their values (``as_rational``): ``points`` is a list, tuple, set or
+    frozenset, ``intervals`` a list or tuple of 2-item (lo, hi), hi=None meaning unbounded above.
     """
 
     points: frozenset = frozenset()
     intervals: tuple = ()
 
     def __post_init__(self):
-        pts = frozenset(as_rational(p) for p in self.points)
+        if not isinstance(self.points, (list, tuple, set, frozenset)) or not isinstance(self.intervals, (list, tuple)):
+            raise MalformedInputError(f"choice-set points must be a list or set and intervals a list: {self!r}")
+        pts = frozenset(map(as_rational, self.points))
         object.__setattr__(self, "points", pts)
         ivs = []
-        for lo, hi in self.intervals:
-            lo = as_rational(lo)
-            hi = None if hi is None else as_rational(hi)
+        for iv in self.intervals:
+            if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
+                raise MalformedInputError(f"each choice-set interval must be a pair (lo, hi), got {iv!r}")
+            lo, hi = as_rational(iv[0]), None if iv[1] is None else as_rational(iv[1])
             if lo < 0 or (hi is not None and hi <= lo):
                 raise MalformedInputError(f"bad interval ({lo}, {hi})")
             ivs.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(ivs))
-        if any(p <= 0 for p in pts):
+        if pts and min(pts) <= 0:
             raise MalformedInputError("choice-set points must be positive")
         if not pts and not ivs:
             raise MalformedInputError("choice set must be nonempty")

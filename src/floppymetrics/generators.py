@@ -87,16 +87,12 @@ def h_graph() -> PartialMetric:
     )
 
 
-def _taxicab_full_metric(rng: random.Random, n: int, scale: Fraction) -> PartialMetric:
-    span = max(3 * n, 6)
-    grid = [(i, j) for i in range(span) for j in range(span)]
-    points = rng.sample(grid, n)
-    vertices = [f"v{i}" for i in range(n)]
-    edges = {}
-    for (i, p), (j, q) in combinations(enumerate(points), 2):
-        dist = abs(p[0] - q[0]) + abs(p[1] - q[1])
-        edges[Doubleton(vertices[i], vertices[j])] = scale * dist
-    return PartialMetric(vertices, edges)
+def _taxicab_weights(rng: random.Random, labels, scale: Fraction) -> dict:
+    """Taxicab distance times ``scale`` at every pair of ``labels``, placed on distinct random grid points."""
+    span = max(3 * len(labels), 6)
+    points = rng.sample([(i, j) for i in range(span) for j in range(span)], len(labels))
+    return {Doubleton(u, v): scale * (abs(p[0] - q[0]) + abs(p[1] - q[1]))
+            for (u, p), (v, q) in combinations(zip(labels, points), 2)}
 
 
 def random_floppy(n: int, density, seed: int, *, scale=1) -> PartialMetric:
@@ -112,19 +108,20 @@ def random_floppy(n: int, density, seed: int, *, scale=1) -> PartialMetric:
     rng = random.Random(seed)
     total_pairs = n * (n - 1) // 2
     target = max(n - 1, round(density * total_pairs))
+    labels = [f"v{i}" for i in range(n)]
+    verts = sorted(labels)
     for _ in range(_MAX_ATTEMPTS):
-        full = _taxicab_full_metric(rng, n, scale)
-        verts = sorted(full.vertices)
+        weights = _taxicab_weights(rng, labels, scale)
         # random spanning tree: attach each vertex to a random earlier one
         order = verts[:]
         rng.shuffle(order)
         keep = {Doubleton(order[i], order[rng.randrange(i)]) for i in range(1, n)}
-        rest = [d for d in sorted(full.edges) if d not in keep]
+        rest = [d for d in sorted(weights) if d not in keep]
         rng.shuffle(rest)
         keep.update(rest[: max(0, target - len(keep))])
         # a connected spanning subgraph of a full metric with positive
         # weights is a connected graph metric
-        m = PartialMetric(verts, {d: full.weight(d) for d in keep})
+        m = PartialMetric(verts, {d: weights[d] for d in keep})
         if is_floppy(m).floppy:
             return m
     raise GenerationExhaustedError(f"no floppy instance after {_MAX_ATTEMPTS} attempts (seed {seed})")

@@ -7,6 +7,8 @@ Weights are reduced rational strings ("p/q" or "n").  Canonical serialization
 orders vertices and edges lexicographically, so documents round-trip
 losslessly and byte-identically.  A weight is a JSON integer or a string
 ``[+-]?\d+(/\d+)?``; decimals, exponents, floats and booleans are malformed.
+Readers check only the JSON shape: ``PartialMetric`` admits a metric's labels
+and entries, and ``ChoiceSet`` a choice set's lists and their values.
 Reports, traces and transcripts follow one rule (``core._jsonable``): fields
 in declaration order, rationals as reduced ``"n"`` / ``"p/q"`` strings, pairs
 as ``[a, b]``, ``null`` for none, and a metric as its metric document.
@@ -91,18 +93,10 @@ def patchwork_from_doc(doc) -> Patchwork:
 
 
 def choice_set_from_doc(doc) -> ChoiceSet:
-    """``{"points": [...], "intervals": [[lo, hi], ...]}``; both lists, each interval a list."""
+    """``{"points": [...], "intervals": [[lo, hi], ...]}``; an object, whose lists and values ``ChoiceSet`` admits."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"choice-set document must be an object, got {doc!r}")
-    points, intervals = doc.get("points", []), doc.get("intervals", [])
-    if not isinstance(points, list) or not isinstance(intervals, list):
-        raise MalformedInputError(f"choice-set points and intervals must be lists, got {doc!r}")
-    if not all(isinstance(iv, list) for iv in intervals):
-        raise MalformedInputError(f"each choice-set interval must be a list [lo, hi], got {doc!r}")
-    try:
-        return ChoiceSet(points=points, intervals=intervals)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad choice-set document {doc!r}") from exc
+    return ChoiceSet(points=doc.get("points", []), intervals=doc.get("intervals", []))
 
 
 def choice_map_from_doc(doc) -> dict:

@@ -103,6 +103,20 @@ class TestConstruction:
         with pytest.raises(MalformedInputError, match="duplicate edge .* with conflicting weights"):
             PartialMetric(["a", "b", "c"], entries)
 
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [(["a", "b"], [("a", "b", 1)]), (["a", "b"], [(("a", "b"),)]), (["a", "b"], [(("a",), 1)]),
+         (["a", "b"], {("a",): 1}), (["a", "b"], 5), (["a", "b"], [("ab", 1)]), ("ab", {}), (["a", "b"], "ab")],
+        ids=["three-item-entry", "one-item-entry", "one-label-pair", "one-label-key", "int-edges", "string-pair",
+             "string-vertices", "string-edges"],
+    )
+    def test_rejects_malformed_shapes(self, vertices, edges):
+        """An entry is a 2-item tuple or list, a pair is a Doubleton or a 2-item tuple or list of labels, and
+        neither argument is a str; the constructor used to raise a bare ValueError or TypeError, or read a
+        string as its characters."""
+        with pytest.raises(MalformedInputError):
+            PartialMetric(vertices, edges)
+
     @pytest.mark.parametrize("labels", [["a", "b", "a"], ("x", "x"), [1, 2, 2]])
     def test_rejects_repeated_vertex_labels(self, labels):
         with pytest.raises(MalformedInputError, match="vertex labels must be pairwise distinct"):

@@ -64,6 +64,17 @@ class TestChoiceSet:
         with pytest.raises(MalformedInputError):
             ChoiceSet.of_points(0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"points": "12"}, {"intervals": ["12"]}, {"intervals": [(1,)]}, {"points": 5}, {"points": {"3": 1}}],
+        ids=["string-points", "string-interval", "one-item-interval", "int-points", "dict-points"],
+    )
+    def test_rejects_malformed_shapes(self, kwargs):
+        """Points are a list, tuple, set or frozenset, intervals a list or tuple of 2-item (lo, hi); a string
+        used to be read as its digits and a short interval raised a bare ValueError."""
+        with pytest.raises(MalformedInputError):
+            ChoiceSet(**kwargs)
+
     def test_element_far_from(self):
         cs = ChoiceSet.of_points(1, 100)
         assert cs.element_far_from(Fraction(1), Fraction(2)) == 100

@@ -168,12 +168,15 @@ class TestAgainstPerEdgeScan:
 
         Envelopes are queried at every link, so rows are built on derived
         tables too.  Chains add arbitrary weights (also zero, and edges that
-        join components) and occasionally replace an existing edge.
+        join components) and occasionally replace an existing edge.  A copy
+        carries the table only together with the rows, so the first link's
+        parent gets both.
         """
         rng = random.Random(4204)
         for trial in range(12):
             m = random_graph(rng, rng.randrange(3, 10), 0.2, zero_share=0.15)
-            validate(m)  # builds m's table; every later link then has one to relax
+            validate(m)  # builds m's table
+            lower_envelope(m, *sorted(m.vertices)[:2])  # and its rows; every later link then has both to relax
             for link in range(6):
                 if m.edges and rng.random() < 0.15:
                     d = rng.choice(sorted(m.edges))
@@ -300,6 +303,44 @@ class TestCarriedRows:
         assert [list(row) for row in full._rows] == snapshot
         assert cache_rows(m, "none").with_edge(d, 1)._rows is None
         assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
+
+    @pytest.mark.parametrize("warm", [is_floppy, validate, None], ids=["is_floppy", "validate", "cold"])
+    def test_table_travels_with_the_rows(self, warm):
+        """Every ``_copy`` and ``with_edge`` result holds both the table and the
+        rows, or neither: both from a parent that swept them (``is_floppy``),
+        neither from one that built only its table (``validate``) or nothing,
+        and neither through a reweighted edge."""
+        rng = random.Random(4407)
+        for trial in range(8):
+            m, _ = taxicab_plus_one_subgraph(rng, rng.randrange(3, 9), Fraction(rng.randrange(3), 4))
+            if warm:
+                warm(m)
+            carried = warm is is_floppy
+            children = [(m._copy(), carried), (m.with_edge(rng.choice(sorted(m.edges)), 1), False)]
+            if m.non_edges():
+                d = rng.choice(m.non_edges())
+                children.append((m.with_edge(d, shortest_path(m, d.a, d.b) - Fraction(1, 3)), carried))
+            for child, both in children:
+                assert (child._dist is not None, child._rows is not None) == (both, both), trial
+                assert_matches_reference(child, trial)
+
+    def test_reweighting_builds_the_constructors_metric(self):
+        """``with_edge`` on an existing edge gives the constructor's metric, at
+        its own common denominator, cold and without a report, and leaves its
+        parent's dict, table, rows and report as they were."""
+        rng = random.Random(4408)
+        metrics = [PartialMetric(["a", "b", "c"], {pair("a", "b"): Fraction(1, 7), pair("b", "c"): 1})]
+        metrics += [taxicab_plus_one_subgraph(rng, rng.randrange(3, 9), Fraction(1, 2))[0] for _ in range(6)]
+        for trial, m in enumerate(metrics):
+            is_floppy(m)
+            before = metric_state(m)
+            d = min(m.edges)
+            child = m.with_edge(d, 2)
+            fresh = PartialMetric(m.vertices, {**m.edges, d: 2})
+            assert (child, child._scale) == (fresh, fresh._scale), trial
+            assert child._dist is None and child._rows is None and child._floppy is None, trial
+            assert metric_state(m) == before, trial
+            assert_matches_reference(child, trial)
 
 
 def weights_over(denominators, zero_share=0.0, magnitudes=(1,)):
