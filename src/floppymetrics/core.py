@@ -24,12 +24,13 @@ the metric caches them whole, so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
 per pair, and ``_check`` is the one place that scan is written.  A value
 becomes a Fraction only where it leaves the API: ``shortest_path``,
-``doubleton_dist`` and ``lower_envelope`` each build one.  Whole-metric
-questions (``is_floppy``, the one round of forced pairs in
-``minimal_floppy_extension``, and in other modules the step statements,
-certificate bounds and the maxgap order) sweep every pair on the cached
-table and rows, so checking every non-edge costs O(n|E| + n^3) integer
-operations and builds a Fraction only for what is reported.
+``doubleton_dist`` and ``lower_envelope`` each build one, ``_gaps`` one per
+non-edge.  Whole-metric questions sweep every pair on the cached table and
+rows, so checking every non-edge costs O(n|E| + n^3) integer operations:
+``is_floppy`` and ``minimal_floppy_extension`` here, and for other modules
+``_gaps`` (the maxgap order, the certificate bounds) and ``_step_reads``
+(the step statements).  No other module reads the table, the rows, the
+index or ``L``.
 
 A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
 own dict, table and rows in place, touching only the pairs it can shorten.
@@ -95,12 +96,17 @@ class Doubleton:
     b: str
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise MalformedInputError(f"doubleton needs two distinct vertices, got {self.a!r} twice")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+        a, b = self.a, self.b
+        if a == b:
+            raise MalformedInputError(f"doubleton needs two distinct vertices, got {a!r} twice")
+        try:
+            swap = a > b
+            hash((a, b))
+        except TypeError:
+            raise MalformedInputError(f"doubleton labels must hash and compare, got {a!r} and {b!r}") from None
+        if swap:
+            object.__setattr__(self, "a", b)
+            object.__setattr__(self, "b", a)
 
     def __iter__(self):
         return iter((self.a, self.b))
@@ -118,7 +124,7 @@ class PartialMetric:
 
     Weights are nonnegative rationals (zero weights put the object in
     pseudometric mode; metric-grade operations reject them).  Vertex labels
-    must be distinct and sort together (all ``str`` or all ``int``, say).
+    must be distinct, hashable and sort together (all ``str`` or all ``int``, say).
     ``edges`` maps pairs to weights or is an iterable of 2-item ``(pair,
     weight)`` tuples or lists, a pair being a ``Doubleton`` or a 2-item tuple
     or list of labels; entries naming one pair must agree, and neither
@@ -138,15 +144,15 @@ class PartialMetric:
         if any(isinstance(arg, str) or not isinstance(arg, Iterable) for arg in (vertices, edges)):
             raise MalformedInputError(f"vertices and edges must be non-str collections: {vertices!r:.20}, {edges!r:.20}")
         labels = list(vertices)
-        vset = frozenset(labels)
+        try:
+            vset = frozenset(labels)
+            labels.sort()
+        except TypeError:
+            raise MalformedInputError("vertex labels must be hashable and sort together (e.g. all strings)") from None
         if not vset:
             raise MalformedInputError("a metric needs at least one vertex")
         if len(vset) != len(labels):
             raise MalformedInputError("vertex labels must be pairwise distinct")
-        try:
-            labels.sort()
-        except TypeError:
-            raise MalformedInputError("vertex labels must be mutually comparable (e.g. all strings)") from None
         emap = {}
         for entry in edges.items() if isinstance(edges, Mapping) else edges:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
@@ -404,6 +410,19 @@ def _sweep(m: PartialMetric):
         yield d, t[i][j], _check(rows[i], t[j])
 
 
+def _gaps(m: PartialMetric) -> dict:
+    """``hat - check`` as a Fraction at every non-edge, keyed by pair in sorted order, from one ``_sweep``."""
+    return {d: Fraction(h - c, m._scale) for d, h, c in _sweep(m)}
+
+
+def _doubleton(ta, tb, i: int, j: int, p, q) -> int:
+    """``dd(p, q)`` as an int from ``ta``, ``tb``, the table rows of p's ends, and q's indexes ``i``, ``j``."""
+    sums = [h + k for h, k in ((ta[i], tb[j]), (ta[j], tb[i])) if h is not None and k is not None]
+    if not sums:
+        raise DisconnectedError(f"pairs {p} and {Doubleton(*q)} span disconnected components")
+    return min(sums)
+
+
 def _index_of(m: PartialMetric, v) -> int:
     """Table index of vertex ``v``; ``UnknownVertexError`` if ``m`` has no such vertex."""
     try:
@@ -455,10 +474,7 @@ def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     """Distance between unordered pairs: the cheaper endpoint matching."""
     pa, pb, qa, qb = (_index_of(m, v) for v in (p.a, p.b, q.a, q.b))
     t = m._table()
-    sums = [h + k for h, k in ((t[pa][qa], t[pb][qb]), (t[pa][qb], t[pb][qa])) if h is not None and k is not None]
-    if not sums:
-        raise DisconnectedError(f"pairs {p} and {q} span disconnected components")
-    return Fraction(min(sums), m._scale)
+    return Fraction(_doubleton(t[pa], t[pb], qa, qb, p, q), m._scale)
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
@@ -475,6 +491,32 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     if i == j:
         return _ZERO
     return Fraction(_check(_envelope_rows(m)[i], m._table()[j]), m._scale)
+
+
+def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction):
+    """What the step statements read of ``m`` and ``m.with_edge(xy, r)``, as ints over the extension's L'.
+
+    Returns r, hat(xy), check(xy) and an iterator of ``(u, v, hat, check, dd(xy, uv), hat', check')`` over the vertex
+    pairs uv in sorted order; the first pair with no distance, or no doubleton distance to ``xy``, raises the per-pair
+    API's ``DisconnectedError``.  ``m``'s values, at its L, are multiplied by k = L'/L, which is exact:
+    max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])).
+    """
+    extended = m.with_edge(xy, r)
+    scale = extended._scale
+    k = scale // m._scale
+    old_t, old_rows = m._table(), _envelope_rows(m)
+    new_t, new_rows = extended._table(), _envelope_rows(extended)
+    x, y = m._index[xy.a], m._index[xy.b]
+
+    def pairs():
+        for (i, u), (j, v) in combinations(enumerate(m._index), 2):
+            if old_t[i][j] is None:
+                raise DisconnectedError(f"no chain connects {u!r} and {v!r}")
+            dd = _doubleton(old_t[x], old_t[y], i, j, xy, (u, v))
+            c, c_new = _check(old_rows[i], old_t[j]), _check(new_rows[i], new_t[j])
+            yield u, v, old_t[i][j] * k, c * k, dd * k, new_t[i][j], c_new
+
+    return r.numerator * (scale // r.denominator), old_t[x][y] * k, _check(old_rows[x], old_t[y]) * k, pairs()
 
 
 def _jsonable(v):

@@ -11,9 +11,8 @@ result not at all: the theorem and the proposition guarantee it.
 ``full_extend`` drives one-step extension over every missing pair and records
 the interval and chosen value of each step.  Its maxgap order keeps a lazy
 heap of gaps seeded by one integer sweep, and re-scores only the pairs that
-reach the top (``_next_pair``).  ``verify_step_properties`` reads each
-metric's ints once, scales the old ones by L'/L, and evaluates the five
-statements on them.
+reach the top (``_next_pair``).  ``verify_step_properties`` evaluates the
+five statements on the ints of ``core._step_reads``.
 """
 
 from __future__ import annotations
@@ -22,18 +21,15 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .core import (
     Doubleton,
     PartialMetric,
     _Record,
-    _check,
-    _envelope_rows,
+    _gaps,
     _jsonable,
-    _sweep,
+    _step_reads,
     as_rational,
-    doubleton_dist,
     is_floppy,
     lower_envelope,
     shortest_path,
@@ -167,36 +163,19 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     """Evaluate the five step-extension properties over every vertex pair.
 
     The guard of each conditional statement is evaluated exactly; pairs where
-    a guard fails are simply not counted as applicable.  Each metric's table
-    and rows are read once at its own denominator; old values, read at L, are
-    multiplied by k = L'/L, which is exact since max(0, max_b k(R[b] - h[b]))
-    = k * max(0, max_b (R[b] - h[b])).  Every statement is linear in its
-    values, so the integer comparisons at L' are the exact ones.
+    a guard fails are simply not counted as applicable.  The values are ints
+    over the extension's common denominator (``core._step_reads``); every
+    statement is linear in them, so the integer comparisons are the exact ones.
     """
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
     r = as_rational(r)
     h_xy, c_xy = _require_in_closed_range(m, xy, r)
     strong_lower = _interval_from(h_xy, c_xy).lo <= r  # statement (5) hypothesis
-    extended = m.with_edge(xy, r)
-
-    scale = extended._scale
-    k = scale // m._scale
-    old_t, old_rows = m._table(), _envelope_rows(m)
-    new_t, new_rows = extended._table(), _envelope_rows(extended)
-    rs, h_xy, c_xy = (v.numerator * (scale // v.denominator) for v in (r, h_xy, c_xy))
-    tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
+    rs, h_xy, c_xy, pairs = _step_reads(m, xy, r)
 
     stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
-    for (i, u), (j, v) in combinations(enumerate(m._index), 2):
-        h_old = old_t[i][j]
-        sums = [a + b for a, b in ((tx[i], ty[j]), (tx[j], ty[i])) if a is not None and b is not None]
-        if h_old is None or not sums:  # the per-pair API raises the DisconnectedError, in its order
-            shortest_path(m, u, v)
-            doubleton_dist(m, xy, Doubleton(u, v))
-        h_old, dd, c_old = h_old * k, min(sums) * k, _check(old_rows[i], old_t[j]) * k
-        h_new = new_t[i][j]
-        c_new = _check(new_rows[i], new_t[j])
+    for u, v, h_old, c_old, dd, h_new, c_new in pairs:
         stmts[1].applicable += 1
         if not (h_new <= h_old and c_new >= max(c_old, rs - dd)):
             stmts[1].failures.append((u, v))
@@ -256,7 +235,7 @@ def _parse_order(order):
 
 def _gap_heap(m: PartialMetric):
     """Heap of ``(check - hat, pair)`` over every non-edge, from one sweep: the largest gap is on top."""
-    heap = [(Fraction(c - h, m._scale), d) for d, h, c in _sweep(m)]
+    heap = [(-gap, d) for d, gap in _gaps(m).items()]
     heapq.heapify(heap)
     return heap
 

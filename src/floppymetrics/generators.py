@@ -13,15 +13,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import Doubleton, PartialMetric, as_rational, is_floppy, lower_envelope
+from .core import Doubleton, PartialMetric, as_rational, is_floppy
 from .errors import DepthZeroError, GenerationExhaustedError, MalformedInputError
 
 _MAX_ATTEMPTS = 64  # floppiness checks random_floppy makes before it gives up
 
 
 def cantor_tree(depth: int) -> PartialMetric:
-    """Truncated Cantor tree metric on all binary strings of length <= depth;
-    every call checks that it is floppy with check(s, t) = |2^-|s| - 2^-|t||."""
+    """Truncated Cantor tree metric on all binary strings of length <= depth."""
     if depth < 1:
         raise DepthZeroError("depth must be at least 1")
     vertices = [""]
@@ -32,13 +31,7 @@ def cantor_tree(depth: int) -> PartialMetric:
         for t in vertices:
             if len(s) < len(t) and t.startswith(s):
                 edges[Doubleton(s, t)] = Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t))
-    m = PartialMetric(vertices, edges)
-    report = is_floppy(m)
-    assert report.floppy, f"cantor tree depth {depth} not floppy: {report}"
-    for s, t in combinations(vertices, 2):
-        expected = abs(Fraction(1, 2 ** len(s)) - Fraction(1, 2 ** len(t)))
-        assert lower_envelope(m, s, t) == expected, (s, t)
-    return m
+    return PartialMetric(vertices, edges)
 
 
 def path_metric(n: int, scale=1) -> PartialMetric:

@@ -106,14 +106,18 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "vertices, edges",
         [(["a", "b"], [("a", "b", 1)]), (["a", "b"], [(("a", "b"),)]), (["a", "b"], [(("a",), 1)]),
-         (["a", "b"], {("a",): 1}), (["a", "b"], 5), (["a", "b"], [("ab", 1)]), ("ab", {}), (["a", "b"], "ab")],
+         (["a", "b"], {("a",): 1}), (["a", "b"], 5), (["a", "b"], [("ab", 1)]), ("ab", {}), (["a", "b"], "ab"),
+         (["a", "b"], [((1, "a"), 1)]), (["a", "b"], [(([1], "a"), 1)]), (["a", "b"], [((None, "a"), 1)]),
+         (["a", "b"], {("a", ("x",)): 1}), (["a", "b"], [(([1], [2]), 1)]), ([[1], [2]], {}),
+         (["a", "b"], ((pair(1, "a"), 1) for _ in range(1)))],
         ids=["three-item-entry", "one-item-entry", "one-label-pair", "one-label-key", "int-edges", "string-pair",
-             "string-vertices", "string-edges"],
+             "string-vertices", "string-edges", "int-str-pair", "list-str-pair", "none-str-pair", "tuple-label-key",
+             "unhashable-pair", "unhashable-vertices", "pair-call"],
     )
     def test_rejects_malformed_shapes(self, vertices, edges):
         """An entry is a 2-item tuple or list, a pair is a Doubleton or a 2-item tuple or list of labels, and
-        neither argument is a str; the constructor used to raise a bare ValueError or TypeError, or read a
-        string as its characters."""
+        neither argument is a str; labels hash and compare (``pair`` is called as the entries are read).  The
+        constructor used to raise a bare ValueError or TypeError, or read a string as its characters."""
         with pytest.raises(MalformedInputError):
             PartialMetric(vertices, edges)
 
