@@ -8,17 +8,17 @@ envelope and the distance (inclusive) is accepted and the result is only
 guaranteed to be a graph pseudometric.  The input is checked once and the
 result not at all: the theorem and the proposition guarantee it.
 
-``full_extend`` drives one-step extension over every missing pair and records
-the interval and chosen value of each step.  Its maxgap order keeps a lazy
-heap of gaps seeded by one integer sweep, and re-scores only the pairs that
-reach the top (``_next_pair``).  ``verify_step_properties`` evaluates the
-five statements on the ints of ``core._step_reads``.
+``full_extend`` adjoins the steps of ``_steps``, one per missing pair, and
+records each interval and value; its maxgap order keeps a lazy heap of gaps
+from one integer sweep.  ``verify_step_properties`` evaluates the five
+statements on the ints of ``core._step_reads``.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +36,6 @@ from .core import (
 )
 from .errors import (
     AlreadyEdgeError,
-    ChoiceSetMissesIntervalError,
     MalformedInputError,
     MissingChoiceSetError,
     NotFloppyError,
@@ -225,43 +224,40 @@ def _seed_of(spec: str) -> int:
         raise MalformedInputError(f"{spec!r} needs an integer seed, as in 'random:0'") from None
 
 
-def _parse_order(order):
-    if order in ("lex", "maxgap"):
-        return order, None
-    if isinstance(order, str) and order.startswith("random:"):
-        return "random", random.Random(_seed_of(order))
-    raise MalformedInputError(f"unknown order policy {order!r}")
+def _steps(current: PartialMetric, order):
+    """Yield ``(pair, interval)`` for every missing pair of ``current``, in ``order``.
 
-
-def _gap_heap(m: PartialMetric):
-    """Heap of ``(check - hat, pair)`` over every non-edge, from one sweep: the largest gap is on top."""
-    heap = [(-gap, d) for d, gap in _gaps(m).items()]
-    heapq.heapify(heap)
-    return heap
-
-
-def _next_pair(policy, rng, current, remaining):
-    """Take the next pair to adjoin out of ``remaining``; returns ``(pair, interval)``.
-
-    For lex and random, ``remaining`` is the sorted list of missing pairs.
-    For maxgap it is a ``_gap_heap`` whose keys may be stale: a step never
-    raises hat or lowers check (statement (1)), so no gap grows and a stale
-    key is a lower bound on the fresh one.  The top is re-scored on
-    ``current`` and taken once its fresh key is still at most the next key;
-    otherwise it goes back.  This picks exactly the largest gap, ties going
-    to the lexicographically first pair (lazy greedy, Minoux 1978).  The
-    interval is built from the hat and check of that last re-score.
+    Each interval is read on ``current`` when its pair is reached, after the
+    caller has adjoined every earlier pair.  Lex takes the sorted pairs;
+    ``random:SEED`` permutes them, drawing each with ``randrange`` over those
+    left.  Maxgap keeps a heap of ``(check - hat, pair)`` from one sweep.  A
+    step never raises hat or lowers check (statement (1)), so no gap grows and
+    a stale key is a lower bound on the fresh one.  The top is re-scored and
+    taken once its fresh key is still at most the next key, else it goes back:
+    this is exactly the largest gap, ties going to the first pair in sorted
+    order (lazy greedy, Minoux 1978), and its interval is from that re-score.
     """
-    if policy != "maxgap":
-        d = remaining.pop(0 if policy == "lex" else rng.randrange(len(remaining)))
-        return d, _interval(current, d)
-    _, d = heapq.heappop(remaining)
-    while True:
-        h, c = shortest_path(current, d.a, d.b), lower_envelope(current, d.a, d.b)
-        fresh = (c - h, d)
-        if not remaining or fresh <= remaining[0]:
-            return d, _interval_from(h, c)
-        _, d = heapq.heapreplace(remaining, fresh)
+    if order == "maxgap":
+        heap = [(-gap, d) for d, gap in _gaps(current).items()]
+        heapq.heapify(heap)
+        while heap:
+            _, d = heapq.heappop(heap)
+            while True:
+                h, c = shortest_path(current, d.a, d.b), lower_envelope(current, d.a, d.b)
+                fresh = (c - h, d)
+                if not heap or fresh <= heap[0]:
+                    break
+                _, d = heapq.heapreplace(heap, fresh)
+            yield d, _interval_from(h, c)
+        return
+    pairs = current.non_edges()
+    if isinstance(order, str) and order.startswith("random:"):
+        rng = random.Random(_seed_of(order))
+        pairs = [pairs.pop(rng.randrange(len(pairs))) for _ in range(len(pairs))]
+    elif order != "lex":
+        raise MalformedInputError(f"unknown order policy {order!r}")
+    for d in pairs:
+        yield d, _interval(current, d)
 
 
 def _bisect_unused(lo, hi, used):
@@ -272,26 +268,6 @@ def _bisect_unused(lo, hi, used):
     return c
 
 
-def _choose_from_set(choice_set, interval, used):
-    """Element of the choice set inside [lo, hi), unused if possible."""
-    lo, hi = interval.lo, interval.hi
-    in_range = sorted(p for p in choice_set.points if lo <= p < hi)
-    for p in in_range:
-        if p not in used:
-            return p
-    for ilo, ihi in choice_set.intervals:
-        top = hi if ihi is None else min(hi, ihi)
-        bottom = max(ilo, lo)
-        if top <= bottom:
-            continue
-        return _bisect_unused(bottom, top, used)
-    if in_range:
-        return in_range[0]  # dense-set injectivity not achievable with points only
-    raise ChoiceSetMissesIntervalError(
-        f"choice set misses admissible interval [{lo}, {hi})", lo=lo, hi=hi
-    )
-
-
 def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTrace:
     """Extend to a full metric, one admissible step per missing pair.
 
@@ -300,18 +276,19 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     (bisecting toward the upper end on collision) for midpoints, and for sets
     that each meet their admissible interval in an open interval, as the
     paper's dense F_e do; a set of points alone may repeat a value.
-    ``_bisect_unused`` and ``_choose_from_set`` return only values in ``[lo, hi)``
+    ``_bisect_unused`` and ``ChoiceSet.pick`` return only values in ``[lo, hi)``
     (``test_extension.py::TestFullExtend::test_every_value_lies_in_its_interval``).
     Every step is adjoined in place into one copy of ``m``, the trace's result.
     """
+    from .game import ChoiceSet  # game imports this module, so this import waits for the first call
+
     _require_floppy(m)
-    policy, rng = _parse_order(order)
+    if choice != "midpoint" and not isinstance(choice, Mapping):
+        raise MalformedInputError(f"choice must be 'midpoint' or a mapping from pair to ChoiceSet, got {choice!r}")
     current = m._copy()
-    remaining = _gap_heap(m) if policy == "maxgap" else m.non_edges()
     used = set()
     steps = []
-    while remaining:
-        d, interval = _next_pair(policy, rng, current, remaining)
+    for d, interval in _steps(current, order):
         if choice == "midpoint":
             value = _bisect_unused(interval.lo, interval.hi, used)
         else:
@@ -319,7 +296,9 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
                 cs = choice[d]
             except KeyError:
                 raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
-            value = _choose_from_set(cs, interval, used)
+            if not isinstance(cs, ChoiceSet):
+                raise MalformedInputError(f"choice for {d} must be a ChoiceSet, got {cs!r}")
+            value = cs.pick(interval.lo, interval.hi, used)
         used.add(value)
         current._adjoin(d, value)
         steps.append(ExtensionStep(d, interval, value))

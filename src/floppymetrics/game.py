@@ -37,8 +37,8 @@ from .core import (
     shortest_path,
     validate,
 )
-from .errors import MalformedInputError, MetricError, MissingChoiceSetError
-from .extension import _interval, _require_floppy
+from .errors import ChoiceSetMissesIntervalError, MalformedInputError, MetricError, MissingChoiceSetError
+from .extension import _bisect_unused, _interval, _require_floppy
 
 PLAYER_I_WINS = "PLAYER_I_WINS"
 PLAYER_II_WINS = "PLAYER_II_WINS"
@@ -86,6 +86,22 @@ class ChoiceSet(_Record):
         if v in self.points:
             return True
         return any(lo < v and (hi is None or v < hi) for lo, hi in self.intervals)
+
+    def pick(self, lo: Fraction, hi: Fraction, used) -> Fraction:
+        """The least point in ``[lo, hi)`` not in ``used``, else ``_bisect_unused`` inside the first
+        interval's part in ``[lo, hi)``, else the least point there: points alone may repeat a value."""
+        in_range = sorted(p for p in self.points if lo <= p < hi)
+        for p in in_range:
+            if p not in used:
+                return p
+        for ilo, ihi in self.intervals:
+            top = hi if ihi is None else min(hi, ihi)
+            bottom = max(ilo, lo)
+            if top > bottom:
+                return _bisect_unused(bottom, top, used)
+        if in_range:
+            return in_range[0]
+        raise ChoiceSetMissesIntervalError(f"choice set misses admissible interval [{lo}, {hi})", lo=lo, hi=hi)
 
     def diameter(self):
         """sup of pairwise distances; math.inf for unbounded sets, whatever their lower bounds."""
@@ -190,8 +206,8 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
     Moves are only checked against their offered sets while the game runs;
     the accumulated relation is validated once, after the last inning.
     """
-    if game_length < 0:
-        raise MalformedInputError(f"game length must be nonnegative, got {game_length}")
+    if not isinstance(game_length, int) or isinstance(game_length, bool) or game_length < 0:
+        raise MalformedInputError(f"game length must be a nonnegative int, got {game_length!r}")
     _require_metric_grade(base)
     moves = []
     for _ in range(game_length):

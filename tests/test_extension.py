@@ -318,6 +318,16 @@ class TestFullExtend:
         with pytest.raises(MissingChoiceSetError):
             full_extend(h_graph, choice=sets)
 
+    @pytest.mark.parametrize("choice", ["random", "lex", 5, None], ids=["random", "lex", "int", "none"])
+    def test_rejects_a_choice_that_is_not_a_mapping(self, h_graph, choice):
+        with pytest.raises(MalformedInputError, match="choice must be 'midpoint' or a mapping"):
+            full_extend(h_graph, choice=choice)
+
+    def test_rejects_a_choice_value_that_is_not_a_choice_set(self, h_graph):
+        sets = {d: "x" for d in h_graph.non_edges()}
+        with pytest.raises(MalformedInputError, match="must be a ChoiceSet"):
+            full_extend(h_graph, choice=sets)
+
     def test_choice_set_misses_interval(self, h_graph):
         sets = {d: ChoiceSet.of_points(Fraction(1, 100)) for d in h_graph.non_edges()}
         with pytest.raises(ChoiceSetMissesIntervalError):

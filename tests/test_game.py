@@ -196,6 +196,11 @@ class TestReferee:
         assert t.reason.kind == "POLYGONAL_VIOLATION"
         assert t.reason.detail["chain"] == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("length", [True, 1.5, "3", None], ids=["bool", "float", "str", "none"])
+    def test_rejects_a_length_that_is_not_an_int(self, h_graph, length):
+        with pytest.raises(MalformedInputError, match="game length must be a nonnegative int"):
+            play(h_graph, length, winning_player_one(h_graph), RandomSecondPlayer(0))
+
     def test_requires_graph_metric_base(self):
         bad = PartialMetric(
             ["a", "b", "c"],

@@ -20,6 +20,7 @@ import pytest
 
 from floppymetrics import PartialMetric, Patchwork, dump_metric, pair, patchwork_to_doc
 from floppymetrics.cli import main
+from floppymetrics.extension import full_extend
 from floppymetrics.game import ChoiceSet, replay_sabotage, sabotage_witness
 from floppymetrics.generators import cantor_tree
 
@@ -97,10 +98,20 @@ def _library_documents():
     sets = {d: ChoiceSet.of_points(1, 100) for d in PATH_ABCD.non_edges()}
     plan = sabotage_witness(PATH_ABCD, sets)
     mixed = ChoiceSet(points=["5/2", "1"], intervals=[("1/3", "1/2"), (7, None)])
+    ay, bx, xy = H_GRAPH.non_edges()
+    # In lex order: {a,y} takes the unused point 21/2, {b,x} has only that point left in
+    # its interval and reuses it, and {x,y} bisects inside its interval (1/2, 45/4).
+    choice = {
+        ay: ChoiceSet.of_points(1, "21/2"),
+        bx: ChoiceSet.of_points("21/2", 50),
+        xy: ChoiceSet(points=[3], intervals=[("1/2", "45/4")]),
+    }
     return {
         "sabotage_plan": plan.to_json(),
         "sabotage_replay": replay_sabotage(PATH_ABCD, sets, plan).to_json(),
         "choice_set": mixed.to_json(),
+        "extend_random7": full_extend(cantor_tree(3), order="random:7").to_json(),
+        "extend_choice_map": full_extend(H_GRAPH, choice=choice).to_json(),
     }
 
 
