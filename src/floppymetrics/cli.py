@@ -183,9 +183,9 @@ def main(argv=None) -> int:
             text, code = _encode(args.func(args)), 0
         except MetricError as exc:
             text, code = _encode(exc), 2 if isinstance(exc, MalformedInputError) else 1
-    except ValueError:
-        # CPython will not write an integer longer than sys.get_int_max_str_digits()
-        # digits, in a result or in an error's message or details.
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # CPython's digit limit, in a result or an error
+            raise
         text, code = _encode(MalformedInputError(
             "the result cannot be written: an integer in it is too long; set the environment variable"
             " PYTHONINTMAXSTRDIGITS to a higher digit limit, or to 0 for none")), 2

@@ -10,9 +10,9 @@ a graph over labeled vertices.  From it we derive
 
 All arithmetic is exact: ``fractions.Fraction`` at the API, integers over a
 common denominator inside the kernel, and no floats anywhere in this module.
-``None`` marks a pair that no chain connects (the paper's +infinity), in the
-table and in the envelope rows alike.  Verdicts like floppiness hinge on
-strict inequalities, so rounding is never acceptable.
+``None`` marks a pair that no chain connects (the paper's +infinity) in the
+table and envelope rows built cold; the relaxation never meets one.  Verdicts
+like floppiness hinge on strict inequalities, so rounding is never acceptable.
 
 One kernel serves all three.  Each metric keeps ``L``, a common denominator
 of its weights (the LCM of their denominators), and caches an n x n list
@@ -38,8 +38,8 @@ One O(n) scan finds the vertices that now reach i, or j, more cheaply
 across the edge, the table update is the block of those two sets, and each
 affected row rises only where the far endpoint's row beats the near one's.
 The cost is O(n) plus the affected block, a few entries along
-``full_extend`` and the game.  A copy carries the table together with every
-row, or neither, so an adjoin relaxes both or writes the edge alone.
+``full_extend`` and the game.  Only a connected metric, the only kind grown
+in place, gives a copy its table and rows; every other copy starts cold.
 ``with_edge`` is a copy and one adjoin, and ``full_extend``, the winning
 strategy and ``minimal_floppy_extension`` each adjoin into one copy;
 reweighting an edge builds a new, cold metric instead.  A new weight
@@ -135,7 +135,7 @@ class PartialMetric:
     and every vertex's max-plus envelope row, both ints times ``_scale``, are
     built lazily and cached.  ``_floppy`` holds the ``FloppyReport`` once
     ``is_floppy`` has swept the metric.  A copy shares the vertex index and
-    owns its edge dict, the table and rows if the parent has both, and no report.
+    owns its edge dict, the table and rows of a connected parent, and no report.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_scale", "_dist", "_rows", "_floppy")
@@ -212,21 +212,21 @@ class PartialMetric:
         return out
 
     def _copy(self) -> "PartialMetric":
-        """An instance with its own edge dict, no report, and its own table and rows if both are cached."""
+        """A copy with its own edge dict, no report, and its own table and rows if both are cached and connected."""
         out = PartialMetric.__new__(PartialMetric)
         out._vertices = self._vertices
         out._edges = dict(self._edges)
         out._index = self._index
         out._scale = self._scale
-        out._dist, out._rows = ([list(r) for r in t] if self._rows else None for t in (self._dist, self._rows))
+        out._dist = out._rows = None
+        # row 0 has no None exactly when each b has an edge ab from 0's component: connected, n >= 2
+        if self._rows is not None and None not in self._rows[0]:
+            out._dist, out._rows = [list(r) for r in self._dist], [list(r) for r in self._rows]
         out._floppy = None
         return out
 
     def _adjoin(self, d: Doubleton, w):
-        """Write ``d``, not an edge yet (callers adjoin only missing pairs), at weight ``w`` into this ``_copy``.
-
-        A carried table and rows are relaxed in place (``_relax_through``); a copy has no report to drop.
-        """
+        """Write ``d``, a missing pair, at weight ``w`` into this ``_copy``; relax its carried table and rows in place."""
         w = _admit_edge(self._vertices, d, w)
         self._edges[d] = w
         scale = math.lcm(self._scale, w.denominator)
@@ -287,8 +287,8 @@ def _all_pairs_shortest(index, edges, scale):
 def _relax_through(dist, rows, i: int, j: int, w: int):
     """Relax the distance table and envelope rows, in place, through a new edge ``ij`` of weight ``w``.
 
-    ``w``, the table and the rows are ints times the metric's common
-    denominator; ``_adjoin`` has already rescaled the lists to it.
+    ``w`` and the lists are ints times the metric's common denominator, which
+    ``_adjoin`` has rescaled them to, and none is ``None``: the metric is connected.
 
     A shortest chain uses the new edge at most once, so
     hat'(u, v) = min(hat(u, v), hat(u, i) + w + hat(j, v), hat(u, j) + w + hat(i, v)),
@@ -296,7 +296,7 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
     R'_u = max(R_u, R_j - (hat(u, i) + w), R_i - (hat(u, j) + w)) plus the new
     edge's two orientations, R'_u[j] >= w - hat'(u, i) and R'_u[i] >= w - hat'(u, j).
     Only the pairs the new edge can shorten are touched.  One O(n) scan of
-    rows i and j builds the affected sets (``None`` is +inf)
+    rows i and j builds the affected sets
 
         S_i = {v : hat(j, v) + w < hat(i, v)},  S_j = {v : hat(i, v) + w < hat(j, v)},
 
@@ -317,14 +317,13 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
     hat(j, i) + w < 0), nor j in S_j, so the block S_j x S_i writes neither
     column i nor row j, the only entries it reads outside itself, and its
     mirror neither column j nor row i.  Row i may lie in S_j, so both lifts
-    are read before any envelope row is written.  ``rows`` is the whole row
-    cache.
+    are read before any envelope row is written.
     """
     s_i, s_j = [], []
     for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
-        if hj is not None and (hi is None or hj + w < hi):
+        if hj + w < hi:
             s_i.append(v)
-        elif hi is not None and (hj is None or hi + w < hj):
+        elif hi + w < hj:
             s_j.append(v)
     sides = ((s_j, s_i, i, j), (s_i, s_j, j, i))  # (rows u, columns v, near, far): u -> near -> far -> v
     for us, vs, near, far in sides:
@@ -334,25 +333,25 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
             via = row[near] + w
             for v in vs:
                 alt = via + hfar[v]
-                if row[v] is None or alt < row[v]:
+                if alt < row[v]:
                     row[v] = alt
-    lifts = [[(b, f - w) for b, (f, g) in enumerate(zip(rows[far], rows[near]))
-              if f is not None and (g is None or f - w > g)] for _, _, near, far in sides]
+    lifts = [[(b, f - w) for b, (f, g) in enumerate(zip(rows[far], rows[near])) if f - w > g]
+             for _, _, near, far in sides]
     for (us, _, near, _), lift in zip(sides, lifts):
         for u in us:
             row, hat = rows[u], dist[u][near]
             for b, f in lift:
-                if row[b] is None or f - hat > row[b]:
+                if f - hat > row[b]:
                     row[b] = f - hat
     for r, new in zip(rows, dist):
         for b, h in ((j, new[i]), (i, new[j])):
-            if h is not None and (r[b] is None or w - h > r[b]):
+            if w - h > r[b]:
                 r[b] = w - h
 
 
 def _lifted(rows, k: int):
-    """Table or envelope rows times ``k``, as new lists (``None`` stays ``None``)."""
-    return [[None if v is None else v * k for v in r] for r in rows]
+    """Table or envelope rows of a connected metric times ``k``, as new lists."""
+    return [[v * k for v in r] for r in rows]
 
 
 def _envelope_rows(m: PartialMetric):

@@ -217,11 +217,11 @@ class ExtensionTrace(_Record):
 
 
 def _seed_of(spec: str) -> int:
-    """The SEED of a ``random:SEED`` option."""
-    try:
-        return int(spec.split(":", 1)[1])
-    except ValueError:
-        raise MalformedInputError(f"{spec!r} needs an integer seed, as in 'random:0'") from None
+    """The SEED of a ``random:SEED`` option, ASCII digits only: ``int()`` would also read signs, spaces and ``_``."""
+    seed = spec.split(":", 1)[1]
+    if not (seed.isascii() and seed.isdigit()):
+        raise MalformedInputError(f"{spec!r} needs a seed of ASCII digits, as in 'random:0'")
+    return as_rational(seed).numerator  # which rejects more digits than int() reads
 
 
 def _steps(current: PartialMetric, order):

@@ -9,6 +9,7 @@ import pytest
 from floppymetrics import (
     dump_metric, metric_from_doc, metric_to_doc, pair, patchwork_to_doc, path_metric, Patchwork, PartialMetric,
 )
+from floppymetrics import cli
 from floppymetrics.cli import main
 from floppymetrics.errors import MalformedInputError
 from floppymetrics.serialize import choice_map_from_doc
@@ -300,6 +301,10 @@ class TestGen:
         assert out == "" and "unrecognized arguments" in err
 
 
+# random:SEED takes ASCII digits only; int() reads each of these as a number
+SEEDS_NOT_DIGITS = {"1_0": "underscore", " 10 ": "spaces", "+10": "plus", "-1": "negative", "\u0661\u0660": "arabic-indic"}
+
+
 class TestMalformedInput:
     """Input the CLI cannot use exits 2 with ``REJECT_MALFORMED`` on stdout and
     nothing on stderr."""
@@ -322,11 +327,14 @@ class TestMalformedInput:
             ["step", "--pair", "x,y", "--r", "10.5", "{h}"],
             ["gen", "path", "--scale", "1.5"],
             ["validate", "{decimal_weight}"],
+            *(["extend", "--order", f"random:{seed}", "{h}"] for seed in SEEDS_NOT_DIGITS),
+            *(["game", "play", "--p2", f"random:{seed}", "{h}"] for seed in SEEDS_NOT_DIGITS),
         ],
         ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
              "order-random-empty", "p2-random-x", "negative-lambda", "edge-labels-not-strings",
              "set-file-points-string", "glue-hat-gateway-disagreement", "glue-pieces-object",
-             "glue-list-doc", "decimal-r", "decimal-scale", "decimal-weight"],
+             "glue-list-doc", "decimal-r", "decimal-scale", "decimal-weight",
+             *(f"{option}-seed-{name}" for option in ("order", "p2") for name in SEEDS_NOT_DIGITS.values())],
     )
     def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
         files = {"h": h_file}
@@ -413,6 +421,15 @@ class TestUnprintableResult:
 
     def test_small_values_of_the_same_metric_still_print(self, capsys, big_file):
         assert run(capsys, "query", "--check", "a", "c", big_file) == (0, {"value": "0"})
+
+    def test_other_value_errors_surface(self, monkeypatch):
+        """Only CPython's integer-string limit is caught; any other ``ValueError`` is a bug and escapes."""
+        def broken(depth):
+            raise ValueError("some bug")
+
+        monkeypatch.setattr(cli, "cantor_tree", broken)
+        with pytest.raises(ValueError, match="some bug"):
+            main(["gen", "cantor"])
 
 
 class TestInputFiles:

@@ -235,6 +235,8 @@ class TestFullExtend:
             full_extend(h_graph, order="fifo")
         with pytest.raises(MalformedInputError):  # a random order needs its seed, "random:SEED"
             full_extend(h_graph, order="random")
+        with pytest.raises(MalformedInputError):  # SEED is ASCII digits; int() would read "1_0" as 10
+            full_extend(h_graph, order="random:1_0")
 
     def test_maxgap_reads_each_chosen_pair_once(self, monkeypatch):
         """Cantor depth 4's 367 maxgap steps re-score 1,721 heap tops; the

@@ -10,7 +10,8 @@ through max-plus rows that a metric builds, carries and caches whole.  These tes
   label-keyed table, kept here as the reference implementation.
 
 ``TestCarriedRows`` covers the envelope rows that ``with_edge`` copies carry
-over from a parent that holds all of its rows or none.
+over from a connected parent that holds all of its rows, and the cold copies
+of every other parent.
 ``TestIntegerRows`` covers the common denominator those rows are scaled by,
 when a chain brings in new denominators, also ones past the float range, and
 weights whose values pass the float range between components.
@@ -47,6 +48,7 @@ from floppymetrics import (
     shortest_path,
     validate,
 )
+from floppymetrics.core import _envelope_rows
 from floppymetrics.errors import DisconnectedError
 
 from conftest import brute_check, brute_hat, metric_state, random_connected_graph
@@ -169,14 +171,14 @@ class TestAgainstPerEdgeScan:
         Envelopes are queried at every link, so rows are built on derived
         tables too.  Chains add arbitrary weights (also zero, and edges that
         join components) and occasionally replace an existing edge.  A copy
-        carries the table only together with the rows, so the first link's
-        parent gets both.
+        carries the table only together with the rows, and only from a
+        connected parent, so the first link's parent gets both.
         """
         rng = random.Random(4204)
         for trial in range(12):
             m = random_graph(rng, rng.randrange(3, 10), 0.2, zero_share=0.15)
             validate(m)  # builds m's table
-            lower_envelope(m, *sorted(m.vertices)[:2])  # and its rows; every later link then has both to relax
+            lower_envelope(m, *sorted(m.vertices)[:2])  # and its rows; each connected link relaxes both
             for link in range(6):
                 if m.edges and rng.random() < 0.15:
                     d = rng.choice(sorted(m.edges))
@@ -187,6 +189,12 @@ class TestAgainstPerEdgeScan:
                     d = rng.choice(missing)
                 m = m.with_edge(d, random_weight(rng, zero_share=0.15))
                 assert_matches_reference(m, (trial, link))
+
+
+def assert_no_infinity(m, label=""):
+    """A connected metric's table and rows, carried or built, hold no ``None``."""
+    for cache in (m._dist, m._rows):
+        assert cache is None or all(None not in row for row in cache), label
 
 
 def cache_rows(m, mode):
@@ -249,7 +257,7 @@ def cross_component_pairs(m):
 
 class TestCarriedRows:
     """A metric builds its envelope rows whole, and with_edge carries all of
-    the parent's rows through the new edge, or none.
+    a connected parent's rows through the new edge, or none.
 
     Every copy, parent and sibling is compared with ``reference_envelope``
     over ``reference_table`` after the whole chain is built.
@@ -268,6 +276,7 @@ class TestCarriedRows:
             m = random_connected_graph(rng, rng.randrange(3, 11), extra_edges=rng.randrange(0, 8))
             for k, link in enumerate(grow_chain(rng, m, 6)):
                 assert_matches_reference(link, (trial, k))
+                assert_no_infinity(link, (trial, k))
 
     def test_component_joins(self):
         rng = random.Random(4402)
@@ -289,6 +298,7 @@ class TestCarriedRows:
             m = random_connected_graph(rng, rng.randrange(3, 10), extra_edges=rng.randrange(0, 6))
             for k, link in enumerate(grow_chain(rng, m, 6, replace_share=0.3)):
                 assert_matches_reference(link, (trial, k))
+                assert_no_infinity(link, (trial, k))
 
     def test_which_rows_are_carried(self):
         """All rows carry from a fully cached parent; none from a cold one or
@@ -303,6 +313,24 @@ class TestCarriedRows:
         assert [list(row) for row in full._rows] == snapshot
         assert cache_rows(m, "none").with_edge(d, 1)._rows is None
         assert full.with_edge(sorted(m.edges)[0], 1)._rows is None
+
+    def test_disconnected_metric_copies_cold(self):
+        """A metric with a vertex that no edge reaches keeps ``None`` in its
+        caches, so its copies and ``with_edge`` children start cold, even from
+        a fully cached parent; one vertex alone has no edge and copies cold too."""
+        rng = random.Random(4409)
+        metrics = [PartialMetric(["a"], {}), PartialMetric(["a", "b", "c"], {pair("a", "b"): 1})]
+        for _ in range(8):
+            m = random_graph(rng, rng.randrange(3, 10), 0.4, zero_share=0.2)
+            metrics.append(PartialMetric([*m.vertices, "z"], m.edges))  # z is isolated
+        for trial, m in enumerate(metrics):
+            _envelope_rows(m)  # builds the table and every row
+            children = [m._copy()]
+            if m.non_edges():
+                children.append(m.with_edge(rng.choice(m.non_edges()), random_weight(rng)))
+            for child in children:
+                assert (child._dist, child._rows) == (None, None), trial
+                assert_matches_reference(child, trial)
 
     @pytest.mark.parametrize("warm", [is_floppy, validate, None], ids=["is_floppy", "validate", "cold"])
     def test_table_travels_with_the_rows(self, warm):
