@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from . import serialize
 from .core import _jsonable, as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
 from .errors import MalformedInputError, MetricError
-from .extension import _seed_of, full_extend, one_step_extend, verify_step_properties
+from .extension import _digits, _seed_of, full_extend, one_step_extend, verify_step_properties
 from .game import adversary_player_two, play, winning_player_one
 from .game import ProbeSecondPlayer, RandomSecondPlayer
 from .generators import cantor_tree, complete_metric, cycle_metric, path_metric, random_floppy, star_metric
 from .glue import floppy_certificate, glue, glue_hat, validate_patchwork
-from .serialize import _ESCAPES, _parse_pair, metric_to_dot
+from .serialize import _ESCAPES, _dumps, _parse_pair, metric_to_dot
 
 
 def _cmd_validate(args):
@@ -90,6 +89,11 @@ def _cmd_glue(args):
     return glue(pw)
 
 
+def _count(text: str) -> int:
+    """An integer option's value, ASCII digits only: ``int()`` would also read signs, spaces and ``_``."""
+    return _digits(text, "an integer option")
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -135,7 +139,7 @@ def _build_parser():
     p = sub.add_parser("game", help="play the metric-extending game")
     p.add_argument("action", choices=["play"])
     p.add_argument("--p2", default="random:0", help="random:SEED | adversary | low | high | mid")
-    p.add_argument("--lambda", dest="game_length", type=int, default=None, help="number of innings")
+    p.add_argument("--lambda", dest="game_length", type=_count, default=None, help="number of innings")
     p.add_argument("file")
     p.set_defaults(func=_cmd_game)
 
@@ -151,17 +155,17 @@ def _build_parser():
     p.set_defaults(func=lambda a: a.make(a))
     kinds = p.add_subparsers(dest="kind", required=True)  # each kind takes only its own options
     k = kinds.add_parser("cantor", help="truncated Cantor tree")
-    k.add_argument("--depth", type=int, default=2)
+    k.add_argument("--depth", type=_count, default=2)
     k.set_defaults(make=lambda a: cantor_tree(a.depth))
     for kind, gen in (("path", path_metric), ("cycle", cycle_metric), ("star", star_metric), ("complete", complete_metric)):
         k = kinds.add_parser(kind, help=f"{kind} on n vertices, edges of weight scale")
-        k.add_argument("--n", type=int, default=4)
+        k.add_argument("--n", type=_count, default=4)
         k.add_argument("--scale", default="1")
         k.set_defaults(make=lambda a, gen=gen: gen(a.n, as_rational(a.scale)))
     k = kinds.add_parser("random", help="seeded random floppy metric")
-    k.add_argument("--n", type=int, default=4)
+    k.add_argument("--n", type=_count, default=4)
     k.add_argument("--density", default="1/2")
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=_count, default=0)
     k.add_argument("--scale", default="1")
     k.set_defaults(make=lambda a: random_floppy(a.n, as_rational(a.density), a.seed, scale=as_rational(a.scale)))
 
@@ -169,20 +173,18 @@ def _build_parser():
 
 
 def _encode(result) -> str:
-    return result if isinstance(result, str) else json.dumps(_jsonable(result), indent=2)
+    return result if isinstance(result, str) else _dumps(_jsonable(result))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
     try:
         try:
+            args = _build_parser().parse_args(argv)  # a digits-only option raises MalformedInputError here
             text, code = _encode(args.func(args)), 0
         except MetricError as exc:
             text, code = _encode(exc), 2 if isinstance(exc, MalformedInputError) else 1
+    except SystemExit as exc:  # argparse: usage error, or --help
+        return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:
         if "integer string conversion" not in str(exc):  # CPython's digit limit, in a result or an error
             raise

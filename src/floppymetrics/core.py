@@ -17,7 +17,8 @@ like floppiness hinge on strict inequalities, so rounding is never acceptable.
 One kernel serves all three.  Each metric keeps ``L``, a common denominator
 of its weights (the LCM of their denominators), and caches an n x n list
 table of hat values as ints times ``L`` over its sorted vertex index, built
-by an integer Floyd-Warshall.  Envelopes come from per-vertex max-plus rows
+by an integer Floyd-Warshall that relaxes each pair once and mirrors it.
+Envelopes come from per-vertex max-plus rows
 ``R_x[b] = max over edges ab of w(ab) - hat(x, a)``, also ints times ``L``.
 The first envelope query builds every vertex's row in one O(n|E|) pass and
 the metric caches them whole, so
@@ -29,17 +30,20 @@ non-edge.  Whole-metric questions sweep every pair on the cached table and
 rows, so checking every non-edge costs O(n|E| + n^3) integer operations:
 ``is_floppy`` and ``minimal_floppy_extension`` here, and for other modules
 ``_gaps`` (the maxgap order, the certificate bounds) and ``_step_reads``
-(the step statements).  No other module reads the table, the rows, the
-index or ``L``.
+(the step statements).  ``_hat_check`` hands one pair's hat and check to
+other modules as ints with their ``L`` (each extension step's interval).  No
+other module reads the table, the rows, the index or ``L``.
 
 A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
 own dict, table and rows in place, touching only the pairs it can shorten.
 One O(n) scan finds the vertices that now reach i, or j, more cheaply
-across the edge, the table update is the block of those two sets, and each
-affected row rises only where the far endpoint's row beats the near one's.
-The cost is O(n) plus the affected block, a few entries along
-``full_extend`` and the game.  Only a connected metric, the only kind grown
-in place, gives a copy its table and rows; every other copy starts cold.
+across the edge and writes the new edge into every envelope row, the table
+update is the block of those two sets, and each affected row rises only
+where the far endpoint's row beats the near one's, entries that one more
+O(n) scan of rows i and j finds.  The cost is O(n) plus the affected
+block, a few entries along ``full_extend`` and the game.  Only a connected
+metric, the only kind grown in place, gives a copy its table and rows;
+every other copy starts cold.
 ``with_edge`` is a copy and one adjoin, and ``full_extend``, the winning
 strategy and ``minimal_floppy_extension`` each adjoin into one copy;
 reweighting an edge builds a new, cold metric instead.  A new weight
@@ -49,6 +53,7 @@ keeps its ``is_floppy`` report once one is made; a copy starts without one.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Iterable, Mapping
@@ -66,7 +71,7 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_rational(value) -> Fraction:
@@ -76,15 +81,16 @@ def as_rational(value) -> Fraction:
     with spaces, decimals or exponents are rejected, so a value is never
     larger than its text: ``"1e100000000"`` would be a 330-million-bit integer.
     """
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        p, q = match.groups()
+        try:
+            return Fraction(int(p), int(q or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
+            raise MalformedInputError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
-            raise MalformedInputError(f"not a rational: {value!r}") from exc
     raise MalformedInputError(f"not a rational: {value!r} (an int, or a string n or p/q)")
 
 
@@ -163,7 +169,7 @@ class PartialMetric:
                     raise MalformedInputError(f"edge pair must be a Doubleton or a (u, v) tuple or list, got {d!r}")
                 d = Doubleton(*d)
             w = _admit_edge(vset, d, raw)
-            if emap.setdefault(d, w) != w:
+            if (kept := emap.setdefault(d, w)) is not w and kept != w:
                 raise MalformedInputError(f"duplicate edge {d} with conflicting weights")
         self._vertices = vset
         self._edges = emap
@@ -249,7 +255,7 @@ def _admit_edge(vertices, d: Doubleton, raw) -> Fraction:
     if d.a not in vertices or d.b not in vertices:
         raise MalformedInputError(f"edge {d} has an endpoint outside the vertex set")
     w = as_rational(raw)
-    if w < 0:
+    if w.numerator < 0:
         raise MalformedInputError(f"edge {d} has negative weight {w}")
     return w
 
@@ -258,7 +264,10 @@ def _all_pairs_shortest(index, edges, scale):
     """Floyd-Warshall on integers scaled by ``scale``, a common denominator of the weights.
 
     Exact: every chain weight times ``scale`` is an integer.  Unreachable
-    pairs are ``None``.
+    pairs are ``None``.  The table is symmetric, so each round relaxes only
+    the pairs i < j and mirrors every write, half the inner loop.  Round k
+    leaves row and column k as they are (their relaxations add hat(k, k) = 0),
+    so each pair reads its two round-k entries unchanged in either orientation.
     """
     n = len(index)
     big = 1 + sum(w.numerator * (scale // w.denominator) for w in edges.values())
@@ -272,15 +281,15 @@ def _all_pairs_shortest(index, edges, scale):
             dist[i][j] = dist[j][i] = s
     for k in range(n):
         dk = dist[k]
-        for i in range(n):
+        for i in range(n - 1):
             di = dist[i]
             dik = di[k]
             if dik == big:
                 continue
-            for j in range(n):
+            for j in range(i + 1, n):
                 alt = dik + dk[j]
                 if alt < di[j]:
-                    di[j] = alt
+                    di[j] = dist[j][i] = alt
     return [[None if s == big else s for s in row] for row in dist]
 
 
@@ -300,31 +309,49 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
 
         S_i = {v : hat(j, v) + w < hat(i, v)},  S_j = {v : hat(i, v) + w < hat(j, v)},
 
-    which are disjoint because ``w >= 0``.  The table is symmetric, so the
-    rows whose chains route through i are exactly S_j, and in those rows only
-    the columns in S_i can drop: for v outside S_i,
-    hat(u, i) + w + hat(j, v) >= hat(u, i) + hat(i, v) >= hat(u, v).
+    which are disjoint because ``w >= 0``.  The same scan knows
+    hat'(v, i) = min(hat(v, i), hat(v, j) + w) and its mirror for j, so it
+    also writes the new edge's two orientations into every envelope row v.
+    The table is symmetric, so the rows whose chains route through i are
+    exactly S_j, and in those rows only the columns in S_i can drop: for v
+    outside S_i, hat(u, i) + w + hat(j, v) >= hat(u, i) + hat(i, v) >= hat(u, v).
     So the update is the block S_j x S_i and its mirror S_i x S_j.
 
     For the envelope rows, R_u[b] >= R_i[b] - hat(u, i) for every u (an edge
     ab seen from u costs at most hat(u, i) more than from i).  So a row u in
     S_j can rise only at the entries b with R_j[b] - w > R_i[b], and a row in
-    S_i only where R_i[b] - w > R_j[b]; only those b are scanned.  The new
-    edge's two orientations are set in every row.  The cost is O(n) plus the
-    affected block, instead of O((|S_i| + |S_j|) * n).
+    S_i only where R_i[b] - w > R_j[b]; only those b are scanned.  The two
+    sets of entries are disjoint, as ``w >= 0``, so one scan of rows i and j
+    finds both.  The cost is two O(n) scans plus the affected block, instead
+    of O((|S_i| + |S_j|) * n).
 
-    In place, no read sees a write: i is not in S_i (that needs
+    In place, the table block reads no write: i is not in S_i (that needs
     hat(j, i) + w < 0), nor j in S_j, so the block S_j x S_i writes neither
     column i nor row j, the only entries it reads outside itself, and its
-    mirror neither column j nor row i.  Row i may lie in S_j, so both lifts
-    are read before any envelope row is written.
+    mirror neither column j nor row i.  The envelope rows only rise, each
+    by a max with a lower bound on its final value, so their writes may
+    come in any order; the lifts read rows i and j after the scan has
+    written the new edge into them (row u in S_j below; S_i is the mirror).
+    A lift term stays a lower bound: R'_u[b] >= R'_j[b] - hat'(u, j) and
+    hat'(u, j) <= hat(u, i) + w.  A term R_j[b] - w - hat(u, i) that the
+    lift now skips, because R_j[b] - w <= R'_j[b] - w <= R'_i[b], is
+    already dominated.  Where R'_i[b] = R_i[b], R_i[b] - hat(u, i) <= R_u[b];
+    else R'_i[b] is a new-edge term, at b = j it is w, and
+    w - hat(u, i) <= w - hat'(u, i), at b = i it is w - hat'(i, j), and
+    w - hat'(i, j) - hat(u, i) <= w - hat'(u, j): terms the scan wrote into row u.
     """
     s_i, s_j = [], []
-    for v, (hi, hj) in enumerate(zip(dist[i], dist[j])):
+    for v, (hi, hj, r) in enumerate(zip(dist[i], dist[j], rows)):
         if hj + w < hi:
             s_i.append(v)
+            hi = hj + w
         elif hi + w < hj:
             s_j.append(v)
+            hj = hi + w
+        if w - hi > r[j]:
+            r[j] = w - hi
+        if w - hj > r[i]:
+            r[i] = w - hj
     sides = ((s_j, s_i, i, j), (s_i, s_j, j, i))  # (rows u, columns v, near, far): u -> near -> far -> v
     for us, vs, near, far in sides:
         hfar = dist[far]
@@ -335,18 +362,18 @@ def _relax_through(dist, rows, i: int, j: int, w: int):
                 alt = via + hfar[v]
                 if alt < row[v]:
                     row[v] = alt
-    lifts = [[(b, f - w) for b, (f, g) in enumerate(zip(rows[far], rows[near])) if f - w > g]
-             for _, _, near, far in sides]
+    lifts = [], []  # (b, R'_far[b] - w) for the rows of each side
+    for b, (f, g) in enumerate(zip(rows[j], rows[i])):
+        if f - w > g:
+            lifts[0].append((b, f - w))
+        elif g - w > f:
+            lifts[1].append((b, g - w))
     for (us, _, near, _), lift in zip(sides, lifts):
         for u in us:
             row, hat = rows[u], dist[u][near]
             for b, f in lift:
                 if f - hat > row[b]:
                     row[b] = f - hat
-    for r, new in zip(rows, dist):
-        for b, h in ((j, new[i]), (i, new[j])):
-            if w - h > r[b]:
-                r[b] = w - h
 
 
 def _lifted(rows, k: int):
@@ -424,6 +451,8 @@ def _doubleton(ta, tb, i: int, j: int, p, q) -> int:
 
 def _index_of(m: PartialMetric, v) -> int:
     """Table index of vertex ``v``; ``UnknownVertexError`` if ``m`` has no such vertex."""
+    if not isinstance(m, PartialMetric):
+        raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
     try:
         return m._index[v]
     except KeyError:
@@ -492,6 +521,16 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     return Fraction(_check(_envelope_rows(m)[i], m._table()[j]), m._scale)
 
 
+def _hat_check(m: PartialMetric, xy: Doubleton):
+    """``(hat(x, y), check(x, y), L)`` as ints, the first two times ``L``; ``m`` must be connected.
+
+    The reads of ``shortest_path`` and ``lower_envelope`` without their Fractions.
+    """
+    i, j = _index_of(m, xy.a), _index_of(m, xy.b)
+    t = m._table()
+    return t[i][j], _check(_envelope_rows(m)[i], t[j]), m._scale
+
+
 def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction):
     """What the step statements read of ``m`` and ``m.with_edge(xy, r)``, as ints over the extension's L'.
 
@@ -544,7 +583,12 @@ class _Record:
     """Base of the result dataclasses: ``to_json`` writes the fields in declaration order."""
 
     def to_json(self):
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        return {name: _jsonable(getattr(self, name)) for name in _field_names(type(self))}
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -561,6 +605,8 @@ def validate(m: PartialMetric) -> ValidationReport:
     A weight function is a graph pseudometric exactly when every edge weight
     equals the induced shortest-chain distance between its endpoints.
     """
+    if not isinstance(m, PartialMetric):
+        raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
     t, index, scale = m._table(), m._index, m._scale
     n = len(t)
     connected = None not in t[0]

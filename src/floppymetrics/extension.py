@@ -27,6 +27,7 @@ from .core import (
     PartialMetric,
     _Record,
     _gaps,
+    _hat_check,
     _jsonable,
     _step_reads,
     as_rational,
@@ -71,13 +72,17 @@ def _require_floppy(m: PartialMetric):
         )
 
 
-def _interval_from(h: Fraction, c: Fraction) -> AdmissibleInterval:
-    """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed."""
-    return AdmissibleInterval(c / 3 + 2 * h / 3, h)
+def _interval_from(h, c, scale=1) -> AdmissibleInterval:
+    """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed, for hat and check over ``scale``.
+
+    Fractions take ``scale=1``; the ints of ``core._hat_check`` take their L,
+    and build each bound as one Fraction.
+    """
+    return AdmissibleInterval(Fraction(c + 2 * h, 3 * scale), Fraction(h, scale))
 
 
 def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
-    return _interval_from(shortest_path(m, xy.a, xy.b), lower_envelope(m, xy.a, xy.b))
+    return _interval_from(*_hat_check(m, xy))
 
 
 def _require_in_closed_range(m: PartialMetric, xy: Doubleton, r: Fraction):
@@ -216,12 +221,16 @@ class ExtensionTrace(_Record):
     result: PartialMetric
 
 
+def _digits(text: str, what: str) -> int:
+    """``text`` as an int, ASCII digits only: ``int()`` would also read signs, spaces, ``_`` and other digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedInputError(f"{what} needs ASCII digits, got {text!r}")
+    return as_rational(text).numerator  # which rejects more digits than int() reads
+
+
 def _seed_of(spec: str) -> int:
-    """The SEED of a ``random:SEED`` option, ASCII digits only: ``int()`` would also read signs, spaces and ``_``."""
-    seed = spec.split(":", 1)[1]
-    if not (seed.isascii() and seed.isdigit()):
-        raise MalformedInputError(f"{spec!r} needs a seed of ASCII digits, as in 'random:0'")
-    return as_rational(seed).numerator  # which rejects more digits than int() reads
+    """The SEED of a ``random:SEED`` option."""
+    return _digits(spec.split(":", 1)[1], f"the seed of {spec!r}")
 
 
 def _steps(current: PartialMetric, order):

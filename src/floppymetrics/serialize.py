@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .core import Doubleton, PartialMetric
 from .errors import MalformedInputError
@@ -47,7 +48,7 @@ def metric_to_doc(m: PartialMetric) -> dict:
         "vertices": sorted(m.vertices),
         "edges": [
             {"u": d.a, "v": d.b, "w": str(w)}
-            for d, w in sorted(m.edges.items())
+            for d, w in sorted(m.edges.items(), key=lambda e: (e[0].a, e[0].b))
         ],
     }
 
@@ -127,10 +128,28 @@ def load_choice_map(path) -> dict:
     return choice_map_from_doc(_read_json(path))
 
 
+def _dumps(doc, indent="\n") -> str:
+    """``json.dumps(doc, indent=2)`` for str keys, strings, ints, bools, ``None``, lists and tuples.
+
+    The stdlib takes its pure-Python encoder whenever ``indent`` is set; this
+    writer escapes strings with the same C function, ``encode_basestring_ascii``.
+    """
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if isinstance(doc, (list, tuple, dict)):
+        if not doc:
+            return "{}" if isinstance(doc, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(doc, dict):
+            items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in doc.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in doc]) + indent + "]"
+    return json.dumps(doc)  # true, false, null, or an int
+
+
 def dump_metric(m: PartialMetric, path):
     with open(path, "w") as fh:
-        json.dump(metric_to_doc(m), fh, indent=2)
-        fh.write("\n")
+        fh.write(_dumps(metric_to_doc(m)) + "\n")
 
 
 def _dot_id(label: str) -> str:

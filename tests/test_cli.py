@@ -329,12 +329,18 @@ class TestMalformedInput:
             ["validate", "{decimal_weight}"],
             *(["extend", "--order", f"random:{seed}", "{h}"] for seed in SEEDS_NOT_DIGITS),
             *(["game", "play", "--p2", f"random:{seed}", "{h}"] for seed in SEEDS_NOT_DIGITS),
+            *(["gen", "path", "--n", n] for n in ("1_0", " 3", "+3")),
+            ["gen", "cantor", "--depth", "1_0"],
+            ["gen", "random", "--seed", "1_0"],
+            ["game", "play", "--lambda", "1_0", "{h}"],
         ],
         ids=["edges-not-a-list", "set-file-list", "set-file-number-value", "order-random-x",
              "order-random-empty", "p2-random-x", "negative-lambda", "edge-labels-not-strings",
              "set-file-points-string", "glue-hat-gateway-disagreement", "glue-pieces-object",
              "glue-list-doc", "decimal-r", "decimal-scale", "decimal-weight",
-             *(f"{option}-seed-{name}" for option in ("order", "p2") for name in SEEDS_NOT_DIGITS.values())],
+             *(f"{option}-seed-{name}" for option in ("order", "p2") for name in SEEDS_NOT_DIGITS.values()),
+             "gen-n-underscore", "gen-n-space", "gen-n-plus", "gen-depth-underscore", "gen-seed-underscore",
+             "lambda-underscore"],
     )
     def test_rejected_without_traceback(self, capsys, h_file, tmp_path, argv):
         files = {"h": h_file}

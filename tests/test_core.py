@@ -9,6 +9,7 @@ from floppymetrics import (
     PartialMetric,
     as_rational,
     doubleton_dist,
+    full_extend,
     is_floppy,
     lower_envelope,
     minimal_floppy_extension,
@@ -64,6 +65,26 @@ class TestConstruction:
     @pytest.mark.parametrize("text, value", [("7", 7), ("-4/6", Fraction(-2, 3)), ("+3/2", Fraction(3, 2)), ("0", 0)])
     def test_reads_integers_and_ratios(self, text, value):
         assert as_rational(text) == value
+
+    def test_reads_the_grammar_as_fraction_does(self):
+        """``as_rational`` parses the regex's groups itself; ``Fraction(str)`` is the oracle."""
+        rng = random.Random(2201)
+        texts = ["0", "-0", "+0", "007", "-007/0042", "+10/5", "0/3", "-0/1", "1/1", "000/001"]
+        for _ in range(300):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randrange(1, 30)))
+            text = rng.choice(["", "+", "-"]) + rng.choice(["", "0", "00"]) + digits
+            if rng.random() < 0.6:
+                text += "/" + rng.choice(["", "0"]) + str(rng.randrange(1, 10**rng.randrange(1, 25)))
+            texts.append(text)
+        for text in texts:
+            got = as_rational(text)
+            assert type(got) is Fraction and got == Fraction(text), text
+
+    @pytest.mark.parametrize("text", ["1/0", "-5/000", "+0/0", "1" * 4301, "-" + "9" * 4301 + "/2", "2/" + "7" * 4301],
+                             ids=["p-over-0", "zeros", "zero-over-zero", "4301-digits", "4301-digit-p", "4301-digit-q"])
+    def test_rejects_zero_denominators_and_the_digit_limit(self, text):
+        with pytest.raises(MalformedInputError):
+            as_rational(text)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_rejects_bool_weight(self, value):
@@ -138,6 +159,27 @@ class TestConstruction:
         assert rep.connected and rep.full and rep.graph_metric
         assert is_floppy(m).floppy
         assert is_floppy(m).worst_pair is None
+
+
+class TestNotAMetric:
+    """Every grade check and every per-pair query rejects an argument that is not a ``PartialMetric``."""
+
+    CALLS = {
+        "validate": validate,
+        "is_floppy": is_floppy,
+        "full_extend": full_extend,
+        "minimal_floppy_extension": minimal_floppy_extension,
+        "shortest_path": lambda m: shortest_path(m, "a", "b"),
+        "shortest_chain": lambda m: shortest_chain(m, "a", "b"),
+        "lower_envelope": lambda m: lower_envelope(m, "a", "b"),
+        "doubleton_dist": lambda m: doubleton_dist(m, pair("a", "b"), pair("a", "c")),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("arg", [[1, 2], (["a", "b"], {("a", "b"): 1}, True), None], ids=["list", "tuple", "none"])
+    def test_rejected_as_malformed(self, call, arg):
+        with pytest.raises(MalformedInputError):
+            call(arg)
 
 
 class TestValidate:

@@ -460,6 +460,26 @@ class TestIntegerTable:
     ``shortest_path``, ``doubleton_dist`` and ``lower_envelope`` turn its
     values into Fractions."""
 
+    def test_half_table_floyd_warshall_equals_brute_chains(self):
+        """The half-table Floyd-Warshall against ``brute_hat``, on graphs that
+        may be disconnected and may hold zero weights; ``None`` exactly between
+        components, and both orientations of every pair written."""
+        rng = random.Random(4702)
+        for trial in range(40):
+            m = random_graph(rng, rng.randrange(1, 9), rng.choice([0.15, 0.3, 0.5]), zero_share=rng.choice([0, 0.3]))
+            table, index = m._table(), sorted(m.vertices)
+            component = {}
+            for v in index:  # label each component by its least vertex
+                stack = [v]
+                while stack:
+                    u = stack.pop()
+                    if u not in component:
+                        component[u] = v
+                        stack += [b if a == u else a for a, b in m.edges if u in (a, b)]
+            for (i, u), (j, v) in itertools.product(enumerate(index), repeat=2):
+                want = 0 if u == v else brute_hat(m, u, v) * m._scale if component[u] == component[v] else None
+                assert table[i][j] == want, (trial, u, v)
+
     def test_floyd_warshall_builds_ints(self):
         rng = random.Random(4701)
         for trial in range(12):
@@ -697,6 +717,30 @@ class TestRunningMetric:
             before = metric_state(m)
             full_extend(m, order=order)
             assert metric_state(m) == before, n
+
+    def test_long_adjoin_chain_equals_cold_rebuilds(self):
+        """220 ``_adjoin`` steps into one copy; after each, its scale, table and
+        rows equal those a cold metric builds from the same edges.  The weights
+        fall below hat, on it, above it and at zero, and new prime denominators
+        arrive along the chain, so the table and rows are rescaled mid-chain."""
+        rng = random.Random(4802)
+        m = random_connected_graph(rng, 24, extra_edges=10)
+        _envelope_rows(m)  # the copy carries the table and every row
+        current, missing = m._copy(), m.non_edges()
+        rng.shuffle(missing)
+        primes = itertools.cycle([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+        rescales = 0
+        for k, d in enumerate(missing[:220]):
+            h = shortest_path(current, d.a, d.b)
+            q = next(primes) if k % 20 == 0 else rng.choice([1, 2, 3])
+            w = rng.choice([h * Fraction(rng.randrange(1, 8), 8), h - Fraction(1, 1000 * q), h, h + 1, Fraction(0),
+                            Fraction(rng.randrange(1, 40) * q + 1, q)])
+            scale = current._scale
+            current._adjoin(d, max(w, Fraction(0)))
+            rescales += current._scale != scale
+            cold = PartialMetric(current.vertices, current.edges)
+            assert (current._scale, current._dist, current._rows) == (cold._scale, cold._table(), _envelope_rows(cold)), k
+        assert rescales >= 5
 
     def test_minimal_floppy_extension_leaves_its_input(self, collinear_witness):
         m = collinear_witness

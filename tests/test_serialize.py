@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,26 @@ from floppymetrics import (
 from floppymetrics.errors import MalformedInputError
 from floppymetrics.game import ChoiceSet
 from floppymetrics.generators import random_floppy
-from floppymetrics.serialize import choice_map_from_doc, choice_set_from_doc, metric_to_dot
+from floppymetrics.serialize import _dumps, choice_map_from_doc, choice_set_from_doc, metric_to_dot
+
+# non-ASCII (also past the BMP), quotes, backslashes, control characters and plain text
+CHARACTERS = ["a", "Z", "0", " ", ",", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+              "\ufeff", "\U0001f600"]
+
+
+def random_text(rng):
+    return "".join(rng.choice(CHARACTERS) for _ in range(rng.randrange(6)))
+
+
+def random_document(rng, depth=0):
+    """Nested objects and lists, also empty ones, of awkward strings, bools, ``None`` and ints up to 1,000 digits."""
+    roll = rng.random()
+    if depth < 4 and roll < 0.25:
+        return {random_text(rng): random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if depth < 4 and roll < 0.5:
+        items = [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return tuple(items) if roll < 0.3 else items
+    return rng.choice([random_text(rng), True, False, None, rng.randrange(-99, 99), rng.randrange(-10**1000, 10**1000)])
 
 
 class TestMetricDocs:
@@ -77,6 +97,22 @@ class TestMetricDocs:
             ],
         }
         assert metric_from_doc(doc).weight(pair("a", "b")) == 1
+
+
+class TestWriter:
+    """``_dumps``, the writer of the CLI and ``dump_metric``, against ``json.dumps(indent=2)``."""
+
+    def test_equals_the_stdlib(self):
+        rng = random.Random(2202)
+        docs = [{}, [], "", 0, {"": {}}, [[]], [{}, []], metric_to_doc(random_floppy(6, Fraction(1, 2), 3))]
+        docs += [random_document(rng) for _ in range(400)]
+        for doc in docs:
+            assert _dumps(doc) == json.dumps(doc, indent=2), doc
+
+    def test_dump_metric_writes_the_stdlib_bytes(self, tmp_path):
+        m = random_floppy(7, Fraction(1, 2), 5, scale=Fraction(1, 3))
+        dump_metric(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == json.dumps(metric_to_doc(m), indent=2) + "\n"
 
 
 class TestPatchworkDocs:
