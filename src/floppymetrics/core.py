@@ -30,9 +30,13 @@ non-edge.  Whole-metric questions sweep every pair on the cached table and
 rows, so checking every non-edge costs O(n|E| + n^3) integer operations:
 ``is_floppy`` and ``minimal_floppy_extension`` here, and for other modules
 ``_gaps`` (the maxgap order, the certificate bounds) and ``_step_reads``
-(the step statements).  ``_hat_check`` hands one pair's hat and check to
-other modules as ints with their ``L`` (each extension step's interval).  No
-other module reads the table, the rows, the index or ``L``.
+(the step statements).  The sweeps walk table index pairs against the
+edges' index pairs and build a ``Doubleton`` only for a pair they report:
+``is_floppy``'s worst pair, ``_gaps``'s keys, the forced pairs;
+``non_edges`` builds one per non-edge and none per edge.  ``_hat_check``
+hands one pair's hat and check to other modules as ints with their ``L``
+(each extension step, each maxgap re-score, the step entry points' range
+checks).  No other module reads the table, the rows, the index or ``L``.
 
 A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
 own dict, table and rows in place, touching only the pairs it can shorten.
@@ -81,6 +85,11 @@ def as_rational(value) -> Fraction:
     with spaces, decimals or exponents are rejected, so a value is never
     larger than its text: ``"1e100000000"`` would be a 330-million-bit integer.
     """
+    if isinstance(value, str) and value.isascii() and value.isdigit():  # the common case: one int, no gcd
+        try:
+            return Fraction(int(value))
+        except ValueError as exc:  # more digits than int() reads
+            raise MalformedInputError(f"not a rational: {value!r}") from exc
     if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
         p, q = match.groups()
         try:
@@ -94,15 +103,14 @@ def as_rational(value) -> Fraction:
     raise MalformedInputError(f"not a rational: {value!r} (an int, or a string n or p/q)")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Doubleton:
     """Unordered pair of distinct vertex labels, stored in sorted order."""
 
     a: str
     b: str
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a, b):
         if a == b:
             raise MalformedInputError(f"doubleton needs two distinct vertices, got {a!r} twice")
         try:
@@ -110,9 +118,8 @@ class Doubleton:
             hash((a, b))
         except TypeError:
             raise MalformedInputError(f"doubleton labels must hash and compare, got {a!r} and {b!r}") from None
-        if swap:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        object.__setattr__(self, "a", b if swap else a)
+        object.__setattr__(self, "b", a if swap else b)
 
     def __iter__(self):
         return iter((self.a, self.b))
@@ -206,8 +213,8 @@ class PartialMetric:
 
     def non_edges(self):
         """Sorted list of vertex pairs that carry no edge."""
-        edges = self._edges
-        return [d for u, v in combinations(self._index, 2) if (d := Doubleton(u, v)) not in edges]
+        labels = list(self._index)
+        return [Doubleton(labels[i], labels[j]) for i, j in _non_edge_indexes(self)]
 
     def with_edge(self, d: Doubleton, w) -> "PartialMetric":
         """New metric with one extra edge, a ``_copy`` then ``_adjoin``; a reweighted edge gives a cold metric."""
@@ -424,21 +431,30 @@ def _check(row, hy) -> int:
     return best
 
 
-def _sweep(m: PartialMetric):
-    """``(pair, hat, check)`` at every non-edge in sorted order, as ints times ``m._scale``.
+def _non_edge_indexes(m: PartialMetric) -> list:
+    """``(i, j)``, i < j, for every non-edge in sorted order, as table indexes: no ``Doubleton`` is built."""
+    index = m._index
+    later = [set() for _ in index]  # later[i]: the j > i with an edge ij (a Doubleton's a sorts first)
+    for d in m._edges:
+        later[index[d.a]].add(index[d.b])
+    n = len(later)
+    return [(i, j) for i, skip in enumerate(later) for j in range(i + 1, n) if j not in skip]
 
-    The cached table and rows serve every pair.
+
+def _sweep(m: PartialMetric):
+    """``(i, j, hat, check)`` at every non-edge ij in sorted order, hat and check as ints times ``m._scale``.
+
+    The cached table and rows serve every pair; a caller builds a ``Doubleton`` only for a pair it reports.
     """
     t, rows = m._table(), _envelope_rows(m)
-    index = m._index
-    for d in m.non_edges():
-        i, j = index[d.a], index[d.b]
-        yield d, t[i][j], _check(rows[i], t[j])
+    for i, j in _non_edge_indexes(m):
+        yield i, j, t[i][j], _check(rows[i], t[j])
 
 
 def _gaps(m: PartialMetric) -> dict:
     """``hat - check`` as a Fraction at every non-edge, keyed by pair in sorted order, from one ``_sweep``."""
-    return {d: Fraction(h - c, m._scale) for d, h, c in _sweep(m)}
+    labels, scale = list(m._index), m._scale
+    return {Doubleton(labels[i], labels[j]): Fraction(h - c, scale) for i, j, h, c in _sweep(m)}
 
 
 def _doubleton(ta, tb, i: int, j: int, p, q) -> int:
@@ -522,21 +538,26 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
 
 
 def _hat_check(m: PartialMetric, xy: Doubleton):
-    """``(hat(x, y), check(x, y), L)`` as ints, the first two times ``L``; ``m`` must be connected.
+    """``(hat(x, y), check(x, y), L)`` as ints, the first two times ``L``.
 
-    The reads of ``shortest_path`` and ``lower_envelope`` without their Fractions.
+    The reads of ``shortest_path`` and ``lower_envelope`` without their
+    Fractions, with ``shortest_path``'s errors: ``DisconnectedError`` when no chain connects x and y.
     """
     i, j = _index_of(m, xy.a), _index_of(m, xy.b)
     t = m._table()
-    return t[i][j], _check(_envelope_rows(m)[i], t[j]), m._scale
+    h = t[i][j]
+    if h is None:
+        raise DisconnectedError(f"no chain connects {xy.a!r} and {xy.b!r}")
+    return h, _check(_envelope_rows(m)[i], t[j]), m._scale
 
 
-def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction):
+def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction, h: int, c: int):
     """What the step statements read of ``m`` and ``m.with_edge(xy, r)``, as ints over the extension's L'.
 
-    Returns r, hat(xy), check(xy) and an iterator of ``(u, v, hat, check, dd(xy, uv), hat', check')`` over the vertex
-    pairs uv in sorted order; the first pair with no distance, or no doubleton distance to ``xy``, raises the per-pair
-    API's ``DisconnectedError``.  ``m``'s values, at its L, are multiplied by k = L'/L, which is exact:
+    ``h`` and ``c`` are the caller's ``_hat_check`` ints at ``xy``, so ``xy`` is read once.  Returns r, hat(xy),
+    check(xy) and an iterator of ``(u, v, hat, check, dd(xy, uv), hat', check')`` over the vertex pairs uv in sorted
+    order; the first pair with no distance, or no doubleton distance to ``xy``, raises the per-pair API's
+    ``DisconnectedError``.  ``m``'s values, at its L, are multiplied by k = L'/L, which is exact:
     max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])).
     """
     extended = m.with_edge(xy, r)
@@ -544,22 +565,24 @@ def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction):
     k = scale // m._scale
     old_t, old_rows = m._table(), _envelope_rows(m)
     new_t, new_rows = extended._table(), _envelope_rows(extended)
-    x, y = m._index[xy.a], m._index[xy.b]
+    tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
 
     def pairs():
         for (i, u), (j, v) in combinations(enumerate(m._index), 2):
             if old_t[i][j] is None:
                 raise DisconnectedError(f"no chain connects {u!r} and {v!r}")
-            dd = _doubleton(old_t[x], old_t[y], i, j, xy, (u, v))
-            c, c_new = _check(old_rows[i], old_t[j]), _check(new_rows[i], new_t[j])
-            yield u, v, old_t[i][j] * k, c * k, dd * k, new_t[i][j], c_new
+            dd = _doubleton(tx, ty, i, j, xy, (u, v))
+            c_old, c_new = _check(old_rows[i], old_t[j]), _check(new_rows[i], new_t[j])
+            yield u, v, old_t[i][j] * k, c_old * k, dd * k, new_t[i][j], c_new
 
-    return r.numerator * (scale // r.denominator), old_t[x][y] * k, _check(old_rows[x], old_t[y]) * k, pairs()
+    return r.numerator * (scale // r.denominator), h * k, c * k, pairs()
 
 
 def _jsonable(v):
     """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record or error -> its to_json(),
     frozenset -> sorted list, list or tuple -> list, dict -> str keys, PartialMetric -> metric document."""
+    if isinstance(v, (str, int)) or v is None:  # as they are, and without an ABC check for Fraction (bool is an int)
+        return v
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, Doubleton):
@@ -658,13 +681,15 @@ def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
         return m._floppy
     worst = None
     worst_gap = None
-    for d, h, c in _sweep(m):
+    for i, j, h, c in _sweep(m):
         if worst_gap is None or h - c < worst_gap:
-            worst, worst_gap = d, h - c
+            worst, worst_gap = (i, j), h - c
     if worst is None:
         m._floppy = FloppyReport(True, None, None)
     else:
-        m._floppy = FloppyReport(worst_gap > 0, worst, Fraction(worst_gap, m._scale))
+        labels = list(m._index)
+        d = Doubleton(labels[worst[0]], labels[worst[1]])
+        m._floppy = FloppyReport(worst_gap > 0, d, Fraction(worst_gap, m._scale))
     return m._floppy
 
 
@@ -682,8 +707,9 @@ def minimal_floppy_extension(m: PartialMetric) -> PartialMetric:
     finds forced are adjoined together, and none is forced afterwards.
     """
     _require_metric_grade(m)
-    forced = [(d, h) for d, h, c in _sweep(m) if c == h]
+    forced = [(i, j, h) for i, j, h, c in _sweep(m) if c == h]
     out = m._copy() if forced else m
-    for d, h in forced:
-        out._adjoin(d, Fraction(h, m._scale))
+    labels = list(m._index)
+    for i, j, h in forced:
+        out._adjoin(Doubleton(labels[i], labels[j]), Fraction(h, m._scale))
     return out

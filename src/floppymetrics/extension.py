@@ -8,10 +8,17 @@ envelope and the distance (inclusive) is accepted and the result is only
 guaranteed to be a graph pseudometric.  The input is checked once and the
 result not at all: the theorem and the proposition guarantee it.
 
-``full_extend`` adjoins the steps of ``_steps``, one per missing pair, and
-records each interval and value; its maxgap order keeps a lazy heap of gaps
-from one integer sweep.  ``verify_step_properties`` evaluates the five
-statements on the ints of ``core._step_reads``.
+Every step value is built from ints.  ``_steps`` yields each missing pair
+with its hat and check as ``core._hat_check`` ints over their L, and
+``_interval_from`` is the one place the theorem's bounds are written, each
+as one Fraction.  ``full_extend`` adjoins the steps, one per missing pair,
+and records each interval and value; its maxgap order keeps a lazy heap of
+gaps from one integer sweep, re-scored through ``_hat_check``.  A midpoint
+collision is bisected by ``_bisect_unused``, one Fraction per probe.
+``verify_step_properties`` reads xy once, as ``_hat_check`` ints, for its
+range check and the statement (5) hypothesis, and evaluates the five
+statements on the ints of ``core._step_reads``.  Every entry point first
+checks that it was given a metric and a ``Doubleton``.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ from .core import (
     _step_reads,
     as_rational,
     is_floppy,
-    lower_envelope,
-    shortest_path,
 )
 from .errors import (
     AlreadyEdgeError,
@@ -72,12 +77,9 @@ def _require_floppy(m: PartialMetric):
         )
 
 
-def _interval_from(h, c, scale=1) -> AdmissibleInterval:
-    """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed, for hat and check over ``scale``.
-
-    Fractions take ``scale=1``; the ints of ``core._hat_check`` take their L,
-    and build each bound as one Fraction.
-    """
+def _interval_from(h: int, c: int, scale: int) -> AdmissibleInterval:
+    """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed, for the ints hat and check over
+    ``scale`` of ``core._hat_check``; each bound is built as one Fraction."""
     return AdmissibleInterval(Fraction(c + 2 * h, 3 * scale), Fraction(h, scale))
 
 
@@ -85,15 +87,13 @@ def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
     return _interval_from(*_hat_check(m, xy))
 
 
-def _require_in_closed_range(m: PartialMetric, xy: Doubleton, r: Fraction):
-    """Proposition mode's range ``[check, hat]`` at ``xy``; returns ``(hat, check)``."""
-    h = shortest_path(m, xy.a, xy.b)
-    c = lower_envelope(m, xy.a, xy.b)
+def _require_in_closed_range(r: Fraction, h: int, c: int, scale: int):
+    """Proposition mode's range ``[check, hat]``, for the ints hat and check over ``scale`` of ``core._hat_check``."""
+    c, h = Fraction(c, scale), Fraction(h, scale)
     if r < c:
         raise ROutOfRangeError(f"r={r} below lower envelope {c}", bound="lo", lo=c, hi=h)
     if r > h:
         raise ROutOfRangeError(f"r={r} above shortest-path distance {h}", bound="hi", lo=c, hi=h)
-    return h, c
 
 
 def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
@@ -104,6 +104,14 @@ def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
         raise ROutOfRangeError(f"r={r} not below admissible upper bound {h}", bound="hi", lo=lo, hi=h)
 
 
+def _require_arguments(m: PartialMetric, xy: Doubleton):
+    """Every entry point's first check: a metric and a pair."""
+    if not isinstance(m, PartialMetric):
+        raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
+    if not isinstance(xy, Doubleton):
+        raise MalformedInputError(f"expected a Doubleton pair, got {type(xy).__name__}")
+
+
 def _require_extendable(m: PartialMetric, xy: Doubleton):
     """The precondition of both entry points: ``xy`` is not an edge, then ``m`` is floppy."""
     if m.is_edge(xy):
@@ -112,6 +120,7 @@ def _require_extendable(m: PartialMetric, xy: Doubleton):
 
 
 def admissible_interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
+    _require_arguments(m, xy)
     _require_extendable(m, xy)
     return _interval(m, xy)
 
@@ -119,9 +128,10 @@ def admissible_interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
 def one_step_extend(m: PartialMetric, xy: Doubleton, r, mode: str = THEOREM) -> PartialMetric:
     """Adjoin the pair ``xy`` at value ``r``; see module docstring for modes.
 
-    Checks the mode, ``_require_extendable``, then ``r`` and its range; the
-    result is not checked (``test_extension.py::TestStepOracle`` checks it).
+    Checks the arguments, the mode, ``_require_extendable``, then ``r`` and
+    its range; the result is not checked (``test_extension.py::TestStepOracle`` checks it).
     """
+    _require_arguments(m, xy)
     if mode not in (THEOREM, PROPOSITION):
         raise MalformedInputError(f"unknown mode {mode!r}")
     _require_extendable(m, xy)
@@ -129,7 +139,7 @@ def one_step_extend(m: PartialMetric, xy: Doubleton, r, mode: str = THEOREM) -> 
     if mode == THEOREM:
         _require_in_interval(r, _interval(m, xy))
     else:
-        _require_in_closed_range(m, xy, r)
+        _require_in_closed_range(r, *_hat_check(m, xy))
     return m.with_edge(xy, r)
 
 
@@ -170,38 +180,41 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     a guard fails are simply not counted as applicable.  The values are ints
     over the extension's common denominator (``core._step_reads``); every
     statement is linear in them, so the integer comparisons are the exact ones.
+    xy's hat and check are read once, as ``core._hat_check`` ints, for the
+    range check, the statement (5) hypothesis and the statements.
     """
+    _require_arguments(m, xy)
     if m.is_edge(xy):
         raise AlreadyEdgeError(f"{xy} is already an edge")
     r = as_rational(r)
-    h_xy, c_xy = _require_in_closed_range(m, xy, r)
-    strong_lower = _interval_from(h_xy, c_xy).lo <= r  # statement (5) hypothesis
-    rs, h_xy, c_xy, pairs = _step_reads(m, xy, r)
+    h, c, scale = _hat_check(m, xy)
+    _require_in_closed_range(r, h, c, scale)
+    strong_lower = _interval_from(h, c, scale).lo <= r  # statement (5) hypothesis
+    rs, h_xy, c_xy, pairs = _step_reads(m, xy, r, h, c)
 
-    stmts = {k: StatementResult() for k in (1, 2, 3, 4, 5)}
+    count = count2 = count4 = 0
+    fail1, fail2, fail3, fail4, fail5 = [], [], [], [], []
     for u, v, h_old, c_old, dd, h_new, c_new in pairs:
-        stmts[1].applicable += 1
+        count += 1
         if not (h_new <= h_old and c_new >= max(c_old, rs - dd)):
-            stmts[1].failures.append((u, v))
+            fail1.append((u, v))
 
         if h_old != h_new:
-            stmts[2].applicable += 1
+            count2 += 1
             if not (h_old - (h_xy - rs) <= h_new == rs + dd):
-                stmts[2].failures.append((u, v))
-            stmts[3].applicable += 1
+                fail2.append((u, v))
             if not (h_new - c_old >= rs - c_xy):
-                stmts[3].failures.append((u, v))
+                fail3.append((u, v))
 
         if c_old != c_new != rs - dd and c_new > h_xy - 2 * rs:
-            stmts[4].applicable += 1
+            count4 += 1
             if not (c_new - c_old <= h_xy - rs and h_old - c_new >= rs - c_xy):
-                stmts[4].failures.append((u, v))
+                fail4.append((u, v))
 
-        if strong_lower:
-            stmts[5].applicable += 1
-            bound = min(h_old - c_old, h_xy - rs, 2 * dd)
-            if not (h_new - c_new >= bound):
-                stmts[5].failures.append((u, v))
+        if strong_lower and not (h_new - c_new >= min(h_old - c_old, h_xy - rs, 2 * dd)):
+            fail5.append((u, v))
+    stmts = {1: StatementResult(count, fail1), 2: StatementResult(count2, fail2), 3: StatementResult(count2, fail3),
+             4: StatementResult(count4, fail4), 5: StatementResult(count if strong_lower else 0, fail5)}
     return StepPropertyReport(xy, r, stmts)
 
 
@@ -234,17 +247,17 @@ def _seed_of(spec: str) -> int:
 
 
 def _steps(current: PartialMetric, order):
-    """Yield ``(pair, interval)`` for every missing pair of ``current``, in ``order``.
+    """Yield ``(pair, hat, check, L)`` for every missing pair of ``current``, in ``order``, as ``core._hat_check`` ints.
 
-    Each interval is read on ``current`` when its pair is reached, after the
-    caller has adjoined every earlier pair.  Lex takes the sorted pairs;
+    Each pair is read on ``current`` when it is reached, after the caller
+    has adjoined every earlier pair.  Lex takes the sorted pairs;
     ``random:SEED`` permutes them, drawing each with ``randrange`` over those
     left.  Maxgap keeps a heap of ``(check - hat, pair)`` from one sweep.  A
     step never raises hat or lowers check (statement (1)), so no gap grows and
     a stale key is a lower bound on the fresh one.  The top is re-scored and
     taken once its fresh key is still at most the next key, else it goes back:
     this is exactly the largest gap, ties going to the first pair in sorted
-    order (lazy greedy, Minoux 1978), and its interval is from that re-score.
+    order (lazy greedy, Minoux 1978), and its step is that re-score's read.
     """
     if order == "maxgap":
         heap = [(-gap, d) for d, gap in _gaps(current).items()]
@@ -252,12 +265,12 @@ def _steps(current: PartialMetric, order):
         while heap:
             _, d = heapq.heappop(heap)
             while True:
-                h, c = shortest_path(current, d.a, d.b), lower_envelope(current, d.a, d.b)
-                fresh = (c - h, d)
+                h, c, scale = _hat_check(current, d)
+                fresh = (Fraction(c - h, scale), d)
                 if not heap or fresh <= heap[0]:
                     break
                 _, d = heapq.heapreplace(heap, fresh)
-            yield d, _interval_from(h, c)
+            yield d, h, c, scale
         return
     pairs = current.non_edges()
     if isinstance(order, str) and order.startswith("random:"):
@@ -266,15 +279,25 @@ def _steps(current: PartialMetric, order):
     elif order != "lex":
         raise MalformedInputError(f"unknown order policy {order!r}")
     for d in pairs:
-        yield d, _interval(current, d)
+        yield (d, *_hat_check(current, d))
 
 
-def _bisect_unused(lo, hi, used):
-    """The midpoint of ``(lo, hi)``, bisected toward ``hi`` until it is unused."""
-    c = (lo + hi) / 2
-    while c in used:
-        c = (c + hi) / 2
-    return c
+def _bisect_unused(lo: Fraction, hi: Fraction, used) -> Fraction:
+    """The midpoint of ``(lo, hi)``, bisected toward ``hi`` until it is unused.
+
+    Probe k is v_k = hi - (hi - lo) / 2^k, the k-th value of the chain
+    v = (lo + hi) / 2, v = (v + hi) / 2, built as one Fraction from the
+    numerators and denominators of ``lo`` and ``hi``.
+    """
+    top = hi.numerator * lo.denominator
+    span = top - lo.numerator * hi.denominator  # (hi - lo) times den, den = lo.denominator * hi.denominator
+    den = lo.denominator * hi.denominator
+    k = 1
+    v = Fraction((top << k) - span, den << k)
+    while v in used:
+        k += 1
+        v = Fraction((top << k) - span, den << k)
+    return v
 
 
 def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTrace:
@@ -297,7 +320,8 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     current = m._copy()
     used = set()
     steps = []
-    for d, interval in _steps(current, order):
+    for d, h, c, scale in _steps(current, order):
+        interval = _interval_from(h, c, scale)
         if choice == "midpoint":
             value = _bisect_unused(interval.lo, interval.hi, used)
         else:

@@ -12,6 +12,8 @@ and entries, and ``ChoiceSet`` a choice set's lists and their values.
 Reports, traces and transcripts follow one rule (``core._jsonable``): fields
 in declaration order, rationals as reduced ``"n"`` / ``"p/q"`` strings, pairs
 as ``[a, b]``, ``null`` for none, and a metric as its metric document.
+``_dumps``, the indent-2 writer of the CLI and ``dump_metric``, writes only
+plain JSON data, so every library value reaches it through ``_jsonable``.
 
 Pair text, as in the CLI's ``--pair`` and the keys of a choice-map document,
 is two labels separated by a comma, with ``\,`` for a comma and ``\\`` for a

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -33,9 +34,61 @@ class TestDoubleton:
         assert Doubleton("b", "a") == Doubleton("a", "b")
         assert Doubleton("b", "a").a == "a"
 
+    @pytest.mark.parametrize("a, b", [("b", "a"), ("a", "b"), (10, 2), (2, 10), ("", "\x00")])
+    def test_stores_the_labels_sorted(self, a, b):
+        d = Doubleton(a, b)
+        assert (d.a, d.b) == (min(a, b), max(a, b))
+        assert Doubleton(b=b, a=a) == d and tuple(d) == (d.a, d.b)
+
     def test_rejects_equal_endpoints(self):
         with pytest.raises(MalformedInputError):
             Doubleton("a", "a")
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("a", "a", "doubleton needs two distinct vertices, got 'a' twice"),
+            ([1], [1], "doubleton needs two distinct vertices, got [1] twice"),  # equal before unhashable
+            ([1], [2], "doubleton labels must hash and compare, got [1] and [2]"),  # lists compare, but do not hash
+            ("a", 1, "doubleton labels must hash and compare, got 'a' and 1"),  # these hash, but do not compare
+        ],
+        ids=["equal", "equal-unhashable", "unhashable", "incomparable"],
+    )
+    def test_errors(self, a, b, message):
+        with pytest.raises(MalformedInputError) as exc:
+            Doubleton(a, b)
+        assert str(exc.value) == message
+
+    def test_is_frozen(self):
+        d = Doubleton("b", "a")
+        for name in ("a", "b", "c"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, "z")
+        assert (d.a, d.b) == ("a", "b") and hash(d) == hash(Doubleton("a", "b"))
+
+
+class TestDigitFastPath:
+    """Text of ASCII digits alone takes ``as_rational``'s one-``int()`` path; the grammar and errors stay."""
+
+    @pytest.mark.parametrize("text", ["0", "007", "000", "42", "9" * 4300])
+    def test_reads_digits_as_fraction_does(self, text):
+        got = as_rational(text)
+        assert type(got) is Fraction and got == Fraction(text) and got.denominator == 1
+
+    @pytest.mark.parametrize("text", ["\u0663", "\uff17", "\u00b2", "7\u0663", "\u0663/1"],
+                             ids=["arabic-indic", "fullwidth", "superscript", "mixed", "ratio"])
+    def test_rejects_digits_that_are_not_ascii(self, text):
+        with pytest.raises(MalformedInputError, match="not a rational"):
+            as_rational(text)
+
+    def test_rejects_more_digits_than_int_reads(self):
+        with pytest.raises(MalformedInputError, match="not a rational") as exc:
+            as_rational("7" * 4301)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_p_over_zero_is_still_rejected(self):
+        with pytest.raises(MalformedInputError, match="not a rational"):
+            as_rational("007/000")
 
 
 class TestConstruction:
@@ -311,6 +364,37 @@ class TestLowerEnvelope:
             m = random_floppy(6, Fraction(1, 2), seed + 100)
             for d in m.non_edges():
                 assert lower_envelope(m, d.a, d.b) <= shortest_path(m, d.a, d.b)
+
+
+def seeded_graph_metrics(seed, count):
+    """Graph metrics on 3-6 int labels whose numeric order is not their text order (2 < 10): each edge of a
+    random connected graph reweighted to its brute-force distance, which makes every weight its own hat."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_connected_graph(rng, rng.randrange(3, 7), extra_edges=rng.randrange(4))
+        label = dict(zip(sorted(g.vertices), rng.sample(range(1, 30), len(g.vertices))))
+        yield PartialMetric(label.values(), {pair(label[d.a], label[d.b]): brute_hat(g, d.a, d.b) for d in g.edges})
+
+
+class TestSweepsAgainstBruteForce:
+    """``non_edges`` and ``is_floppy`` walk table index pairs and build a ``Doubleton`` only for a pair they
+    report; the oracle walks the sorted labels with the brute-force hat and check."""
+
+    @pytest.mark.parametrize("m", list(seeded_graph_metrics(2301, 16)))
+    def test_non_edges_and_worst_pair(self, m):
+        missing = [pair(u, v) for u, v in combinations(sorted(m.vertices), 2) if pair(u, v) not in m.edges]
+        assert m.non_edges() == missing
+        gaps = {d: brute_hat(m, d.a, d.b) - brute_check(m, d.a, d.b) for d in missing}
+        rep = is_floppy(m)
+        if not gaps:
+            assert (rep.floppy, rep.worst_pair, rep.gap) == (True, None, None)
+            return
+        worst = min(gaps, key=gaps.get)  # the first minimal gap in sorted order
+        assert (rep.floppy, rep.worst_pair, rep.gap) == (gaps[worst] > 0, worst, gaps[worst])
+
+    def test_the_corpus_has_floppy_unfloppy_and_full_metrics(self):
+        kinds = {(not m.non_edges(), is_floppy(m).floppy) for m in seeded_graph_metrics(2301, 16)}
+        assert kinds == {(True, True), (False, True), (False, False)}
 
 
 class TestIsFloppy:

@@ -28,6 +28,7 @@ from floppymetrics.errors import (
     NotFloppyError,
     ROutOfRangeError,
 )
+from floppymetrics.extension import _bisect_unused
 from floppymetrics.game import ChoiceSet
 from floppymetrics.generators import cantor_tree, random_floppy, star_metric
 
@@ -163,6 +164,26 @@ class TestErrorOrder:
             admissible_interval(collinear_witness, pair("a", "b"))  # edge, not floppy
         assert exc.value.code == "ALREADY_EDGE"
 
+    @pytest.mark.parametrize(
+        "metric, xy, message",
+        [
+            ([1, 2], pair("0", "1"), "expected a PartialMetric, got list"),
+            (cantor_tree(2), ("0", "1"), "expected a Doubleton pair, got tuple"),
+            (cantor_tree(2), "0,1", "expected a Doubleton pair, got str"),
+            (None, ("0", "1"), "expected a PartialMetric, got NoneType"),  # the metric is checked first
+        ],
+        ids=["list-metric", "tuple-pair", "str-pair", "both"],
+    )
+    @pytest.mark.parametrize("entry", ["one_step_extend", "admissible_interval", "verify_step_properties"])
+    def test_arguments_are_checked_first(self, metric, xy, message, entry):
+        """Before the mode, the edge test or r: ``one_step_extend`` gets an unknown mode and a malformed r."""
+        calls = {"one_step_extend": lambda: one_step_extend(metric, xy, "1.5", "midpoint"),
+                 "admissible_interval": lambda: admissible_interval(metric, xy),
+                 "verify_step_properties": lambda: verify_step_properties(metric, xy, "1.5")}
+        with pytest.raises(MalformedInputError) as exc:
+            calls[entry]()
+        assert str(exc.value) == message
+
 
 class TestStepProperties:
     def test_h_graph_midpoint(self, h_graph):
@@ -240,17 +261,52 @@ class TestFullExtend:
 
     def test_maxgap_reads_each_chosen_pair_once(self, monkeypatch):
         """Cantor depth 4's 367 maxgap steps re-score 1,721 heap tops; the
-        step interval comes from the last re-score, with no envelope read of its own."""
+        step interval comes from the last re-score, with no read of its own."""
         ext = importlib.import_module("floppymetrics.extension")
         calls = []
+        hat_check = ext._hat_check
 
-        def counted(m, x, y):
-            calls.append((x, y))
-            return lower_envelope(m, x, y)
+        def counted(m, xy):
+            calls.append(xy)
+            return hat_check(m, xy)
 
-        monkeypatch.setattr(ext, "lower_envelope", counted)
+        monkeypatch.setattr(ext, "_hat_check", counted)
         trace = full_extend(cantor_tree(4), order="maxgap")
         assert (len(trace.steps), len(calls)) == (367, 1721)
+
+    @staticmethod
+    def chain(lo, hi, used):
+        """The Fraction chain v = (lo + hi) / 2, v = (v + hi) / 2 while v is in ``used``."""
+        v = (lo + hi) / 2
+        while v in used:
+            v = (v + hi) / 2
+        return v
+
+    @pytest.mark.parametrize("lo, hi", [(Fraction(2, 3), 1), (Fraction(32, 3), 12), (Fraction(1, 6), Fraction(7, 10)),
+                                        (0, Fraction(1, 3)), (Fraction(-5, 4), Fraction(9, 8)), (3, 4)])
+    def test_bisection_matches_the_fraction_chain(self, lo, hi):
+        """Forced collisions: ``used`` holds the chain's first k values, and other values; ``used`` is only read."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        for k in range(8):
+            used = {Fraction(1, 7), lo, hi}
+            for _ in range(k):
+                used.add(self.chain(lo, hi, used))
+            expected, before = self.chain(lo, hi, used), set(used)
+            got = _bisect_unused(lo, hi, used)
+            assert type(got) is Fraction and got == expected and lo < got < hi
+            assert used == before
+
+    def test_choice_set_pick_reads_used(self):
+        used = {Fraction(1)}
+        cs = ChoiceSet(frozenset({Fraction(1), Fraction(3, 2)}), ((Fraction(1), Fraction(2)),))
+        picks = []
+        for _ in range(3):  # a point, then the interval
+            picks.append(cs.pick(Fraction(1), Fraction(2), used))
+            used.add(picks[-1])
+        assert picks == [Fraction(3, 2), Fraction(7, 4), Fraction(15, 8)]
+        only_points = ChoiceSet.of_points(Fraction(3, 2))
+        assert only_points.pick(Fraction(1), Fraction(2), used) == Fraction(3, 2)  # a repeat: points alone
+        assert used == {Fraction(1), *picks}
 
     def test_values_distinct_with_midpoint_choice(self):
         m = random_floppy(7, Fraction(2, 5), 11)

@@ -8,15 +8,25 @@ from floppymetrics import (
     PartialMetric,
     Patchwork,
     dump_metric,
+    floppy_certificate,
+    full_extend,
+    is_floppy,
     load_metric,
     metric_from_doc,
     metric_to_doc,
     pair,
     patchwork_from_doc,
     patchwork_to_doc,
+    play,
+    validate,
+    validate_patchwork,
+    verify_step_properties,
+    winning_player_one,
 )
-from floppymetrics.errors import MalformedInputError
-from floppymetrics.game import ChoiceSet
+from floppymetrics.core import _jsonable
+from floppymetrics.errors import MalformedInputError, NotFloppyError, ROutOfRangeError
+from floppymetrics.extension import StatementResult, StepPropertyReport
+from floppymetrics.game import ChoiceSet, ProbeSecondPlayer, RandomSecondPlayer, ScriptedFirstPlayer
 from floppymetrics.generators import random_floppy
 from floppymetrics.serialize import _dumps, choice_map_from_doc, choice_set_from_doc, metric_to_dot
 
@@ -113,6 +123,89 @@ class TestWriter:
         m = random_floppy(7, Fraction(1, 2), 5, scale=Fraction(1, 3))
         dump_metric(m, tmp_path / "m.json")
         assert (tmp_path / "m.json").read_text() == json.dumps(metric_to_doc(m), indent=2) + "\n"
+
+
+def library_values():
+    """``(id, value)`` for every type of value the CLI writes, with labels that JSON must escape."""
+    h = PartialMetric(["a", "b", "x", "y"], {pair("a", "b"): 10, pair("a", "x"): 1, pair("b", "y"): 1})
+    odd = PartialMetric(["\u00e9", 'q"', "\\", "\U0001f600", "a,b"],
+                        {pair("\u00e9", 'q"'): 1, pair('q"', "\\"): Fraction(3, 2), pair("\\", "\U0001f600"): 2,
+                         pair("\U0001f600", "a,b"): Fraction(1, 3)})
+    ints = PartialMetric([2, 10, 7], {pair(2, 10): 1, pair(10, 7): Fraction(5, 2)})
+    collinear = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): 1, pair("b", "c"): 1, pair("c", "d"): 1,
+                                                     pair("a", "d"): 3, pair("b", "d"): 2})
+    sets = choice_map_from_doc({"a,y": {"points": ["21/2"]}, "b,x": {"points": ["21/2"], "intervals": [["10", "11"]]},
+                                "x,y": {"intervals": [["0", None]]}})
+    pw = Patchwork(PartialMetric(["a", "b"], {pair("a", "b"): 2}),
+                   [PartialMetric(["a", "x"], {pair("a", "x"): 1}), PartialMetric(["b", "z"], {pair("b", "z"): 1})])
+    bad_pw = Patchwork(PartialMetric(["a", "b"], {}), [PartialMetric(["x", "y"], {pair("x", "y"): 1})])
+    path = PartialMetric(["a", "b", "c"], {pair("a", "b"): 1, pair("b", "c"): 1})
+    ac = pair("a", "c")
+
+    class Raises:
+        def respond(self, base, history, d, offered):
+            raise MalformedInputError("no answer")
+
+    class Cheat:
+        def respond(self, base, history, d, offered):
+            return Fraction(999)
+
+    games = {
+        "FULL_METRIC": play(h, 3, winning_player_one(h), RandomSecondPlayer(0)),
+        "MISSING_PAIR": play(h, 2, winning_player_one(h), RandomSecondPlayer(0)),
+        "MULTIVALUED_PAIR": play(path, 2, ScriptedFirstPlayer([(ac, ChoiceSet.of_points(Fraction(3, 2))),
+                                                               (ac, ChoiceSet.of_points(Fraction(7, 4)))]),
+                                 ProbeSecondPlayer("mid")),
+        "ILLEGAL_MOVE_I": play(path, 1, ScriptedFirstPlayer([(pair("a", "z"), ChoiceSet.of_points(1))]),
+                               ProbeSecondPlayer("mid")),
+        "ILLEGAL_MOVE_II-message": play(path, 1, ScriptedFirstPlayer([(ac, ChoiceSet.open_interval(0))]), Raises()),
+        "ILLEGAL_MOVE_II-answer": play(path, 1, ScriptedFirstPlayer([(ac, ChoiceSet.of_points(Fraction(3, 2)))]),
+                                       Cheat()),
+        "POLYGONAL_VIOLATION": play(path, 1, ScriptedFirstPlayer([(ac, ChoiceSet.open_interval(50, 99))]),
+                                    ProbeSecondPlayer("mid")),
+    }
+    assert {kind.split("-")[0] for kind in games} == {t.reason.kind for t in games.values()}
+    values = [
+        ("trace-midpoint", full_extend(h)),
+        ("trace-maxgap-escaped-labels", full_extend(odd, order="maxgap")),
+        ("trace-int-labels", full_extend(ints, order="random:2")),
+        ("trace-set-file", full_extend(h, choice=sets)),
+        ("step-report", verify_step_properties(h, pair("x", "y"), Fraction(34, 3))),
+        ("step-report-failures", StepPropertyReport(pair("x", "y"), Fraction(9), {
+            1: StatementResult(6, [("a", "b"), ("x", "\u00e9")]), 2: StatementResult(0, [])})),
+        ("floppy-report", is_floppy(h)),
+        ("floppy-report-not", is_floppy(collinear)),
+        ("floppy-report-full", is_floppy(full_extend(h).result)),
+        ("validation-report", validate(odd)),
+        ("cert-report", floppy_certificate(pw)),
+        ("patchwork-report", validate_patchwork(pw)),
+        ("patchwork-report-invalid", validate_patchwork(bad_pw)),
+        ("metric", odd),
+        ("metric-int-labels", ints),
+        ("metric-one-vertex", PartialMetric(["v"], {})),
+        ("error", ROutOfRangeError("r=13 above shortest-path distance 12", bound="hi", lo=Fraction(8), hi=12)),
+        ("error-pair", NotFloppyError("not floppy", pair=pair("c", "a"), gap=Fraction(0))),
+        ("error-no-details", MalformedInputError("bad \"input\"")),
+        ("value", {"value": Fraction(-7, 3)}),
+        ("value-int", {"value": Fraction(12)}),
+        ("choice-set", sets[pair("b", "x")]),
+        ("mixed", {1: frozenset({Fraction(1, 2), Fraction(1, 3)}), True: (None, False, 0, -5), "": [[], {}, ()]}),
+    ]
+    return values + [(f"game-{kind}", t) for kind, t in games.items()]
+
+
+class TestWriterOnLibraryValues:
+    """The CLI writes a library value as ``_dumps(_jsonable(value))``; ``json.dumps`` of the same tree is the oracle."""
+
+    @pytest.mark.parametrize("value", [v for _, v in library_values()], ids=[k for k, _ in library_values()])
+    def test_equals_the_rule(self, value):
+        assert _dumps(_jsonable(value)) == json.dumps(_jsonable(value), indent=2)
+
+    def test_to_json_is_unchanged(self):
+        """A record's ``to_json`` still returns the rule's data."""
+        for name, value in library_values():
+            if not isinstance(value, (dict, PartialMetric)):
+                assert json.loads(_dumps(_jsonable(value))) == value.to_json(), name
 
 
 class TestPatchworkDocs:
