@@ -139,7 +139,8 @@ def _build_parser():
     p = sub.add_parser("game", help="play the metric-extending game")
     p.add_argument("action", choices=["play"])
     p.add_argument("--p2", default="random:0", help="random:SEED | adversary | low | high | mid")
-    p.add_argument("--lambda", dest="game_length", type=_count, default=None, help="number of innings")
+    p.add_argument("--lambda", dest="game_length", type=_count, default=None,
+                   help="number of innings; the transcript keeps every inning, so memory grows with it")
     p.add_argument("file")
     p.set_defaults(func=_cmd_game)
 

@@ -36,7 +36,9 @@ edges' index pairs and build a ``Doubleton`` only for a pair they report:
 ``non_edges`` builds one per non-edge and none per edge.  ``_hat_check``
 hands one pair's hat and check to other modules as ints with their ``L``
 (each extension step, each maxgap re-score, the step entry points' range
-checks).  No other module reads the table, the rows, the index or ``L``.
+checks).  ``_doubleton_reader`` hands ``doubleton_dist`` from one pair to
+many as ints with their ``L`` (the game's adversary, once per inning).  No
+other module reads the table, the rows, the index or ``L``.
 
 A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
 own dict, table and rows in place, touching only the pairs it can shorten.
@@ -519,6 +521,21 @@ def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     pa, pb, qa, qb = (_index_of(m, v) for v in (p.a, p.b, q.a, q.b))
     t = m._table()
     return Fraction(_doubleton(t[pa], t[pb], qa, qb, p, q), m._scale)
+
+
+def _doubleton_reader(m: PartialMetric, p: Doubleton):
+    """``(read, L)``: ``read(q)`` is ``doubleton_dist(m, p, q)`` as an int times ``L``, with its errors.
+
+    p's ends and table rows are looked up once, so each read costs q's two index lookups and ``_doubleton``.
+    """
+    pa, pb = _index_of(m, p.a), _index_of(m, p.b)
+    t = m._table()
+    ta, tb = t[pa], t[pb]
+
+    def read(q):
+        return _doubleton(ta, tb, _index_of(m, q.a), _index_of(m, q.b), p, q)
+
+    return read, m._scale
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:

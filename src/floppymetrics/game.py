@@ -13,7 +13,10 @@ Provided players:
   pair, against every legal opponent.
 * ``adversary_player_two`` -- waits for an inning where the offered set allows
   an answer too far (w.r.t. the pair pseudometric) from a previous answer,
-  then takes it, wrecking the triangle inequality.
+  then takes it, wrecking the triangle inequality.  It keeps the distinct
+  (pair, answer) moves of the game in progress, so an inning costs one
+  integer test per distinct earlier move, not one per inning played; it
+  starts afresh on another base or history list, or a shorter history.
 * ``sabotage_witness`` -- the quantitative version of the adversary: given
   choice sets for all missing pairs, returns two pairs and two values that no
   full metric extension can accommodate, when the sets are wide enough.
@@ -29,6 +32,7 @@ from fractions import Fraction
 from .core import (
     Doubleton,
     PartialMetric,
+    _doubleton_reader,
     _Record,
     _require_metric_grade,
     as_rational,
@@ -105,11 +109,8 @@ class ChoiceSet(_Record):
 
     def diameter(self):
         """sup of pairwise distances; math.inf for unbounded sets, whatever their lower bounds."""
-        if any(hi is None for _, hi in self.intervals):
-            return math.inf
-        los = list(self.points) + [lo for lo, _ in self.intervals]
-        his = list(self.points) + [hi for _, hi in self.intervals]
-        return max(his) - min(los)
+        top, bottom = self._ends()
+        return math.inf if top is None else top - bottom
 
     def least_element(self) -> Fraction:
         """Canonical 'arbitrary' answer: smallest point, or a quarter into an interval."""
@@ -117,6 +118,14 @@ class ChoiceSet(_Record):
         for lo, hi in self.intervals:
             candidates.append(lo + 1 if hi is None else lo + (hi - lo) / 4)
         return min(candidates)
+
+    def _ends(self):
+        """``(top, bottom)``: the largest point or interval end (``None`` if an interval is unbounded) and the
+        least point or lower end.  ``element_far_from(a, g)`` finds an element exactly when ``top`` is ``None``,
+        ``top > a + g`` or ``bottom < a - g``, the same strict tests as its three branches."""
+        los = [*self.points, *(lo for lo, _ in self.intervals)]
+        his = [*self.points, *(hi for _, hi in self.intervals)]
+        return (None if None in his else max(his)), min(los)
 
     def element_far_from(self, center: Fraction, gap: Fraction):
         """Some element v with |v - center| > gap, or None."""
@@ -286,16 +295,45 @@ def winning_player_one(base: PartialMetric) -> WinningFirstPlayer:
 class AdversarySecondPlayer:
     """Answers canonically until an offered set permits a value whose distance
     from some earlier answer exceeds the pair pseudometric between the two
-    doubletons; then takes that value."""
+    doubletons; then takes that value, the first such earlier move's
+    ``element_far_from``.
+
+    The player keeps the game in progress: its distinct (pair, answer) moves
+    in first-play order, each answer as numerator and denominator.  A
+    repeated move is far exactly when its first copy is, so an inning costs
+    one integer test per distinct move on another pair, against the offered
+    set's two ends and ``doubleton_dist`` times the base's common
+    denominator, and O(distinct moves) in all.  It starts afresh when
+    ``base`` or the ``history`` list is a different object, or the history
+    is shorter than at the last call.
+    """
+
+    def __init__(self):
+        self._base = self._history = None
+        self._seen, self._moves = 0, {}
 
     def respond(self, base, history, pair, offered):
-        for mv in history:
-            if mv.pair == pair:
+        if base is not self._base or history is not self._history or len(history) < self._seen:
+            self._base, self._history, self._seen, self._moves = base, history, 0, {}
+        moves = self._moves  # (pair, answer) -> the answer's (numerator, denominator), in first-play order
+        for mv in history[self._seen :]:
+            if (mv.pair, mv.answer) not in moves:
+                moves[mv.pair, mv.answer] = mv.answer.as_integer_ratio()
+        self._seen = len(history)
+        read = None
+        for (q, answer), (n, d) in moves.items():
+            if q == pair:
                 continue
-            gap = doubleton_dist(base, pair, mv.pair)
-            far = offered.element_far_from(mv.answer, gap)
-            if far is not None:
-                return far
+            if read is None:
+                read, scale = _doubleton_reader(base, pair)
+                top, bottom = offered._ends()
+                # with a = n/d and g = D/L: top > a + g is tn d > td (n L + D d), where tn/td = top L
+                tn, td = (0, 1) if top is None else (top.numerator * scale, top.denominator)
+                bn, bd = bottom.numerator * scale, bottom.denominator
+            gap = read(q)
+            nl, gd = n * scale, gap * d
+            if top is None or tn * d > td * (nl + gd) or bn * d < bd * (nl - gd):
+                return offered.element_far_from(answer, Fraction(gap, scale))
         return offered.least_element()
 
 

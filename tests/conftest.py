@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from floppymetrics import PartialMetric, pair
+from floppymetrics import PartialMetric, doubleton_dist, pair
 
 
 def brute_hat(m, x, y):
@@ -112,6 +112,20 @@ def random_patchwork(rng, max_pieces=4):
             place(v)
         pieces.append(full_metric(gates + outside))
     return Patchwork(full_metric(base_labels), pieces)
+
+
+class ReferenceAdversary:
+    """Player II's adversary as first written, the oracle for ``AdversarySecondPlayer``: one ``doubleton_dist``
+    and one ``element_far_from`` against every earlier move in order, repeats included."""
+
+    def respond(self, base, history, pair, offered):
+        for mv in history:
+            if mv.pair == pair:
+                continue
+            far = offered.element_far_from(mv.answer, doubleton_dist(base, pair, mv.pair))
+            if far is not None:
+                return far
+        return offered.least_element()
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,8 +20,10 @@ from floppymetrics import (
     shortest_path,
     validate,
 )
+from floppymetrics.core import _doubleton_reader
 from floppymetrics.errors import (
     MalformedInputError,
+    MetricError,
     NotGraphMetricError,
     UnknownVertexError,
 )
@@ -333,6 +336,24 @@ class TestDoubletonDist:
                     assert shortest_path(m, p.a, p.b) <= shortest_path(m, q.a, q.b) + duv
                     for s in doubles:
                         assert doubleton_dist(m, p, s) <= duv + doubleton_dist(m, q, s)
+
+    def test_reader_reads_doubleton_dist_as_ints(self, rng):
+        """``_doubleton_reader(m, p)`` reads ``doubleton_dist(m, p, q)`` times L, with its errors, for every q."""
+        for _ in range(10):
+            m = random_connected_graph(rng, rng.randrange(4, 8))
+            doubles = [pair(u, v) for u, v in combinations(sorted(m.vertices), 2)]
+            for p in doubles:
+                read, scale = _doubleton_reader(m, p)
+                assert [Fraction(read(q), scale) for q in doubles] == [doubleton_dist(m, p, q) for q in doubles]
+        split = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): 1, pair("c", "d"): 3})
+        read, _ = _doubleton_reader(split, pair("a", "b"))
+        for q in (pair("c", "d"), pair("a", "z")):
+            with pytest.raises(MetricError) as want:
+                doubleton_dist(split, pair("a", "b"), q)
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                read(q)
+        with pytest.raises(UnknownVertexError):
+            _doubleton_reader(split, pair("a", "z"))
 
 
 class TestLowerEnvelope:

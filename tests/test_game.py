@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from floppymetrics import (
     Move,
     PartialMetric,
     adversary_player_two,
+    doubleton_dist,
     pair,
     play,
     replay_sabotage,
@@ -17,20 +20,23 @@ from floppymetrics import (
     winning_player_one,
 )
 from floppymetrics.errors import (
+    DisconnectedError,
     MalformedInputError,
     MissingChoiceSetError,
     NotFloppyError,
     NotGraphMetricError,
+    UnknownVertexError,
 )
 from floppymetrics.game import (
     ProbeSecondPlayer,
     RandomSecondPlayer,
     ScriptedFirstPlayer,
+    AdversarySecondPlayer,
     accumulate,
 )
 from floppymetrics.generators import cantor_tree, random_floppy
 
-from conftest import metric_state
+from conftest import ReferenceAdversary, metric_state
 
 
 class TestChoiceSet:
@@ -313,6 +319,170 @@ class TestSabotage:
         t = play(path_abcd, len(script), ScriptedFirstPlayer(script), adversary_player_two())
         assert t.verdict == PLAYER_II_WINS
 
+
+
+def _rational(rng, top):
+    den = rng.choice((1, 2, 3, 7))
+    return Fraction(rng.randrange(1, top * den), den)
+
+
+def _random_choice_set(rng, kind, ends=()):
+    """A set of one kind: points only, bounded intervals, unbounded intervals or mixed.  Each end is drawn
+    from ``ends`` (positive exact values such as a +- g) a third of the time, else at random."""
+    def value():
+        return rng.choice(ends) if ends and rng.random() < 1 / 3 else _rational(rng, 40)
+
+    points, intervals = [], []
+    if kind in ("points", "mixed"):
+        points = [value() for _ in range(rng.randrange(1, 4))]
+    if kind in ("bounded", "unbounded", "mixed"):
+        for _ in range(rng.randrange(1, 3)):
+            lo, hi = sorted((value(), value()))
+            if kind == "unbounded" or (kind == "mixed" and rng.random() < 0.2):
+                hi = None
+            elif hi == lo:
+                hi = lo + _rational(rng, 5)
+            intervals.append((lo, hi))
+    return ChoiceSet(points=points, intervals=intervals)
+
+
+class _Checked:
+    """Plays the adversary and asserts, inning by inning, that the reference answers the same value."""
+
+    def __init__(self, player):
+        self.player, self.innings, self.fired = player, 0, 0
+
+    def respond(self, base, history, pair, offered):
+        got = self.player.respond(base, history, pair, offered)
+        want = ReferenceAdversary().respond(base, history, pair, offered)
+        assert (type(got), got) == (type(want), want), (pair, offered, len(history))
+        self.innings += 1
+        self.fired += got != offered.least_element()
+        return got
+
+
+class TestAdversary:
+    def test_matches_the_reference_on_the_criterion_5_bases(self, h_graph):
+        """Against the winning strategy, 0-2 burned innings, and against the bases' own wide offers."""
+        bases = [h_graph, cantor_tree(2)] + [random_floppy(4 + k % 2, Fraction(1, 2), 9000 + k) for k in range(20)]
+        checked = _Checked(AdversarySecondPlayer())
+        for base in bases:
+            missing = len(base.non_edges())
+            for burn in range(3):
+                assert play(base, missing + burn, winning_player_one(base), checked).verdict == PLAYER_I_WINS
+            script = [(d, ChoiceSet(points=[1, 100], intervals=[(2, 3)])) for d in base.non_edges()] * 2
+            play(base, len(script), ScriptedFirstPlayer(script), checked)
+        assert checked.innings > 500 and checked.fired > 20
+
+    def test_matches_the_reference_on_random_histories(self):
+        """Seeded histories over random floppy bases with repeated moves, moves on the offered pair, and set
+        ends at exactly a +- g of an earlier move, where that move must not fire."""
+        rng = random.Random(24)
+        counts = dict.fromkeys(("fired", "repeats", "same_pair", "ties"), 0)
+        for trial in range(60):
+            base = random_floppy(rng.choice((4, 5, 6)), Fraction(rng.choice((1, 2)), 3), 100 + trial)
+            pairs = [pair(u, v) for u, v in combinations(sorted(base.vertices), 2)]
+            player, history = AdversarySecondPlayer(), []
+            for _ in range(30):
+                d = history[-1].pair if history and rng.random() < 0.2 else rng.choice(pairs)
+                counts["same_pair"] += any(mv.pair == d for mv in history)
+                ends = []
+                for mv in rng.sample(history, min(2, len(history))):
+                    if mv.pair != d:
+                        g = doubleton_dist(base, d, mv.pair)
+                        ends += [v for v in (mv.answer + g, mv.answer - g) if v > 0]
+                offered = _random_choice_set(rng, rng.choice(("points", "bounded", "unbounded", "mixed")), ends)
+                top, bottom = offered._ends()
+                counts["ties"] += top in ends or bottom in ends
+                got = player.respond(base, history, d, offered)
+                want = ReferenceAdversary().respond(base, history, d, offered)
+                assert (type(got), got) == (type(want), want), (trial, len(history), d, offered)
+                counts["fired"] += got != offered.least_element()
+                if history and rng.random() < 0.3:  # repeat an earlier (pair, answer) under a new offer
+                    old = rng.choice(history)
+                    history.append(Move(old.pair, offered, old.answer))
+                    counts["repeats"] += 1
+                else:
+                    history.append(Move(d, offered, got if rng.random() < 0.5 else offered.sample(rng)))
+        assert min(counts.values()) > 100, counts
+
+    @pytest.mark.parametrize("offered", [
+        ChoiceSet.of_points(Fraction(23, 3)),
+        ChoiceSet.of_points(Fraction(11, 3), Fraction(23, 3)),
+        ChoiceSet.open_interval(Fraction(11, 3), Fraction(23, 3)),
+        ChoiceSet(points=[Fraction(11, 3)], intervals=[(Fraction(11, 3), 5), (6, Fraction(23, 3))]),
+    ], ids=["top-point", "both-points", "interval", "mixed"])
+    def test_exact_ties_do_not_fire(self, h_graph, offered):
+        """|v - a| = g is not far: with a = 17/3 and g = dd(xy, ab) = 2 every element lies in [a - g, a + g]."""
+        earlier = Move(pair("a", "b"), ChoiceSet.of_points(5), Fraction(17, 3))
+        xy = pair("x", "y")
+        g = doubleton_dist(h_graph, xy, earlier.pair)
+        assert (earlier.answer - g, earlier.answer + g) == (Fraction(11, 3), Fraction(23, 3))
+        for history in ([earlier], [earlier, earlier], [Move(xy, offered, Fraction(1000))]):
+            got = AdversarySecondPlayer().respond(h_graph, history, xy, offered)
+            assert got == ReferenceAdversary().respond(h_graph, history, xy, offered) == offered.least_element()
+        beyond = Fraction(23, 3) + Fraction(1, 10**9)
+        wider = ChoiceSet(points=offered.points | {beyond}, intervals=offered.intervals)
+        assert AdversarySecondPlayer().respond(h_graph, [earlier], xy, wider) == beyond
+
+    def test_raises_the_errors_of_doubleton_dist(self):
+        split = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): 1, pair("c", "d"): 1})
+        offered = ChoiceSet.of_points(1)
+        for base, history, d, error in [
+            (split, [Move(pair("c", "d"), offered, Fraction(1))], pair("a", "b"), DisconnectedError),
+            (split, [Move(pair("a", "z"), offered, Fraction(1))], pair("a", "b"), UnknownVertexError),
+            (split, [Move(pair("a", "b"), offered, Fraction(1))], pair("a", "z"), UnknownVertexError),
+        ]:
+            with pytest.raises(error) as want:
+                ReferenceAdversary().respond(base, history, d, offered)
+            with pytest.raises(error) as got:
+                AdversarySecondPlayer().respond(base, history, d, offered)
+            assert str(got.value) == str(want.value)
+        # no earlier move on another pair: nothing is read, as before
+        assert AdversarySecondPlayer().respond(split, [], pair("a", "z"), offered) == 1
+
+    def test_two_ends_decide_element_far_from(self):
+        """element_far_from(a, g) is None exactly when top <= a + g and bottom >= a - g, including the equalities
+        at top, at bottom, at a point and with an unbounded interval."""
+        rng = random.Random(7)
+        seen = dict.fromkeys(("top", "bottom", "point", "unbounded"), 0)
+        for _ in range(4000):
+            cs = _random_choice_set(rng, rng.choice(("points", "bounded", "unbounded", "mixed")))
+            top, bottom = cs._ends()
+            a = _rational(rng, 40)
+            g = rng.choice([_rational(rng, 20), abs(rng.choice([v for v in (top, bottom) if v is not None]) - a)])
+            far = top is None or top > a + g or bottom < a - g
+            assert (cs.element_far_from(a, g) is not None) == far, (cs, a, g)
+            seen["top"] += top == a + g
+            seen["bottom"] += bottom == a - g
+            seen["point"] += any(abs(p - a) == g for p in cs.points)
+            seen["unbounded"] += top is None
+        assert min(seen.values()) > 100, seen
+        unbounded = ChoiceSet(points=[3], intervals=[(2, None)])
+        assert unbounded._ends() == (None, 2)
+        assert unbounded.element_far_from(Fraction(10**9), Fraction(10**9)) is not None
+
+    def test_one_player_serves_games_bases_and_shrinking_histories(self, path_abcd, h_graph):
+        """Reused across two games, two bases and a history cut short, the player answers as a fresh one."""
+        wide = ChoiceSet(points=[1, 100], intervals=[(2, 3)])
+        shared = AdversarySecondPlayer()
+        for base in (path_abcd, path_abcd, h_graph, path_abcd):
+            script = [(d, wide) for d in base.non_edges()] * 2
+            games = [play(base, len(script), ScriptedFirstPlayer(script), p2) for p2 in (shared, AdversarySecondPlayer())]
+            assert games[0].to_json() == games[1].to_json()
+        # ac at 3 ties at ad (dd = 1, both points 1 away); bd at 1/2 is far from 4 (dd = 1)
+        ac, bd, ad = pair("a", "c"), pair("b", "d"), pair("a", "d")
+        offered = ChoiceSet.of_points(2, 4)
+        history = [Move(ac, offered, Fraction(3)), Move(bd, offered, Fraction(1, 2))]
+        assert shared.respond(path_abcd, history, ad, offered) == 4
+        del history[1:]  # the same list, cut short: a new game on it
+        assert shared.respond(path_abcd, history, ad, offered) == 2
+        history.append(Move(bd, offered, Fraction(1, 2)))
+        assert shared.respond(path_abcd, history, ad, offered) == 4
+        # another list, as long as the last one
+        assert shared.respond(path_abcd, [history[0], history[0]], ad, offered) == 2
+        for player in (shared, AdversarySecondPlayer()):
+            assert [player.respond(path_abcd, history[:k], ad, offered) for k in (0, 1, 2)] == [2, 2, 4]
 
 class TestTranscriptSerialization:
     def test_round_trip_shape(self, h_graph):

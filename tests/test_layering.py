@@ -3,10 +3,11 @@
 That format is ints over the common denominator ``_scale``, ``None`` for
 +infinity, and table and envelope rows in ``_index`` order.  Every other
 module reads distances through the public API or core's readers ``_gaps``,
-``_step_reads`` and ``_hat_check``, so a change of format edits ``core``
-alone.  This test parses each other module and fails on any attribute of
-the format and on any import of a private kernel function.  ``_copy`` and ``_adjoin`` stay
-allowed: they are the running-metric API.
+``_step_reads``, ``_hat_check`` and ``_doubleton_reader``, so a change of
+format edits ``core`` alone.  This test parses each other module and fails
+on any attribute of the format and on any import of a private kernel
+function.  ``_copy`` and ``_adjoin`` stay allowed: they are the
+running-metric API.
 """
 
 import ast
