@@ -21,6 +21,7 @@ from .extension import (
     PROPOSITION,
     THEOREM,
     AdmissibleInterval,
+    ChoiceSet,
     ExtensionStep,
     ExtensionTrace,
     StepPropertyReport,
@@ -32,7 +33,6 @@ from .extension import (
 from .game import (
     PLAYER_I_WINS,
     PLAYER_II_WINS,
-    ChoiceSet,
     GameTranscript,
     Move,
     SabotagePlan,

@@ -55,6 +55,8 @@ strategy and ``minimal_floppy_extension`` each adjoin into one copy;
 reweighting an edge builds a new, cold metric instead.  A new weight
 denominator moves the metric to ``L' = lcm(L, w.denominator)``.  A metric
 keeps its ``is_floppy`` report once one is made; a copy starts without one.
+``_jsonable`` is the one JSON rule, for reports, metrics and errors alike.
+This module imports only ``errors``.
 """
 
 from __future__ import annotations
@@ -206,6 +208,11 @@ class PartialMetric:
 
     def __repr__(self):
         return f"PartialMetric(|V|={len(self._vertices)}, |E|={len(self._edges)})"
+
+    def to_json(self) -> dict:
+        """The metric document: sorted vertices, and edges sorted by pair with weights as reduced strings."""
+        edges = sorted(self._edges.items(), key=lambda e: (e[0].a, e[0].b))
+        return {"vertices": sorted(self._vertices), "edges": [{"u": d.a, "v": d.b, "w": str(w)} for d, w in edges]}
 
     def is_edge(self, d: Doubleton) -> bool:
         return d in self._edges
@@ -596,15 +603,15 @@ def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction, h: int, c: int):
 
 
 def _jsonable(v):
-    """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record or error -> its to_json(),
-    frozenset -> sorted list, list or tuple -> list, dict -> str keys, PartialMetric -> metric document."""
+    """The one JSON rule: Fraction -> reduced string, Doubleton -> [a, b], record or metric -> its to_json(),
+    error -> its code, message and details, frozenset -> sorted list, list or tuple -> list, dict -> str keys."""
     if isinstance(v, (str, int)) or v is None:  # as they are, and without an ABC check for Fraction (bool is an int)
         return v
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, Doubleton):
         return [v.a, v.b]
-    if isinstance(v, (_Record, MetricError)):
+    if isinstance(v, (_Record, PartialMetric)):
         return v.to_json()
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
@@ -612,10 +619,8 @@ def _jsonable(v):
         return [_jsonable(x) for x in sorted(v)]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, PartialMetric):
-        from .serialize import metric_to_doc  # serialize imports every report module
-
-        return metric_to_doc(v)
+    if isinstance(v, MetricError):
+        return {"error": v.code, "message": str(v), "details": _jsonable(v.details)}
     return v
 
 

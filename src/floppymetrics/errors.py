@@ -1,4 +1,4 @@
-"""Domain errors with stable machine-readable codes (mirrored by the CLI)."""
+"""Domain errors with stable machine-readable codes (mirrored by the CLI); the bottom layer, importing nothing."""
 
 
 class MetricError(Exception):
@@ -9,11 +9,6 @@ class MetricError(Exception):
     def __init__(self, message, **details):
         super().__init__(message)
         self.details = details
-
-    def to_json(self):
-        from .core import _jsonable  # core imports errors
-
-        return {"error": self.code, "message": str(self), "details": _jsonable(self.details)}
 
 
 class MalformedInputError(MetricError):

@@ -18,12 +18,14 @@ collision is bisected by ``_bisect_unused``, one Fraction per probe.
 ``verify_step_properties`` reads xy once, as ``_hat_check`` ints, for its
 range check and the statement (5) hypothesis, and evaluates the five
 statements on the ints of ``core._step_reads``.  Every entry point first
-checks that it was given a metric and a ``Doubleton``.
+checks that it was given a metric and a ``Doubleton``.  A ``ChoiceSet``,
+the paper's F_e and the game's offer, gives ``full_extend`` a pair's value.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from .core import (
 )
 from .errors import (
     AlreadyEdgeError,
+    ChoiceSetMissesIntervalError,
     MalformedInputError,
     MissingChoiceSetError,
     NotFloppyError,
@@ -300,11 +303,119 @@ def _bisect_unused(lo: Fraction, hi: Fraction, used) -> Fraction:
     return v
 
 
+@dataclass(frozen=True)
+class ChoiceSet(_Record):
+    """Finite union of rational points and open rational intervals in (0, inf).
+
+    The constructor admits both lists and their values (``as_rational``): ``points`` is a list, tuple, set or
+    frozenset, ``intervals`` a list or tuple of 2-item (lo, hi), hi=None meaning unbounded above.
+    """
+
+    points: frozenset = frozenset()
+    intervals: tuple = ()
+
+    def __post_init__(self):
+        if not isinstance(self.points, (list, tuple, set, frozenset)) or not isinstance(self.intervals, (list, tuple)):
+            raise MalformedInputError(f"choice-set points must be a list or set and intervals a list: {self!r}")
+        pts = frozenset(map(as_rational, self.points))
+        object.__setattr__(self, "points", pts)
+        ivs = []
+        for iv in self.intervals:
+            if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
+                raise MalformedInputError(f"each choice-set interval must be a pair (lo, hi), got {iv!r}")
+            lo, hi = as_rational(iv[0]), None if iv[1] is None else as_rational(iv[1])
+            if lo < 0 or (hi is not None and hi <= lo):
+                raise MalformedInputError(f"bad interval ({lo}, {hi})")
+            ivs.append((lo, hi))
+        object.__setattr__(self, "intervals", tuple(ivs))
+        if pts and min(pts) <= 0:
+            raise MalformedInputError("choice-set points must be positive")
+        if not pts and not ivs:
+            raise MalformedInputError("choice set must be nonempty")
+
+    @classmethod
+    def of_points(cls, *values):
+        return cls(points=values)
+
+    @classmethod
+    def open_interval(cls, lo, hi=None):
+        return cls(intervals=((lo, hi),))
+
+    def contains(self, v: Fraction) -> bool:
+        if v in self.points:
+            return True
+        return any(lo < v and (hi is None or v < hi) for lo, hi in self.intervals)
+
+    def pick(self, lo: Fraction, hi: Fraction, used) -> Fraction:
+        """The least point in ``[lo, hi)`` not in ``used``, else ``_bisect_unused`` inside the first
+        interval's part in ``[lo, hi)``, else the least point there: points alone may repeat a value."""
+        in_range = sorted(p for p in self.points if lo <= p < hi)
+        for p in in_range:
+            if p not in used:
+                return p
+        for ilo, ihi in self.intervals:
+            top = hi if ihi is None else min(hi, ihi)
+            bottom = max(ilo, lo)
+            if top > bottom:
+                return _bisect_unused(bottom, top, used)
+        if in_range:
+            return in_range[0]
+        raise ChoiceSetMissesIntervalError(f"choice set misses admissible interval [{lo}, {hi})", lo=lo, hi=hi)
+
+    def diameter(self):
+        """sup of pairwise distances; math.inf for unbounded sets, whatever their lower bounds."""
+        top, bottom = self._ends()
+        return math.inf if top is None else top - bottom
+
+    def least_element(self) -> Fraction:
+        """Canonical 'arbitrary' answer: smallest point, or a quarter into an interval."""
+        candidates = list(self.points)
+        for lo, hi in self.intervals:
+            candidates.append(lo + 1 if hi is None else lo + (hi - lo) / 4)
+        return min(candidates)
+
+    def _ends(self):
+        """``(top, bottom)``: the largest point or interval end (``None`` if an interval is unbounded) and the
+        least point or lower end.  ``element_far_from(a, g)`` finds an element exactly when ``top`` is ``None``,
+        ``top > a + g`` or ``bottom < a - g``, the same strict tests as its three branches."""
+        los = [*self.points, *(lo for lo, _ in self.intervals)]
+        his = [*self.points, *(hi for _, hi in self.intervals)]
+        return (None if None in his else max(his)), min(los)
+
+    def element_far_from(self, center: Fraction, gap: Fraction):
+        """Some element v with |v - center| > gap, or None."""
+        pts = sorted(self.points, key=lambda p: (-abs(p - center), p))
+        if pts and abs(pts[0] - center) > gap:
+            return pts[0]
+        for lo, hi in self.intervals:
+            if hi is None:
+                return max(lo, center + gap) + 1
+            if hi > center + gap:
+                bottom = max(lo, center + gap)
+                return (bottom + hi) / 2
+            top = min(hi, center - gap)
+            if top > lo:
+                return (lo + top) / 2
+        return None
+
+    def sample(self, rng: random.Random) -> Fraction:
+        """Seeded random element; exact rationals only."""
+        components = [("p", p) for p in sorted(self.points)] + [("i", iv) for iv in self.intervals]
+        kind, payload = components[rng.randrange(len(components))]
+        if kind == "p":
+            return payload
+        lo, hi = payload
+        if hi is None:
+            hi = lo + rng.randrange(1, 64)
+        k = rng.randrange(1, 1 << 16)
+        return lo + (hi - lo) * Fraction(k, 1 << 16)
+
+
 def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTrace:
     """Extend to a full metric, one admissible step per missing pair.
 
     ``order``: "lex", "maxgap", or "random:SEED".  ``choice``: "midpoint" or a
-    mapping from Doubleton to a game ChoiceSet.  Values are pairwise distinct
+    mapping from Doubleton to a ChoiceSet.  Values are pairwise distinct
     (bisecting toward the upper end on collision) for midpoints, and for sets
     that each meet their admissible interval in an open interval, as the
     paper's dense F_e do; a set of points alone may repeat a value.
@@ -312,8 +423,6 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
     (``test_extension.py::TestFullExtend::test_every_value_lies_in_its_interval``).
     Every step is adjoined in place into one copy of ``m``, the trace's result.
     """
-    from .game import ChoiceSet  # game imports this module, so this import waits for the first call
-
     _require_floppy(m)
     if choice != "midpoint" and not isinstance(choice, Mapping):
         raise MalformedInputError(f"choice must be 'midpoint' or a mapping from pair to ChoiceSet, got {choice!r}")

@@ -4,7 +4,7 @@ Player I names a vertex pair and a choice set; Player II answers with a value
 from the set.  After a fixed finite number of innings the referee builds the
 accumulated relation once and validates it once: Player I wins exactly when it
 is a full metric.  The referee keeps no running metric; only the winning
-strategy does, to compute its offers.
+strategy does, to compute its offers, ``extension.ChoiceSet`` values.
 
 Provided players:
 
@@ -24,7 +24,6 @@ Provided players:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,119 +40,11 @@ from .core import (
     shortest_path,
     validate,
 )
-from .errors import ChoiceSetMissesIntervalError, MalformedInputError, MetricError, MissingChoiceSetError
-from .extension import _bisect_unused, _interval, _require_floppy
+from .errors import MalformedInputError, MetricError, MissingChoiceSetError
+from .extension import ChoiceSet, _interval, _require_floppy
 
 PLAYER_I_WINS = "PLAYER_I_WINS"
 PLAYER_II_WINS = "PLAYER_II_WINS"
-
-
-@dataclass(frozen=True)
-class ChoiceSet(_Record):
-    """Finite union of rational points and open rational intervals in (0, inf).
-
-    The constructor admits both lists and their values (``as_rational``): ``points`` is a list, tuple, set or
-    frozenset, ``intervals`` a list or tuple of 2-item (lo, hi), hi=None meaning unbounded above.
-    """
-
-    points: frozenset = frozenset()
-    intervals: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.points, (list, tuple, set, frozenset)) or not isinstance(self.intervals, (list, tuple)):
-            raise MalformedInputError(f"choice-set points must be a list or set and intervals a list: {self!r}")
-        pts = frozenset(map(as_rational, self.points))
-        object.__setattr__(self, "points", pts)
-        ivs = []
-        for iv in self.intervals:
-            if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
-                raise MalformedInputError(f"each choice-set interval must be a pair (lo, hi), got {iv!r}")
-            lo, hi = as_rational(iv[0]), None if iv[1] is None else as_rational(iv[1])
-            if lo < 0 or (hi is not None and hi <= lo):
-                raise MalformedInputError(f"bad interval ({lo}, {hi})")
-            ivs.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(ivs))
-        if pts and min(pts) <= 0:
-            raise MalformedInputError("choice-set points must be positive")
-        if not pts and not ivs:
-            raise MalformedInputError("choice set must be nonempty")
-
-    @classmethod
-    def of_points(cls, *values):
-        return cls(points=values)
-
-    @classmethod
-    def open_interval(cls, lo, hi=None):
-        return cls(intervals=((lo, hi),))
-
-    def contains(self, v: Fraction) -> bool:
-        if v in self.points:
-            return True
-        return any(lo < v and (hi is None or v < hi) for lo, hi in self.intervals)
-
-    def pick(self, lo: Fraction, hi: Fraction, used) -> Fraction:
-        """The least point in ``[lo, hi)`` not in ``used``, else ``_bisect_unused`` inside the first
-        interval's part in ``[lo, hi)``, else the least point there: points alone may repeat a value."""
-        in_range = sorted(p for p in self.points if lo <= p < hi)
-        for p in in_range:
-            if p not in used:
-                return p
-        for ilo, ihi in self.intervals:
-            top = hi if ihi is None else min(hi, ihi)
-            bottom = max(ilo, lo)
-            if top > bottom:
-                return _bisect_unused(bottom, top, used)
-        if in_range:
-            return in_range[0]
-        raise ChoiceSetMissesIntervalError(f"choice set misses admissible interval [{lo}, {hi})", lo=lo, hi=hi)
-
-    def diameter(self):
-        """sup of pairwise distances; math.inf for unbounded sets, whatever their lower bounds."""
-        top, bottom = self._ends()
-        return math.inf if top is None else top - bottom
-
-    def least_element(self) -> Fraction:
-        """Canonical 'arbitrary' answer: smallest point, or a quarter into an interval."""
-        candidates = list(self.points)
-        for lo, hi in self.intervals:
-            candidates.append(lo + 1 if hi is None else lo + (hi - lo) / 4)
-        return min(candidates)
-
-    def _ends(self):
-        """``(top, bottom)``: the largest point or interval end (``None`` if an interval is unbounded) and the
-        least point or lower end.  ``element_far_from(a, g)`` finds an element exactly when ``top`` is ``None``,
-        ``top > a + g`` or ``bottom < a - g``, the same strict tests as its three branches."""
-        los = [*self.points, *(lo for lo, _ in self.intervals)]
-        his = [*self.points, *(hi for _, hi in self.intervals)]
-        return (None if None in his else max(his)), min(los)
-
-    def element_far_from(self, center: Fraction, gap: Fraction):
-        """Some element v with |v - center| > gap, or None."""
-        pts = sorted(self.points, key=lambda p: (-abs(p - center), p))
-        if pts and abs(pts[0] - center) > gap:
-            return pts[0]
-        for lo, hi in self.intervals:
-            if hi is None:
-                return max(lo, center + gap) + 1
-            if hi > center + gap:
-                bottom = max(lo, center + gap)
-                return (bottom + hi) / 2
-            top = min(hi, center - gap)
-            if top > lo:
-                return (lo + top) / 2
-        return None
-
-    def sample(self, rng: random.Random) -> Fraction:
-        """Seeded random element; exact rationals only."""
-        components = [("p", p) for p in sorted(self.points)] + [("i", iv) for iv in self.intervals]
-        kind, payload = components[rng.randrange(len(components))]
-        if kind == "p":
-            return payload
-        lo, hi = payload
-        if hi is None:
-            hi = lo + rng.randrange(1, 64)
-        k = rng.randrange(1, 1 << 16)
-        return lo + (hi - lo) * Fraction(k, 1 << 16)
 
 
 @dataclass(frozen=True)
@@ -235,10 +126,9 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
             answer = as_rational(player_two.respond(base, moves, d, offered))
         except MetricError as exc:
             return GameTranscript(base, moves, PLAYER_I_WINS, GameReason("ILLEGAL_MOVE_II", {"message": str(exc)}))
-        if not offered.contains(answer):
-            moves.append(Move(d, offered, answer))
-            return GameTranscript(base, moves, PLAYER_I_WINS, GameReason("ILLEGAL_MOVE_II", {"pair": d, "answer": answer}))
         moves.append(Move(d, offered, answer))
+        if not offered.contains(answer):
+            return GameTranscript(base, moves, PLAYER_I_WINS, GameReason("ILLEGAL_MOVE_II", {"pair": d, "answer": answer}))
     relation, conflict = accumulate(base, moves)
     if conflict is not None:
         return GameTranscript(
@@ -350,24 +240,20 @@ class RandomSecondPlayer:
 
 
 class ProbeSecondPlayer:
-    """Deterministic answers near an end (or the middle) of offered intervals."""
+    """Deterministic answers near an end (or the middle) of offered intervals: ``lo + span * position``."""
+
+    _POSITIONS = {"low": Fraction(1, 1024), "mid": Fraction(1, 2), "high": Fraction(1023, 1024)}
 
     def __init__(self, mode: str):
-        if mode not in ("low", "high", "mid"):
+        if mode not in self._POSITIONS:
             raise MalformedInputError(f"unknown probe mode {mode!r}")
         self.mode = mode
 
     def respond(self, base, history, pair, offered):
         if offered.intervals:
             lo, hi = offered.intervals[0]
-            if hi is None:
-                hi = lo + 2
-            span = hi - lo
-            if self.mode == "low":
-                return lo + span / 1024
-            if self.mode == "high":
-                return hi - span / 1024
-            return lo + span / 2
+            span = 2 if hi is None else hi - lo
+            return lo + span * self._POSITIONS[self.mode]
         return offered.least_element()
 
 
@@ -409,7 +295,8 @@ class SabotagePlan(_Record):
 def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
     """Find two missing pairs whose choice sets force a non-metric completion.
 
-    Trigger: 3 * sep < diameter(F_p), with sep = doubleton_dist(p, q).  Then
+    Trigger: 3 * sep < diameter(F_p), with sep = doubleton_dist(p, q), decided
+    from F_p's two ends (``ChoiceSet._ends``) without the float +inf.  Then
     F_p holds two values more than 2 * sep apart, so one of them is more than
     sep from any fixed value r_q of F_q, and no full metric extension can take
     both.  ``element_far_from(r_q, sep)`` returns None only when every point
@@ -421,12 +308,12 @@ def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
         if d not in choice_sets:
             raise MissingChoiceSetError(f"no choice set for missing pair {d}")
     for p in missing:
-        diam = choice_sets[p].diameter()
+        top, bottom = choice_sets[p]._ends()
         for q in missing:
             if q == p:
                 continue
             sep = doubleton_dist(base, p, q)
-            if 3 * sep < diam:
+            if top is None or 3 * sep < top - bottom:
                 r_q = choice_sets[q].least_element()
                 return SabotagePlan(p, q, choice_sets[p].element_far_from(r_q, sep), r_q, sep)
     return None

@@ -4,7 +4,8 @@ Vertices of the truncated Cantor tree are binary strings (the root is the
 empty string); every comparable pair s < t (proper prefix) carries weight
 2^-|s| - 2^-|t|.  Random floppy metrics come from taxicab distances between
 distinct integer grid points, thinned down to a target density while keeping
-a spanning tree, then rejection-sampled on the floppiness check.
+a spanning tree, then rejection-sampled on the floppiness check.  One rule
+each checks every count (``_count``) and every scale (``_positive``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,32 @@ from .errors import DepthZeroError, GenerationExhaustedError, MalformedInputErro
 _MAX_ATTEMPTS = 64  # floppiness checks random_floppy makes before it gives up
 
 
+def _count(n, least: int, what: str, error=MalformedInputError) -> int:
+    """``n`` once it is an int, not a bool, of at least ``least``; a smaller int raises ``error``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MalformedInputError(f"{what} must be an int, got {n!r}")
+    if n < least:
+        raise error(f"{what} must be at least {least}, got {n}")
+    return n
+
+
+def _positive(scale) -> Fraction:
+    scale = as_rational(scale)
+    if scale <= 0:
+        raise MalformedInputError(f"scale must be positive, got {scale}")
+    return scale
+
+
+def _uniform(vertices, pairs, scale) -> PartialMetric:
+    """The metric on ``vertices`` with every one of ``pairs`` at weight ``scale``, which must be positive."""
+    w = _positive(scale)
+    return PartialMetric(vertices, {Doubleton(u, v): w for u, v in pairs})
+
+
 def cantor_tree(depth: int) -> PartialMetric:
     """Truncated Cantor tree metric on all binary strings of length <= depth."""
-    if depth < 1:
-        raise DepthZeroError("depth must be at least 1")
     vertices = [""]
-    for k in range(1, depth + 1):
+    for k in range(1, _count(depth, 1, "depth", DepthZeroError) + 1):
         vertices.extend("".join(bits) for bits in product("01", repeat=k))
     edges = {}
     for s in vertices:
@@ -35,41 +56,25 @@ def cantor_tree(depth: int) -> PartialMetric:
 
 
 def path_metric(n: int, scale=1) -> PartialMetric:
-    if n < 1:
-        raise MalformedInputError("n must be at least 1")
-    scale = as_rational(scale)
-    vertices = [f"v{i}" for i in range(n)]
-    edges = {Doubleton(f"v{i}", f"v{i+1}"): scale for i in range(n - 1)}
-    return PartialMetric(vertices, edges)
+    vertices = [f"v{i}" for i in range(_count(n, 1, "n"))]
+    return _uniform(vertices, zip(vertices, vertices[1:]), scale)
 
 
 def cycle_metric(n: int, scale=1) -> PartialMetric:
-    if n < 3:
-        raise MalformedInputError("a cycle needs at least 3 vertices")
-    scale = as_rational(scale)
-    vertices = [f"v{i}" for i in range(n)]
-    edges = {Doubleton(f"v{i}", f"v{(i+1) % n}"): scale for i in range(n)}
-    return PartialMetric(vertices, edges)
+    vertices = [f"v{i}" for i in range(_count(n, 3, "a cycle's n"))]
+    return _uniform(vertices, zip(vertices, vertices[1:] + vertices[:1]), scale)
 
 
 def star_metric(n: int, scale=1) -> PartialMetric:
     """Center c with n leaves at equal distance."""
-    if n < 1:
-        raise MalformedInputError("a star needs at least 1 leaf")
-    scale = as_rational(scale)
-    vertices = ["c"] + [f"u{i}" for i in range(n)]
-    edges = {Doubleton("c", f"u{i}"): scale for i in range(n)}
-    return PartialMetric(vertices, edges)
+    leaves = [f"u{i}" for i in range(_count(n, 1, "a star's n"))]
+    return _uniform(["c", *leaves], (("c", u) for u in leaves), scale)
 
 
 def complete_metric(n: int, scale=1) -> PartialMetric:
     """Equilateral full metric on n vertices."""
-    if n < 1:
-        raise MalformedInputError("n must be at least 1")
-    scale = as_rational(scale)
-    vertices = [f"v{i}" for i in range(n)]
-    edges = {Doubleton(u, v): scale for u, v in combinations(vertices, 2)}
-    return PartialMetric(vertices, edges)
+    vertices = [f"v{i}" for i in range(_count(n, 1, "n"))]
+    return _uniform(vertices, combinations(vertices, 2), scale)
 
 
 def h_graph() -> PartialMetric:
@@ -90,14 +95,11 @@ def _taxicab_weights(rng: random.Random, labels, scale: Fraction) -> dict:
 
 def random_floppy(n: int, density, seed: int, *, scale=1) -> PartialMetric:
     """Seeded random floppy graph metric with roughly the requested density."""
-    if n < 2:
-        raise MalformedInputError("n must be at least 2")
+    _count(n, 2, "n")
     density = as_rational(density)
     if not 0 < density <= 1:
         raise MalformedInputError(f"density must be in (0, 1], got {density}")
-    scale = as_rational(scale)
-    if scale <= 0:
-        raise MalformedInputError(f"scale must be positive, got {scale}")
+    scale = _positive(scale)
     rng = random.Random(seed)
     total_pairs = n * (n - 1) // 2
     target = max(n - 1, round(density * total_pairs))

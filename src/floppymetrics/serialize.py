@@ -7,13 +7,15 @@ Weights are reduced rational strings ("p/q" or "n").  Canonical serialization
 orders vertices and edges lexicographically, so documents round-trip
 losslessly and byte-identically.  A weight is a JSON integer or a string
 ``[+-]?\d+(/\d+)?``; decimals, exponents, floats and booleans are malformed.
-Readers check only the JSON shape: ``PartialMetric`` admits a metric's labels
-and entries, and ``ChoiceSet`` a choice set's lists and their values.
-Reports, traces and transcripts follow one rule (``core._jsonable``): fields
-in declaration order, rationals as reduced ``"n"`` / ``"p/q"`` strings, pairs
-as ``[a, b]``, ``null`` for none, and a metric as its metric document.
-``_dumps``, the indent-2 writer of the CLI and ``dump_metric``, writes only
-plain JSON data, so every library value reaches it through ``_jsonable``.
+This module reads documents.  Readers check only the JSON shape:
+``PartialMetric`` admits a metric's labels and entries, and ``ChoiceSet`` a
+choice set's lists and their values.  Values write themselves, by one rule
+(``core._jsonable``): fields in declaration order, rationals as reduced
+``"n"`` / ``"p/q"`` strings, pairs as ``[a, b]``, ``null`` for none, and a
+metric as its metric document (``PartialMetric.to_json``, which
+``metric_to_doc`` returns).  ``_dumps``, the indent-2 writer of the CLI and
+``dump_metric``, writes only plain JSON data, so every library value reaches
+it through ``_jsonable``.
 
 Pair text, as in the CLI's ``--pair`` and the keys of a choice-map document,
 is two labels separated by a comma, with ``\,`` for a comma and ``\\`` for a
@@ -28,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from .core import Doubleton, PartialMetric
 from .errors import MalformedInputError
-from .game import ChoiceSet
+from .extension import ChoiceSet
 from .glue import Patchwork
 
 
@@ -46,13 +48,7 @@ def _parse_pair(text: str) -> Doubleton:
 
 
 def metric_to_doc(m: PartialMetric) -> dict:
-    return {
-        "vertices": sorted(m.vertices),
-        "edges": [
-            {"u": d.a, "v": d.b, "w": str(w)}
-            for d, w in sorted(m.edges.items(), key=lambda e: (e[0].a, e[0].b))
-        ],
-    }
+    return m.to_json()
 
 
 def metric_from_doc(doc) -> PartialMetric:

@@ -290,6 +290,18 @@ class TestGen:
         code, doc = run(capsys, "gen", "path", "--n", "3", "--scale", "huge")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete", "random"])
+    @pytest.mark.parametrize("scale", ["0", "-1/2"])
+    def test_scale_must_be_positive(self, capsys, kind, scale):
+        """An all-zero document would pass as a metric here and fail later as ``NOT_GRAPH_METRIC``."""
+        code, doc = run(capsys, "gen", kind, "--n", "3", f"--scale={scale}")
+        assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
+        assert "scale must be positive" in doc["message"]
+
+    def test_depth_zero_keeps_its_code(self, capsys):
+        code, doc = run(capsys, "gen", "cantor", "--depth", "0")
+        assert (code, doc["error"]) == (1, "DEPTH_ZERO")
+
     @pytest.mark.parametrize(
         "argv",
         [["cantor", "--scale", "5"], ["path", "--n", "3", "--seed", "9", "--depth", "7"], ["star", "--density", "1/3"]],

@@ -16,6 +16,7 @@ from floppymetrics import (
     play,
     replay_sabotage,
     sabotage_witness,
+    shortest_path,
     validate,
     winning_player_one,
 )
@@ -30,6 +31,7 @@ from floppymetrics.errors import (
 from floppymetrics.game import (
     ProbeSecondPlayer,
     RandomSecondPlayer,
+    SabotagePlan,
     ScriptedFirstPlayer,
     AdversarySecondPlayer,
     accumulate,
@@ -40,6 +42,14 @@ from conftest import ReferenceAdversary, metric_state
 
 
 class TestChoiceSet:
+    def test_one_class_from_extension(self):
+        """``ChoiceSet`` lives in ``extension``; the package and ``game`` import the same class."""
+        import floppymetrics
+        from floppymetrics import extension, game
+
+        assert floppymetrics.ChoiceSet is game.ChoiceSet is extension.ChoiceSet
+        assert extension.ChoiceSet.__module__ == "floppymetrics.extension"
+
     def test_points_and_intervals(self):
         cs = ChoiceSet.of_points(1, "3/2")
         assert cs.contains(Fraction(3, 2))
@@ -312,6 +322,46 @@ class TestSabotage:
         with pytest.raises(MissingChoiceSetError):
             sabotage_witness(path_abcd, {})
 
+    def test_trigger_matches_the_diameter_rule(self, path_abcd):
+        """The two-end trigger plans as ``3 * sep < diameter()`` did, on the criterion-6 corpus and on seeded
+        sets with unbounded intervals and ends past the float range."""
+        def reference(base, sets):
+            for p in base.non_edges():
+                for q in base.non_edges():
+                    sep = doubleton_dist(base, p, q)
+                    if q != p and 3 * sep < sets[p].diameter():
+                        r_q = sets[q].least_element()
+                        return SabotagePlan(p, q, sets[p].element_far_from(r_q, sep), r_q, sep)
+            return None
+
+        cases = []
+        for seed in range(100):  # criterion 6
+            rng = random.Random(seed)
+            w = [Fraction(rng.randrange(1, 9)) for _ in range(3)]
+            base = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): w[0], pair("b", "c"): w[1], pair("c", "d"): w[2]})
+            spread = 3 * doubleton_dist(base, pair("a", "c"), pair("b", "d")) + rng.randrange(1, 20)
+            sets = {d: ChoiceSet.of_points(shortest_path(base, d.a, d.b)) for d in base.non_edges()}
+            sets[pair("a", "c")] = ChoiceSet.of_points(Fraction(1, 2), Fraction(1, 2) + spread)
+            cases.append((base, sets))
+        rng = random.Random(25)
+        for trial in range(300):
+            base = path_abcd if trial % 3 == 0 else random_floppy(rng.choice((4, 5)), Fraction(1, 2), trial)
+            shift = rng.choice((0, 0, 2**1100))
+            sets = {}
+            for d in base.non_edges():
+                cs = _random_choice_set(rng, rng.choice(("points", "points", "bounded", "unbounded", "mixed")))
+                if trial % 4 == 1:  # narrow sets: at most one point and one interval of width 1/7
+                    lo = _rational(rng, 40)
+                    cs = ChoiceSet(points=[lo][:rng.randrange(2)], intervals=[(lo, lo + Fraction(1, 7))])
+                sets[d] = ChoiceSet(points=[v + shift for v in cs.points],
+                                    intervals=[(lo + shift, hi and hi + shift) for lo, hi in cs.intervals])
+            cases.append((base, sets))
+        plans = [sabotage_witness(base, sets) for base, sets in cases]
+        assert plans == [reference(base, sets) for base, sets in cases]
+        assert sum(plan is None for plan in plans) > 50 and sum(plan is not None for plan in plans) > 200
+        assert any(plan and plan.r_p > 2**1100 and sets[plan.p].diameter() < float("inf")
+                   for plan, (_, sets) in zip(plans, cases))
+
     def test_adversary_exploits_wide_offers(self, path_abcd):
         # Player I foolishly offers the full wide set each inning
         missing = sorted(path_abcd.non_edges())
@@ -483,6 +533,57 @@ class TestAdversary:
         assert shared.respond(path_abcd, [history[0], history[0]], ad, offered) == 2
         for player in (shared, AdversarySecondPlayer()):
             assert [player.respond(path_abcd, history[:k], ad, offered) for k in (0, 1, 2)] == [2, 2, 4]
+
+class _ThreeBranchProbe:
+    """The probe's answers as three branches: ``lo + span/1024``, ``hi - span/1024`` and ``lo + span/2``."""
+
+    def __init__(self, mode):
+        self.mode = mode
+
+    def respond(self, base, history, pair, offered):
+        if offered.intervals:
+            lo, hi = offered.intervals[0]
+            if hi is None:
+                hi = lo + 2
+            span = hi - lo
+            if self.mode == "low":
+                return lo + span / 1024
+            if self.mode == "high":
+                return hi - span / 1024
+            return lo + span / 2
+        return offered.least_element()
+
+
+class TestProbe:
+    @pytest.mark.parametrize("mode", ["low", "mid", "high"])
+    def test_matches_the_three_branches(self, h_graph, mode):
+        """On the criterion-5 bases against the winning strategy, 0-2 burned innings, and on seeded sets with
+        unbounded intervals."""
+        probe, branches = ProbeSecondPlayer(mode), _ThreeBranchProbe(mode)
+        offers = []
+
+        class Checked:
+            def respond(self, base, history, pair, offered):
+                got, want = probe.respond(base, history, pair, offered), branches.respond(base, history, pair, offered)
+                assert (type(got), got) == (type(want), want), (pair, offered)
+                offers.append(offered)
+                return got
+
+        bases = [h_graph, cantor_tree(2)] + [random_floppy(4 + k % 2, Fraction(1, 2), 9000 + k) for k in range(20)]
+        for base in bases:
+            for burn in range(3):
+                t = play(base, len(base.non_edges()) + burn, winning_player_one(base), Checked())
+                assert t.verdict == PLAYER_I_WINS
+        rng = random.Random(5)
+        for _ in range(300):
+            Checked().respond(None, [], None, _random_choice_set(rng, rng.choice(("points", "unbounded", "mixed"))))
+        assert sum(not cs.intervals for cs in offers) > 50
+        assert sum(bool(cs.intervals) and cs.intervals[0][1] is None for cs in offers) > 50
+
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(MalformedInputError, match="unknown probe mode"):
+            ProbeSecondPlayer("middle")
+
 
 class TestTranscriptSerialization:
     def test_round_trip_shape(self, h_graph):

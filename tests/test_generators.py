@@ -118,6 +118,42 @@ class TestFamilies:
             star_metric(0)
 
 
+UNIFORM_FAMILIES = {"path": (path_metric, 1), "cycle": (cycle_metric, 3), "star": (star_metric, 1),
+                    "complete": (complete_metric, 1)}
+COUNTED = {**UNIFORM_FAMILIES, "cantor": (cantor_tree, 1),
+           "random": (lambda n: random_floppy(n, Fraction(1, 2), 0), 2)}
+
+
+class TestArgumentChecks:
+    """One count check (an int, not a bool, at least the family's least) and one positive-scale check."""
+
+    @pytest.mark.parametrize("name", COUNTED)
+    @pytest.mark.parametrize("n", [2.5, True, False, "3", None, Fraction(3)], ids=repr)
+    def test_count_must_be_an_int(self, name, n):
+        with pytest.raises(MalformedInputError, match="must be an int"):
+            COUNTED[name][0](n)
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_least_count(self, name):
+        make, least = COUNTED[name]
+        assert len(make(least).vertices) >= least
+        with pytest.raises(DepthZeroError if name == "cantor" else MalformedInputError, match=f"at least {least}"):
+            make(least - 1)
+
+    @pytest.mark.parametrize("name", UNIFORM_FAMILIES)
+    @pytest.mark.parametrize("scale", [0, "0", -1, Fraction(-1, 2)], ids=repr)
+    def test_scale_must_be_positive(self, name, scale):
+        with pytest.raises(MalformedInputError, match="scale must be positive"):
+            UNIFORM_FAMILIES[name][0](4, scale)
+        with pytest.raises(MalformedInputError, match="scale must be positive"):
+            random_floppy(4, Fraction(1, 2), 0, scale=scale)
+
+    @pytest.mark.parametrize("name", UNIFORM_FAMILIES)
+    def test_every_edge_at_scale(self, name):
+        m = UNIFORM_FAMILIES[name][0](5, "3/7")
+        assert m.edges and set(m.edges.values()) == {Fraction(3, 7)}
+
+
 class TestRandomFloppy:
     def test_deterministic_in_seed(self):
         a = random_floppy(6, Fraction(1, 2), 9)

@@ -8,6 +8,10 @@ format edits ``core`` alone.  This test parses each other module and fails
 on any attribute of the format and on any import of a private kernel
 function.  ``_copy`` and ``_adjoin`` stay allowed: they are the
 running-metric API.
+
+Imports run one way down the layers: each module imports only modules
+earlier in ``LAYERS``, and no function or method imports anything, so every
+import is at the module's top.
 """
 
 import ast
@@ -20,6 +24,8 @@ FORMAT_ATTRIBUTES = {"_table", "_dist", "_rows", "_index", "_scale"}
 KERNEL_FUNCTIONS = {"_check", "_sweep", "_envelope_rows", "_lifted", "_relax_through", "_all_pairs_shortest",
                     "_index_of"}
 OTHER_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "core.py")
+LAYERS = ["errors", "core", "extension", "generators", "glue", "game", "serialize", "cli"]
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _tree(path):
@@ -43,3 +49,34 @@ def test_reads_no_kernel_format(path):
         elif isinstance(node, ast.ImportFrom):
             found += [f"line {node.lineno}: imports {a.name}" for a in node.names if a.name in KERNEL_FUNCTIONS]
     assert not found, f"{path.name} reads the kernel format outside core: {found}"
+
+
+def _package_imports(statement):
+    """The package modules an import statement names: ``from .x import ...``, ``from . import x`` or absolute."""
+    if isinstance(statement, ast.ImportFrom) and statement.level == 1:
+        return [statement.module] if statement.module else [a.name for a in statement.names]
+    if isinstance(statement, ast.ImportFrom) and (statement.module or "").startswith("floppymetrics"):
+        return [statement.module.split(".")[1]] if "." in statement.module else [a.name for a in statement.names]
+    if isinstance(statement, ast.Import):
+        return [a.name.split(".")[1] for a in statement.names if a.name.startswith("floppymetrics.")]
+    return []
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    found = [f"line {node.lineno}: {fn.name}"
+             for fn in ast.walk(_tree(path)) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"{path.name} imports inside a function: {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_earlier_layers(path):
+    rank = LAYERS.index(path.stem)
+    found = [f"line {node.lineno}: {name}" for node in ast.walk(_tree(path)) for name in _package_imports(node)
+             if name not in LAYERS[:rank]]
+    assert not found, f"{path.name} imports a module that is not in an earlier layer: {found}"

@@ -23,7 +23,7 @@ from floppymetrics import (
     verify_step_properties,
     winning_player_one,
 )
-from floppymetrics.core import _jsonable
+from floppymetrics.core import _jsonable, _Record
 from floppymetrics.errors import MalformedInputError, NotFloppyError, ROutOfRangeError
 from floppymetrics.extension import StatementResult, StepPropertyReport
 from floppymetrics.game import ChoiceSet, ProbeSecondPlayer, RandomSecondPlayer, ScriptedFirstPlayer
@@ -202,10 +202,17 @@ class TestWriterOnLibraryValues:
         assert _dumps(_jsonable(value)) == json.dumps(_jsonable(value), indent=2)
 
     def test_to_json_is_unchanged(self):
-        """A record's ``to_json`` still returns the rule's data."""
-        for name, value in library_values():
-            if not isinstance(value, (dict, PartialMetric)):
-                assert json.loads(_dumps(_jsonable(value))) == value.to_json(), name
+        """A record's and a metric's ``to_json`` return the rule's data; a metric's is its metric document.
+
+        Errors have no ``to_json``: the rule writes them, and the goldens ``error_*.json`` pin those bytes.
+        """
+        values = [(name, v) for name, v in library_values() if isinstance(v, (_Record, PartialMetric))]
+        assert {type(v) for _, v in values} >= {PartialMetric, ChoiceSet, StepPropertyReport}
+        for name, value in values:
+            assert json.loads(_dumps(_jsonable(value))) == value.to_json(), name
+            if isinstance(value, PartialMetric):
+                edges = [{"u": d.a, "v": d.b, "w": str(w)} for d, w in sorted(value.edges.items())]
+                assert value.to_json() == metric_to_doc(value) == {"vertices": sorted(value.vertices), "edges": edges}
 
 
 class TestPatchworkDocs:
