@@ -1,9 +1,11 @@
 """Command-line front-end: every library operation over metric JSON documents.
 
 Handlers return results; ``main`` is the one writer.  It writes a result or
-error object by the one JSON rule (``core._jsonable``), a DOT string as is,
-and owns the exit codes: 0 success, 1 domain error (error object on stdout),
-2 malformed input, bad usage, or a result too long to write.
+error object with ``serialize._text`` (a trace by one format per step, a
+metric by one per edge, everything else by the one JSON rule,
+``core._jsonable``), a DOT string as is, and owns the exit codes: 0 success,
+1 domain error (error object on stdout), 2 malformed input, bad usage, or a
+result too long to write.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import os
 import sys
 
 from . import serialize
-from .core import _jsonable, as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
+from .core import as_rational, doubleton_dist, is_floppy, lower_envelope, shortest_path, validate
 from .errors import MalformedInputError, MetricError
 from .extension import _digits, _seed_of, full_extend, one_step_extend, verify_step_properties
 from .game import adversary_player_two, play, winning_player_one
 from .game import ProbeSecondPlayer, RandomSecondPlayer
 from .generators import cantor_tree, complete_metric, cycle_metric, path_metric, random_floppy, star_metric
 from .glue import floppy_certificate, glue, glue_hat, validate_patchwork
-from .serialize import _ESCAPES, _dumps, _parse_pair, metric_to_dot
+from .serialize import _ESCAPES, _parse_pair, _text, metric_to_dot
 
 
 def _cmd_validate(args):
@@ -173,23 +175,20 @@ def _build_parser():
     return parser
 
 
-def _encode(result) -> str:
-    return result if isinstance(result, str) else _dumps(_jsonable(result))
-
-
 def main(argv=None) -> int:
     try:
         try:
             args = _build_parser().parse_args(argv)  # a digits-only option raises MalformedInputError here
-            text, code = _encode(args.func(args)), 0
+            result = args.func(args)
+            text, code = (result if isinstance(result, str) else _text(result)), 0  # a DOT string as it is
         except MetricError as exc:
-            text, code = _encode(exc), 2 if isinstance(exc, MalformedInputError) else 1
+            text, code = _text(exc), 2 if isinstance(exc, MalformedInputError) else 1
     except SystemExit as exc:  # argparse: usage error, or --help
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:
         if "integer string conversion" not in str(exc):  # CPython's digit limit, in a result or an error
             raise
-        text, code = _encode(MalformedInputError(
+        text, code = _text(MalformedInputError(
             "the result cannot be written: an integer in it is too long; set the environment variable"
             " PYTHONINTMAXSTRDIGITS to a higher digit limit, or to 0 for none")), 2
     try:

@@ -9,13 +9,18 @@ losslessly and byte-identically.  A weight is a JSON integer or a string
 ``[+-]?\d+(/\d+)?``; decimals, exponents, floats and booleans are malformed.
 This module reads documents.  Readers check only the JSON shape:
 ``PartialMetric`` admits a metric's labels and entries, and ``ChoiceSet`` a
-choice set's lists and their values.  Values write themselves, by one rule
+choice set's lists and their values; a choice set has no key but ``points``
+and ``intervals``.  Values write themselves, by one rule
 (``core._jsonable``): fields in declaration order, rationals as reduced
 ``"n"`` / ``"p/q"`` strings, pairs as ``[a, b]``, ``null`` for none, and a
 metric as its metric document (``PartialMetric.to_json``, which
-``metric_to_doc`` returns).  ``_dumps``, the indent-2 writer of the CLI and
-``dump_metric``, writes only plain JSON data, so every library value reaches
-it through ``_jsonable``.
+``metric_to_doc`` returns).  ``_text`` writes a value as indent-2 JSON for
+the CLI and ``dump_metric``, with the bytes of ``json.dumps(indent=2)`` on
+the rule's data.  The two shapes that carry bulk output each have one
+%-format: an ``ExtensionTrace`` takes one per step and a metric document one
+per edge, in ``to_json``'s edge order.  Every other value (reports, errors,
+game transcripts) is ``_dumps(_jsonable(value))``: ``_dumps`` writes only
+plain JSON data.
 
 Pair text, as in the CLI's ``--pair`` and the keys of a choice-map document,
 is two labels separated by a comma, with ``\,`` for a comma and ``\\`` for a
@@ -24,13 +29,14 @@ backslash inside a label.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from json.encoder import encode_basestring_ascii
 
-from .core import Doubleton, PartialMetric
+from .core import Doubleton, PartialMetric, _jsonable
 from .errors import MalformedInputError
-from .extension import ChoiceSet
+from .extension import ChoiceSet, ExtensionTrace
 from .glue import Patchwork
 
 
@@ -92,9 +98,14 @@ def patchwork_from_doc(doc) -> Patchwork:
 
 
 def choice_set_from_doc(doc) -> ChoiceSet:
-    """``{"points": [...], "intervals": [[lo, hi], ...]}``; an object, whose lists and values ``ChoiceSet`` admits."""
+    """``{"points": [...], "intervals": [[lo, hi], ...]}``; an object with no other key, whose lists and values
+    ``ChoiceSet`` admits.  A misspelt key would otherwise drop its list silently."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"choice-set document must be an object, got {doc!r}")
+    unknown = [key for key in doc if key not in ("points", "intervals")]
+    if unknown:
+        raise MalformedInputError(f"choice-set document has unknown key(s) {', '.join(map(repr, unknown))}"
+                                  " (only 'points' and 'intervals')")
     return ChoiceSet(points=doc.get("points", []), intervals=doc.get("intervals", []))
 
 
@@ -145,9 +156,56 @@ def _dumps(doc, indent="\n") -> str:
     return json.dumps(doc)  # true, false, null, or an int
 
 
+# The two shapes that carry bulk output, as %-formats, one applied per step and one per edge.  A digit k
+# stands for a newline and the indent of k levels below the value's own nesting depth.
+_STEP = '{1"pair": [2%s,2%s1],1"interval": {2"lo": "%s",2"hi": "%s"1},1"value": "%s"0}'
+_EDGE = '{1"u": %s,1"v": %s,1"w": "%s"0}'
+
+
+@functools.cache
+def _at(template: str, depth: int) -> str:
+    """``template`` for a value at nesting ``depth``: each digit k becomes a newline and ``depth + k`` indents."""
+    return re.sub("[0-9]", lambda k: "\n" + "  " * (depth + int(k[0])), template)
+
+
+def _list(items: list, depth: int) -> str:
+    """A JSON list at nesting ``depth`` of the item texts ``items``."""
+    return _at("[1%s0]", depth) % _at(",1", depth).join(items) if items else "[]"
+
+
+def _metric_text(m: PartialMetric, names: dict, depth: int) -> str:
+    """``m``'s metric document at ``depth``, edges in ``to_json``'s order; ``names`` holds each label's text."""
+    edge = _at(_EDGE, depth + 2)
+    edges = [edge % (names[d.a], names[d.b], w) for d, w in sorted(m.edges.items(), key=lambda e: (e[0].a, e[0].b))]
+    vertices = [names[v] for v in sorted(m.vertices)]
+    return _at('{1"vertices": %s,1"edges": %s0}', depth) % (_list(vertices, depth + 1), _list(edges, depth + 1))
+
+
+def _trace_text(t: ExtensionTrace, names: dict) -> str:
+    step = _at(_STEP, 2)
+    steps = [step % (names[s.pair.a], names[s.pair.b], s.interval.lo, s.interval.hi, s.value) for s in t.steps]
+    return _at('{1"steps": %s,1"result": %s0}', 0) % (_list(steps, 1), _metric_text(t.result, names, 1))
+
+
+def _text(value) -> str:
+    """``_dumps(_jsonable(value))``, the indent-2 text of the CLI and ``dump_metric``.
+
+    An ``ExtensionTrace`` is written by one format per step and a
+    ``PartialMetric`` by one per edge, each label's text made once as
+    ``_dumps`` makes it.  Every other value, and a metric with a tuple label
+    (which ``_dumps`` writes as a list over several lines), goes through
+    ``_dumps``.
+    """
+    m = value.result if isinstance(value, ExtensionTrace) else value
+    if isinstance(m, PartialMetric) and not any(isinstance(v, tuple) for v in m.vertices):
+        names = {v: encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v) for v in m.vertices}
+        return _metric_text(m, names, 0) if m is value else _trace_text(value, names)
+    return _dumps(_jsonable(value))
+
+
 def dump_metric(m: PartialMetric, path):
     with open(path, "w") as fh:
-        fh.write(_dumps(metric_to_doc(m)) + "\n")
+        fh.write(_text(m) + "\n")
 
 
 def _dot_id(label: str) -> str:

@@ -220,6 +220,15 @@ class TestExtend:
         code, doc = run(capsys, "extend", "--choice", "oracle", h_file)
         assert code == 2
 
+    def test_choice_set_with_unknown_key_is_malformed(self, capsys, h_file, tmp_path):
+        """A misspelt ``intervals`` would leave the set {1}; the whole map is rejected, naming the key."""
+        cpath = tmp_path / "sets.json"
+        cpath.write_text(json.dumps({"a,y": {"intervals": [["0", None]]}, "b,x": {"intervals": [["0", None]]},
+                                     "x,y": {"points": ["1"], "intervls": [["0", None]]}}))
+        code, doc = run(capsys, "extend", "--choice", f"set-file:{cpath}", h_file)
+        assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
+        assert "'intervls'" in doc["message"]
+
 
 class TestGame:
     def test_winning_vs_random(self, capsys, h_file):

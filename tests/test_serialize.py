@@ -27,8 +27,8 @@ from floppymetrics.core import _jsonable, _Record
 from floppymetrics.errors import MalformedInputError, NotFloppyError, ROutOfRangeError
 from floppymetrics.extension import StatementResult, StepPropertyReport
 from floppymetrics.game import ChoiceSet, ProbeSecondPlayer, RandomSecondPlayer, ScriptedFirstPlayer
-from floppymetrics.generators import random_floppy
-from floppymetrics.serialize import _dumps, choice_map_from_doc, choice_set_from_doc, metric_to_dot
+from floppymetrics.generators import cantor_tree, random_floppy
+from floppymetrics.serialize import _dumps, _text, choice_map_from_doc, choice_set_from_doc, metric_to_dot
 
 # non-ASCII (also past the BMP), quotes, backslashes, control characters and plain text
 CHARACTERS = ["a", "Z", "0", " ", ",", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
@@ -124,6 +124,11 @@ class TestWriter:
         dump_metric(m, tmp_path / "m.json")
         assert (tmp_path / "m.json").read_text() == json.dumps(metric_to_doc(m), indent=2) + "\n"
 
+    def test_dump_metric_writes_int_labels_as_json_ints(self, tmp_path):
+        m = PartialMetric([2, 10, 7, -1], {pair(2, 10): 1, pair(10, 7): Fraction(5, 2), pair(7, -1): 3})
+        dump_metric(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == json.dumps(metric_to_doc(m), indent=2) + "\n"
+
 
 def library_values():
     """``(id, value)`` for every type of value the CLI writes, with labels that JSON must escape."""
@@ -141,6 +146,10 @@ def library_values():
     bad_pw = Patchwork(PartialMetric(["a", "b"], {}), [PartialMetric(["x", "y"], {pair("x", "y"): 1})])
     path = PartialMetric(["a", "b", "c"], {pair("a", "b"): 1, pair("b", "c"): 1})
     ac = pair("a", "c")
+    # "" is the Cantor tree's root label
+    escaped = PartialMetric(['q"uote', "back\\slash", "a,b", "\u00e9", ""],
+                            {pair('q"uote', "back\\slash"): 1, pair("back\\slash", "a,b"): Fraction(3, 2),
+                             pair("a,b", "\u00e9"): 2, pair("\u00e9", ""): Fraction(1, 3)})
 
     class Raises:
         def respond(self, base, history, d, offered):
@@ -165,6 +174,12 @@ def library_values():
                                     ProbeSecondPlayer("mid")),
     }
     assert {kind.split("-")[0] for kind in games} == {t.reason.kind for t in games.values()}
+    bulk = []  # the two shapes ``_text`` writes by format, on every order and choice
+    for name, m in (("random", random_floppy(8, Fraction(1, 2), 1)), ("cantor3", cantor_tree(3)), ("escaped", escaped)):
+        open_sets = {d: ChoiceSet.open_interval(0) for d in m.non_edges()}
+        bulk += [(f"metric-{name}", m), (f"trace-{name}-set-file", full_extend(m, choice=open_sets))]
+        bulk += [(f"trace-{name}-{order.replace(':', '')}", full_extend(m, order=order))
+                 for order in ("lex", "maxgap", "random:5")]
     values = [
         ("trace-midpoint", full_extend(h)),
         ("trace-maxgap-escaped-labels", full_extend(odd, order="maxgap")),
@@ -190,16 +205,28 @@ def library_values():
         ("value-int", {"value": Fraction(12)}),
         ("choice-set", sets[pair("b", "x")]),
         ("mixed", {1: frozenset({Fraction(1, 2), Fraction(1, 3)}), True: (None, False, 0, -5), "": [[], {}, ()]}),
+        ("trace-empty", full_extend(full_extend(h).result)),
     ]
-    return values + [(f"game-{kind}", t) for kind, t in games.items()]
+    return values + bulk + [(f"game-{kind}", t) for kind, t in games.items()]
 
 
 class TestWriterOnLibraryValues:
-    """The CLI writes a library value as ``_dumps(_jsonable(value))``; ``json.dumps`` of the same tree is the oracle."""
+    """The CLI writes a library value as ``_text(value)``, which is ``_dumps(_jsonable(value))`` and writes a trace
+    and a metric by format; ``json.dumps`` of the rule's tree is the oracle for both."""
 
     @pytest.mark.parametrize("value", [v for _, v in library_values()], ids=[k for k, _ in library_values()])
     def test_equals_the_rule(self, value):
-        assert _dumps(_jsonable(value)) == json.dumps(_jsonable(value), indent=2)
+        expected = json.dumps(_jsonable(value), indent=2)
+        assert _dumps(_jsonable(value)) == expected
+        assert _text(value) == expected
+
+    def test_tuple_and_bool_labels(self):
+        """``_dumps`` writes a tuple label as a list over several lines, so its metric and trace skip the formats;
+        a bool label is JSON ``true`` or ``false``."""
+        tuples = PartialMetric([(1, "a"), (2, "b"), (3, "c")], {pair((1, "a"), (2, "b")): 1, pair((2, "b"), (3, "c")): 1})
+        bools = PartialMetric([True, False], {pair(True, False): Fraction(1, 2)})
+        for value in (tuples, full_extend(tuples), bools, full_extend(bools)):
+            assert _text(value) == json.dumps(_jsonable(value), indent=2)
 
     def test_to_json_is_unchanged(self):
         """A record's and a metric's ``to_json`` return the rule's data; a metric's is its metric document.
@@ -272,6 +299,16 @@ class TestChoiceSetDocs:
                 choice_set_from_doc(doc)
         with pytest.raises(MalformedInputError):
             choice_map_from_doc([1])
+
+    @pytest.mark.parametrize("doc", [{"points": ["1"], "intervls": [["0", None]]}, {"point": ["1"]},
+                                     {"points": ["1"], "intervals": [], "": []}])
+    def test_unknown_key_rejected_and_named(self, doc):
+        """Nothing is dropped silently: a misspelt ``intervals`` would leave the set {1}."""
+        extra = next(key for key in doc if key not in ("points", "intervals"))
+        with pytest.raises(MalformedInputError, match=repr(extra)):
+            choice_set_from_doc(doc)
+        with pytest.raises(MalformedInputError, match=repr(extra)):
+            choice_map_from_doc({"a,b": doc})
 
 
 class TestDot:
