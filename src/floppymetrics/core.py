@@ -23,22 +23,24 @@ Envelopes come from per-vertex max-plus rows
 The first envelope query builds every vertex's row in one O(n|E|) pass and
 the metric caches them whole, so
 ``check(x, y) = max(0, max_b R_x[b] - hat(b, y))`` is an O(n) integer scan
-per pair, and ``_check`` is the one place that scan is written.  A value
-becomes a Fraction only where it leaves the API: ``shortest_path``,
-``doubleton_dist`` and ``lower_envelope`` each build one, ``_gaps`` one per
-non-edge.  Whole-metric questions sweep every pair on the cached table and
-rows, so checking every non-edge costs O(n|E| + n^3) integer operations:
-``is_floppy`` and ``minimal_floppy_extension`` here, and for other modules
-``_gaps`` (the maxgap order, the certificate bounds) and ``_step_reads``
-(the step statements).  The sweeps walk table index pairs against the
-edges' index pairs and build a ``Doubleton`` only for a pair they report:
-``is_floppy``'s worst pair, ``_gaps``'s keys, the forced pairs;
-``non_edges`` builds one per non-edge and none per edge.  ``_hat_check``
-hands one pair's hat and check to other modules as ints with their ``L``
-(each extension step, each maxgap re-score, the step entry points' range
-checks).  ``_doubleton_reader`` hands ``doubleton_dist`` from one pair to
-many as ints with their ``L`` (the game's adversary, once per inning).  No
-other module reads the table, the rows, the index or ``L``.
+per pair, and ``_check`` is the one place that scan is written.
+
+The metric is its own reader.  Its private methods read hat, check and the
+doubleton distance dd as ints times L, each in one place: per pair
+``_hat``, ``_envelope`` and ``_dd``; in bulk ``_pairs`` (every vertex pair
+with its hat and check, for the step statements) and ``_gaps`` (hat - check
+at every non-edge, for the maxgap order and the certificate bounds); and
+``_denominator`` returns L.  Each read raises what the public API raises.
+``shortest_path``, ``lower_envelope`` and ``doubleton_dist`` are each one
+Fraction of a read, after ``_metric`` has checked their argument.  Other
+modules read the kernel only through these methods; none reads the table,
+the rows, the index (``_at``) or ``L`` itself.  Whole-metric questions
+sweep every non-edge on the cached table and rows (``_sweep``), so checking
+every non-edge costs O(n|E| + n^3) integer operations: ``is_floppy``,
+``minimal_floppy_extension`` and ``_gaps``.  A sweep walks table index pairs
+against the edges' index pairs and builds a ``Doubleton`` only for a pair it
+reports: ``is_floppy``'s worst pair, ``_gaps``'s keys, the forced pairs;
+``non_edges`` builds one per non-edge and none per edge.
 
 A metric grows one way: ``_adjoin`` writes a new pair ij into a ``_copy``'s
 own dict, table and rows in place, touching only the pairs it can shorten.
@@ -78,7 +80,6 @@ from .errors import (
     UnknownVertexError,
 )
 
-_ZERO = Fraction(0)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -264,6 +265,65 @@ class PartialMetric:
         if self._dist is None:
             self._dist = _all_pairs_shortest(self._index, self._edges, self._scale)
         return self._dist
+
+    def _at(self, v) -> int:
+        """Table index of vertex ``v``; ``UnknownVertexError`` if the metric has no such vertex."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+    def _denominator(self) -> int:
+        """L, the common denominator of every read below."""
+        return self._scale
+
+    def _hat(self, x, y) -> int:
+        """hat(x, y) times L; ``DisconnectedError`` when no chain connects x and y."""
+        i, j = self._at(x), self._at(y)
+        if (h := self._table()[i][j]) is None:
+            raise DisconnectedError(f"no chain connects {x!r} and {y!r}")
+        return h
+
+    def _envelope(self, x, y) -> int:
+        """check(x, y) times L, 0 when x = y: ``_check`` on the cached envelope row of x and table row of y."""
+        i, j = self._at(x), self._at(y)
+        return 0 if i == j else _check(_envelope_rows(self)[i], self._table()[j])
+
+    def _dd(self, p, q) -> int:
+        """dd(p, q) times L, the cheaper endpoint matching of the ``Doubleton`` p and the pair q, which may also
+        be a ``(u, v)`` tuple.
+
+        This read runs once per vertex pair in ``verify_step_properties`` and once per earlier move in the
+        game's adversary, so it looks the four labels up in one ``try`` and takes the least matching in a loop,
+        without a list.
+        """
+        (c, d), index = q, self._index
+        try:
+            i, j, k, l = index[p.a], index[p.b], index[c], index[d]
+        except KeyError as exc:
+            raise UnknownVertexError(f"unknown vertex {exc.args[0]!r}") from None
+        t = self._table()
+        ti, tj, best = t[i], t[j], None
+        for h, g in ((ti[k], tj[l]), (ti[l], tj[k])):
+            if h is not None and g is not None and (best is None or h + g < best):
+                best = h + g
+        if best is None:
+            raise DisconnectedError(f"pairs {p} and {Doubleton(c, d)} span disconnected components")
+        return best
+
+    def _pairs(self):
+        """``(u, v, hat, check)`` at every vertex pair uv in sorted order, hat and check times L; the first pair
+        that no chain connects raises ``shortest_path``'s ``DisconnectedError``."""
+        t, rows = self._table(), _envelope_rows(self)
+        for (i, u), (j, v) in combinations(enumerate(self._index), 2):
+            if (h := t[i][j]) is None:
+                raise DisconnectedError(f"no chain connects {u!r} and {v!r}")
+            yield u, v, h, _check(rows[i], t[j])
+
+    def _gaps(self) -> dict:
+        """``hat - check`` as a Fraction at every non-edge, keyed by pair in sorted order, from one ``_sweep``."""
+        labels = list(self._index)
+        return {Doubleton(labels[i], labels[j]): Fraction(h - c, self._scale) for i, j, h, c in _sweep(self)}
 
 
 def _admit_edge(vertices, d: Doubleton, raw) -> Fraction:
@@ -460,42 +520,21 @@ def _sweep(m: PartialMetric):
         yield i, j, t[i][j], _check(rows[i], t[j])
 
 
-def _gaps(m: PartialMetric) -> dict:
-    """``hat - check`` as a Fraction at every non-edge, keyed by pair in sorted order, from one ``_sweep``."""
-    labels, scale = list(m._index), m._scale
-    return {Doubleton(labels[i], labels[j]): Fraction(h - c, scale) for i, j, h, c in _sweep(m)}
-
-
-def _doubleton(ta, tb, i: int, j: int, p, q) -> int:
-    """``dd(p, q)`` as an int from ``ta``, ``tb``, the table rows of p's ends, and q's indexes ``i``, ``j``."""
-    sums = [h + k for h, k in ((ta[i], tb[j]), (ta[j], tb[i])) if h is not None and k is not None]
-    if not sums:
-        raise DisconnectedError(f"pairs {p} and {Doubleton(*q)} span disconnected components")
-    return min(sums)
-
-
-def _index_of(m: PartialMetric, v) -> int:
-    """Table index of vertex ``v``; ``UnknownVertexError`` if ``m`` has no such vertex."""
+def _metric(m) -> PartialMetric:
+    """``m``, once it is checked to be a metric: the first check of every public entry point."""
     if not isinstance(m, PartialMetric):
         raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
-    try:
-        return m._index[v]
-    except KeyError:
-        raise UnknownVertexError(f"unknown vertex {v!r}") from None
+    return m
 
 
 def shortest_path(m: PartialMetric, x: str, y: str) -> Fraction:
     """Minimum chain weight between two vertices (the induced pseudometric)."""
-    i, j = _index_of(m, x), _index_of(m, y)
-    val = m._table()[i][j]
-    if val is None:
-        raise DisconnectedError(f"no chain connects {x!r} and {y!r}")
-    return Fraction(val, m._scale)
+    return Fraction(_metric(m)._hat(x, y), m._scale)
 
 
 def shortest_chain(m: PartialMetric, x: str, y: str):
     """One vertex chain realizing shortest_path(m, x, y) (Dijkstra with parents)."""
-    if _index_of(m, x) == _index_of(m, y):
+    if _metric(m)._at(x) == m._at(y):
         return [x]
     adj = {v: [] for v in m.vertices}
     for d, w in m.edges.items():
@@ -525,24 +564,7 @@ def shortest_chain(m: PartialMetric, x: str, y: str):
 
 def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     """Distance between unordered pairs: the cheaper endpoint matching."""
-    pa, pb, qa, qb = (_index_of(m, v) for v in (p.a, p.b, q.a, q.b))
-    t = m._table()
-    return Fraction(_doubleton(t[pa], t[pb], qa, qb, p, q), m._scale)
-
-
-def _doubleton_reader(m: PartialMetric, p: Doubleton):
-    """``(read, L)``: ``read(q)`` is ``doubleton_dist(m, p, q)`` as an int times ``L``, with its errors.
-
-    p's ends and table rows are looked up once, so each read costs q's two index lookups and ``_doubleton``.
-    """
-    pa, pb = _index_of(m, p.a), _index_of(m, p.b)
-    t = m._table()
-    ta, tb = t[pa], t[pb]
-
-    def read(q):
-        return _doubleton(ta, tb, _index_of(m, q.a), _index_of(m, q.b), p, q)
-
-    return read, m._scale
+    return Fraction(_metric(m)._dd(p, q), m._scale)
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
@@ -555,51 +577,7 @@ def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
     The scan is ``_check`` on the cached row and table row y, ints over the
     metric's common denominator.  Whole-metric queries use ``_sweep`` instead.
     """
-    i, j = _index_of(m, x), _index_of(m, y)
-    if i == j:
-        return _ZERO
-    return Fraction(_check(_envelope_rows(m)[i], m._table()[j]), m._scale)
-
-
-def _hat_check(m: PartialMetric, xy: Doubleton):
-    """``(hat(x, y), check(x, y), L)`` as ints, the first two times ``L``.
-
-    The reads of ``shortest_path`` and ``lower_envelope`` without their
-    Fractions, with ``shortest_path``'s errors: ``DisconnectedError`` when no chain connects x and y.
-    """
-    i, j = _index_of(m, xy.a), _index_of(m, xy.b)
-    t = m._table()
-    h = t[i][j]
-    if h is None:
-        raise DisconnectedError(f"no chain connects {xy.a!r} and {xy.b!r}")
-    return h, _check(_envelope_rows(m)[i], t[j]), m._scale
-
-
-def _step_reads(m: PartialMetric, xy: Doubleton, r: Fraction, h: int, c: int):
-    """What the step statements read of ``m`` and ``m.with_edge(xy, r)``, as ints over the extension's L'.
-
-    ``h`` and ``c`` are the caller's ``_hat_check`` ints at ``xy``, so ``xy`` is read once.  Returns r, hat(xy),
-    check(xy) and an iterator of ``(u, v, hat, check, dd(xy, uv), hat', check')`` over the vertex pairs uv in sorted
-    order; the first pair with no distance, or no doubleton distance to ``xy``, raises the per-pair API's
-    ``DisconnectedError``.  ``m``'s values, at its L, are multiplied by k = L'/L, which is exact:
-    max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])).
-    """
-    extended = m.with_edge(xy, r)
-    scale = extended._scale
-    k = scale // m._scale
-    old_t, old_rows = m._table(), _envelope_rows(m)
-    new_t, new_rows = extended._table(), _envelope_rows(extended)
-    tx, ty = old_t[m._index[xy.a]], old_t[m._index[xy.b]]
-
-    def pairs():
-        for (i, u), (j, v) in combinations(enumerate(m._index), 2):
-            if old_t[i][j] is None:
-                raise DisconnectedError(f"no chain connects {u!r} and {v!r}")
-            dd = _doubleton(tx, ty, i, j, xy, (u, v))
-            c_old, c_new = _check(old_rows[i], old_t[j]), _check(new_rows[i], new_t[j])
-            yield u, v, old_t[i][j] * k, c_old * k, dd * k, new_t[i][j], c_new
-
-    return r.numerator * (scale // r.denominator), h * k, c * k, pairs()
+    return Fraction(_metric(m)._envelope(x, y), m._scale)
 
 
 def _jsonable(v):
@@ -650,9 +628,7 @@ def validate(m: PartialMetric) -> ValidationReport:
     A weight function is a graph pseudometric exactly when every edge weight
     equals the induced shortest-chain distance between its endpoints.
     """
-    if not isinstance(m, PartialMetric):
-        raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
-    t, index, scale = m._table(), m._index, m._scale
+    t, index, scale = _metric(m)._table(), m._index, m._scale
     n = len(t)
     connected = None not in t[0]
     pseudometric = all(  # _admit_edge checked the endpoints

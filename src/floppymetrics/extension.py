@@ -8,18 +8,20 @@ envelope and the distance (inclusive) is accepted and the result is only
 guaranteed to be a graph pseudometric.  The input is checked once and the
 result not at all: the theorem and the proposition guarantee it.
 
-Every step value is built from ints.  ``_steps`` yields each missing pair
-with its hat and check as ``core._hat_check`` ints over their L, and
-``_interval_from`` is the one place the theorem's bounds are written, each
-as one Fraction.  ``full_extend`` adjoins the steps, one per missing pair,
-and records each interval and value; its maxgap order keeps a lazy heap of
-gaps from one integer sweep, re-scored through ``_hat_check``.  A midpoint
-collision is bisected by ``_bisect_unused``, one Fraction per probe.
-``verify_step_properties`` reads xy once, as ``_hat_check`` ints, for its
-range check and the statement (5) hypothesis, and evaluates the five
-statements on the ints of ``core._step_reads``.  Every entry point first
-checks that it was given a metric and a ``Doubleton``.  A ``ChoiceSet``,
-the paper's F_e and the game's offer, gives ``full_extend`` a pair's value.
+Every step value is built from ints.  ``_hat_check`` reads a pair's hat and
+check through the metric's own reads, as ints over their L; ``_steps``
+yields each missing pair with them, and ``_interval_from`` is the one place
+the theorem's bounds are written, each as one Fraction.  ``full_extend``
+adjoins the steps, one per missing pair, and records each interval and
+value; its maxgap order keeps a lazy heap of the metric's ``_gaps``,
+re-scored through ``_hat_check``.  A midpoint collision is bisected by
+``_bisect_unused``, one Fraction per probe.  ``verify_step_properties``
+reads xy once, through ``_hat_check``, for its range check and the
+statement (5) hypothesis, and evaluates the five statements on the ints of
+both metrics' ``_pairs`` and ``_dd``, rescaled to the extension's L.  Every
+entry point first checks that it was given a metric and a ``Doubleton``.
+A ``ChoiceSet``, the paper's F_e and the game's offer, gives
+``full_extend`` a pair's value.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .core import (
     Doubleton,
     PartialMetric,
     _Record,
-    _gaps,
-    _hat_check,
     _jsonable,
-    _step_reads,
+    _metric,
     as_rational,
     is_floppy,
 )
@@ -80,9 +80,14 @@ def _require_floppy(m: PartialMetric):
         )
 
 
+def _hat_check(m: PartialMetric, xy: Doubleton):
+    """``(hat(x, y), check(x, y), L)`` as ints, the first two times ``L``, with ``shortest_path``'s errors."""
+    return m._hat(xy.a, xy.b), m._envelope(xy.a, xy.b), m._denominator()
+
+
 def _interval_from(h: int, c: int, scale: int) -> AdmissibleInterval:
     """The one place the theorem's bounds ``[c/3 + 2h/3, h)`` are computed, for the ints hat and check over
-    ``scale`` of ``core._hat_check``; each bound is built as one Fraction."""
+    ``scale`` of ``_hat_check``; each bound is built as one Fraction."""
     return AdmissibleInterval(Fraction(c + 2 * h, 3 * scale), Fraction(h, scale))
 
 
@@ -91,7 +96,7 @@ def _interval(m: PartialMetric, xy: Doubleton) -> AdmissibleInterval:
 
 
 def _require_in_closed_range(r: Fraction, h: int, c: int, scale: int):
-    """Proposition mode's range ``[check, hat]``, for the ints hat and check over ``scale`` of ``core._hat_check``."""
+    """Proposition mode's range ``[check, hat]``, for the ints hat and check over ``scale`` of ``_hat_check``."""
     c, h = Fraction(c, scale), Fraction(h, scale)
     if r < c:
         raise ROutOfRangeError(f"r={r} below lower envelope {c}", bound="lo", lo=c, hi=h)
@@ -109,8 +114,7 @@ def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
 
 def _require_arguments(m: PartialMetric, xy: Doubleton):
     """Every entry point's first check: a metric and a pair."""
-    if not isinstance(m, PartialMetric):
-        raise MalformedInputError(f"expected a PartialMetric, got {type(m).__name__}")
+    _metric(m)
     if not isinstance(xy, Doubleton):
         raise MalformedInputError(f"expected a Doubleton pair, got {type(xy).__name__}")
 
@@ -181,10 +185,14 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
 
     The guard of each conditional statement is evaluated exactly; pairs where
     a guard fails are simply not counted as applicable.  The values are ints
-    over the extension's common denominator (``core._step_reads``); every
-    statement is linear in them, so the integer comparisons are the exact ones.
-    xy's hat and check are read once, as ``core._hat_check`` ints, for the
-    range check, the statement (5) hypothesis and the statements.
+    over the extension's common denominator L', read by both metrics'
+    ``_pairs`` and by ``m._dd``; ``m``'s are multiplied by k = L'/L, which is
+    exact, since max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])).
+    Every statement is linear in them, so the integer comparisons are the
+    exact ones.  xy's hat and check are read once, through ``_hat_check``, for
+    the range check, the statement (5) hypothesis and the statements.  The
+    first pair with no distance, or no doubleton distance to xy, raises the
+    per-pair API's ``DisconnectedError``.
     """
     _require_arguments(m, xy)
     if m.is_edge(xy):
@@ -193,11 +201,14 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
     h, c, scale = _hat_check(m, xy)
     _require_in_closed_range(r, h, c, scale)
     strong_lower = _interval_from(h, c, scale).lo <= r  # statement (5) hypothesis
-    rs, h_xy, c_xy, pairs = _step_reads(m, xy, r, h, c)
+    extended = m.with_edge(xy, r)
+    k = extended._denominator() // scale
+    rs, h_xy, c_xy = r.numerator * (extended._denominator() // r.denominator), h * k, c * k
 
     count = count2 = count4 = 0
     fail1, fail2, fail3, fail4, fail5 = [], [], [], [], []
-    for u, v, h_old, c_old, dd, h_new, c_new in pairs:
+    for (u, v, h_old, c_old), (_, _, h_new, c_new) in zip(m._pairs(), extended._pairs()):
+        h_old, c_old, dd = h_old * k, c_old * k, m._dd(xy, (u, v)) * k
         count += 1
         if not (h_new <= h_old and c_new >= max(c_old, rs - dd)):
             fail1.append((u, v))
@@ -250,7 +261,7 @@ def _seed_of(spec: str) -> int:
 
 
 def _steps(current: PartialMetric, order):
-    """Yield ``(pair, hat, check, L)`` for every missing pair of ``current``, in ``order``, as ``core._hat_check`` ints.
+    """Yield ``(pair, hat, check, L)`` for every missing pair of ``current``, in ``order``, as ``_hat_check`` ints.
 
     Each pair is read on ``current`` when it is reached, after the caller
     has adjoined every earlier pair.  Lex takes the sorted pairs;
@@ -263,7 +274,7 @@ def _steps(current: PartialMetric, order):
     order (lazy greedy, Minoux 1978), and its step is that re-score's read.
     """
     if order == "maxgap":
-        heap = [(-gap, d) for d, gap in _gaps(current).items()]
+        heap = [(-gap, d) for d, gap in current._gaps().items()]
         heapq.heapify(heap)
         while heap:
             _, d = heapq.heappop(heap)

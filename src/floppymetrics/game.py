@@ -31,7 +31,6 @@ from fractions import Fraction
 from .core import (
     Doubleton,
     PartialMetric,
-    _doubleton_reader,
     _Record,
     _require_metric_grade,
     as_rational,
@@ -192,8 +191,8 @@ class AdversarySecondPlayer:
     in first-play order, each answer as numerator and denominator.  A
     repeated move is far exactly when its first copy is, so an inning costs
     one integer test per distinct move on another pair, against the offered
-    set's two ends and ``doubleton_dist`` times the base's common
-    denominator, and O(distinct moves) in all.  It starts afresh when
+    set's two ends and the base's ``_dd``, ``doubleton_dist`` times its
+    common denominator, and O(distinct moves) in all.  It starts afresh when
     ``base`` or the ``history`` list is a different object, or the history
     is shorter than at the last call.
     """
@@ -210,17 +209,14 @@ class AdversarySecondPlayer:
             if (mv.pair, mv.answer) not in moves:
                 moves[mv.pair, mv.answer] = mv.answer.as_integer_ratio()
         self._seen = len(history)
-        read = None
+        scale, (top, bottom) = base._denominator(), offered._ends()
+        # with a = n/d and g = D/L: top > a + g is tn d > td (n L + D d), where tn/td = top L
+        tn, td = (0, 1) if top is None else (top.numerator * scale, top.denominator)
+        bn, bd = bottom.numerator * scale, bottom.denominator
         for (q, answer), (n, d) in moves.items():
             if q == pair:
                 continue
-            if read is None:
-                read, scale = _doubleton_reader(base, pair)
-                top, bottom = offered._ends()
-                # with a = n/d and g = D/L: top > a + g is tn d > td (n L + D d), where tn/td = top L
-                tn, td = (0, 1) if top is None else (top.numerator * scale, top.denominator)
-                bn, bd = bottom.numerator * scale, bottom.denominator
-            gap = read(q)
+            gap = base._dd(pair, q)
             nl, gd = n * scale, gap * d
             if top is None or tn * d > td * (nl + gd) or bn * d < bd * (nl - gd):
                 return offered.element_far_from(answer, Fraction(gap, scale))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Doubleton, PartialMetric, _Record, _gaps, _jsonable, is_floppy, shortest_path, validate
+from .core import Doubleton, PartialMetric, _Record, _jsonable, is_floppy, shortest_path, validate
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     if not certified:
         return CertReport(False, True, pieces_floppy, slack_failures, None, [])
 
-    gaps = _gaps(glued)  # every bounded cross pair is a non-edge
+    gaps = glued._gaps()  # every bounded cross pair is a non-edge
     glued_floppy = all(g > 0 for g in gaps.values())  # vacuously true when the union is full
 
     def bound(x, y, delta):

@@ -9,8 +9,11 @@ losslessly and byte-identically.  A weight is a JSON integer or a string
 ``[+-]?\d+(/\d+)?``; decimals, exponents, floats and booleans are malformed.
 This module reads documents.  Readers check only the JSON shape:
 ``PartialMetric`` admits a metric's labels and entries, and ``ChoiceSet`` a
-choice set's lists and their values; a choice set has no key but ``points``
-and ``intervals``.  Values write themselves, by one rule
+choice set's lists and their values.  No document object has a key beyond
+its own, so a misspelt key cannot drop its value: a metric has
+``vertices`` and ``edges``, an edge entry exactly ``u``, ``v`` and ``w``, a
+patchwork ``base`` and ``pieces``, and a choice set ``points`` and
+``intervals``.  Values write themselves, by one rule
 (``core._jsonable``): fields in declaration order, rationals as reduced
 ``"n"`` / ``"p/q"`` strings, pairs as ``[a, b]``, ``null`` for none, and a
 metric as its metric document (``PartialMetric.to_json``, which
@@ -53,17 +56,26 @@ def _parse_pair(text: str) -> Doubleton:
     return Doubleton(u, v)
 
 
+def _only(doc, keys: tuple, what: str):
+    """Reject a key of the object ``doc`` outside ``keys``, naming it."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise MalformedInputError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}"
+                                  f" (only {', '.join(map(repr, keys))})")
+
+
 def metric_to_doc(m: PartialMetric) -> dict:
     return m.to_json()
 
 
 def metric_from_doc(doc) -> PartialMetric:
-    """Check only the JSON shape; ``PartialMetric`` admits the labels and the ``((u, v), w)`` entries."""
+    """Check only the JSON shape and the keys; ``PartialMetric`` admits the labels and the ``((u, v), w)`` entries."""
     try:
         vertices = doc["vertices"]
         raw_edges = doc["edges"]
     except (TypeError, KeyError) as exc:
         raise MalformedInputError(f"metric document missing field: {exc}") from exc
+    _only(doc, ("vertices", "edges"), "metric document")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise MalformedInputError("vertices must be a list of strings")
     if not isinstance(raw_edges, list):
@@ -74,6 +86,8 @@ def metric_from_doc(doc) -> PartialMetric:
             u, v, raw = e["u"], e["v"], e["w"]
         except (TypeError, KeyError) as exc:
             raise MalformedInputError(f"bad edge entry {e!r}") from exc
+        if len(e) != 3:  # all three are there, so a key is extra: one length check per entry
+            _only(e, ("u", "v", "w"), f"edge entry {e!r}")
         if not (isinstance(u, str) and isinstance(v, str)):
             raise MalformedInputError(f"bad edge entry {e!r} (endpoints must be strings)")
         entries.append(((u, v), raw))
@@ -85,13 +99,14 @@ def patchwork_to_doc(pw: Patchwork) -> dict:
 
 
 def patchwork_from_doc(doc) -> Patchwork:
-    """``{"base": metric, "pieces": [metric, ...]}``; an object whose pieces are a list."""
+    """``{"base": metric, "pieces": [metric, ...]}``; an object with no other key, whose pieces are a list."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"patchwork document must be an object, got {type(doc).__name__}")
     try:
         base, pieces = doc["base"], doc["pieces"]
     except KeyError as exc:
         raise MalformedInputError(f"patchwork document missing field: {exc}") from exc
+    _only(doc, ("base", "pieces"), "patchwork document")
     if not isinstance(pieces, list):
         raise MalformedInputError(f"patchwork pieces must be a list, got {type(pieces).__name__}")
     return Patchwork(metric_from_doc(base), [metric_from_doc(p) for p in pieces])
@@ -102,10 +117,7 @@ def choice_set_from_doc(doc) -> ChoiceSet:
     ``ChoiceSet`` admits.  A misspelt key would otherwise drop its list silently."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"choice-set document must be an object, got {doc!r}")
-    unknown = [key for key in doc if key not in ("points", "intervals")]
-    if unknown:
-        raise MalformedInputError(f"choice-set document has unknown key(s) {', '.join(map(repr, unknown))}"
-                                  " (only 'points' and 'intervals')")
+    _only(doc, ("points", "intervals"), "choice-set document")
     return ChoiceSet(points=doc.get("points", []), intervals=doc.get("intervals", []))
 
 

@@ -387,6 +387,14 @@ class TestMalformedInput:
         assert json.loads(out)["error"] == "REJECT_MALFORMED"
         assert err == ""
 
+    def test_unknown_key_is_named(self, capsys, tmp_path):
+        """An edge entry holds exactly u, v and w: an extra ``weight`` used to be dropped silently."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1", "weight": "5"}]}))
+        code, doc = run(capsys, "validate", str(path))
+        assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
+        assert "unknown key(s) 'weight'" in doc["message"]
+
 
 class TestWeightGrammar:
     def test_exponent_weight_rejected_at_once(self, tmp_path):

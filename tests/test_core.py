@@ -19,9 +19,10 @@ from floppymetrics import (
     shortest_chain,
     shortest_path,
     validate,
+    verify_step_properties,
 )
-from floppymetrics.core import _doubleton_reader
 from floppymetrics.errors import (
+    DisconnectedError,
     MalformedInputError,
     MetricError,
     NotGraphMetricError,
@@ -337,25 +338,6 @@ class TestDoubletonDist:
                     for s in doubles:
                         assert doubleton_dist(m, p, s) <= duv + doubleton_dist(m, q, s)
 
-    def test_reader_reads_doubleton_dist_as_ints(self, rng):
-        """``_doubleton_reader(m, p)`` reads ``doubleton_dist(m, p, q)`` times L, with its errors, for every q."""
-        for _ in range(10):
-            m = random_connected_graph(rng, rng.randrange(4, 8))
-            doubles = [pair(u, v) for u, v in combinations(sorted(m.vertices), 2)]
-            for p in doubles:
-                read, scale = _doubleton_reader(m, p)
-                assert [Fraction(read(q), scale) for q in doubles] == [doubleton_dist(m, p, q) for q in doubles]
-        split = PartialMetric(["a", "b", "c", "d"], {pair("a", "b"): 1, pair("c", "d"): 3})
-        read, _ = _doubleton_reader(split, pair("a", "b"))
-        for q in (pair("c", "d"), pair("a", "z")):
-            with pytest.raises(MetricError) as want:
-                doubleton_dist(split, pair("a", "b"), q)
-            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-                read(q)
-        with pytest.raises(UnknownVertexError):
-            _doubleton_reader(split, pair("a", "z"))
-
-
 class TestLowerEnvelope:
     def test_path(self, path_abc):
         assert lower_envelope(path_abc, "a", "c") == 0
@@ -385,6 +367,37 @@ class TestLowerEnvelope:
             m = random_floppy(6, Fraction(1, 2), seed + 100)
             for d in m.non_edges():
                 assert lower_envelope(m, d.a, d.b) <= shortest_path(m, d.a, d.b)
+
+
+class TestMetricReads:
+    """The metric's own integer reads, which every other module uses."""
+
+    def test_reads_are_the_fraction_api_times_l(self, rng):
+        """``_hat``, ``_envelope`` and ``_dd`` times 1/L are the Fraction API, ``_pairs`` is the per-pair reads in
+        sorted order, and the reads raise the API's errors."""
+        for _ in range(10):
+            m = random_connected_graph(rng, rng.randrange(4, 8))
+            scale, labels = m._denominator(), sorted(m.vertices)
+            doubles = [pair(u, v) for u, v in combinations(labels, 2)]
+            for x in labels:
+                for y in labels:
+                    assert Fraction(m._hat(x, y), scale) == shortest_path(m, x, y), (x, y)
+                    assert Fraction(m._envelope(x, y), scale) == lower_envelope(m, x, y), (x, y)
+            for p in doubles:
+                assert [Fraction(m._dd(p, q), scale) for q in doubles] == [doubleton_dist(m, p, q) for q in doubles]
+            assert list(m._pairs()) == [(u, v, m._hat(u, v), m._envelope(u, v)) for u, v in combinations(labels, 2)]
+        split = PartialMetric(["a", "b", "c", "p", "q"], {pair("a", "b"): 1, pair("b", "c"): 1, pair("p", "q"): 2})
+        with pytest.raises(DisconnectedError, match="^no chain connects 'a' and 'p'$"):
+            verify_step_properties(split, pair("a", "c"), Fraction(3, 2))
+        with pytest.raises(UnknownVertexError, match="^unknown vertex 'z'$"):
+            doubleton_dist(split, pair("a", "b"), pair("a", "z"))
+        ab, pq = pair("a", "b"), pair("p", "q")
+        for read, want in [(lambda: split._dd(ab, pq), "pairs {a,b} and {p,q} span disconnected components"),
+                           (lambda: split._dd(pair("a", "z"), pq), "unknown vertex 'z'"),
+                           (lambda: split._hat("a", "q"), "no chain connects 'a' and 'q'"),
+                           (lambda: split._envelope("z", "a"), "unknown vertex 'z'")]:
+            with pytest.raises(MetricError, match=f"^{re.escape(want)}$"):
+                read()
 
 
 def seeded_graph_metrics(seed, count):

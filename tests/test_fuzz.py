@@ -13,15 +13,28 @@ copies of the document.
 Whatever the input, ``main`` must return 0, 1 or 2, let no exception
 escape, and write one JSON document to stdout (DOT for ``validate --dot``),
 or nothing when argparse rejects the command line.
+
+Two more mutations keep a metric document valid, so that every mutant
+reaches the library: renaming one vertex everywhere, and multiplying every
+weight by one positive rational k.  What follows from the definitions is
+asserted.  hat, check and dd are sums and differences of weights, so
+``query`` scales by k and a rename leaves it alone.  Floppiness compares
+hat with check, so the ``floppy`` verdict and the least gap survive both,
+the gap scaled by k.  ``extend`` takes its values from those numbers, so
+scaling scales its whole trace; a rename permutes its steps' pairs, and one
+that keeps the label's place in the sorted order renames the trace.
 """
 
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from floppymetrics.cli import main
+from floppymetrics.generators import cantor_tree, random_floppy
+from floppymetrics.serialize import metric_to_doc
 
 H_GRAPH = {"vertices": ["a", "b", "x", "y"], "edges": [
     {"u": "a", "v": "b", "w": "10"}, {"u": "a", "v": "x", "w": "1"}, {"u": "b", "v": "y", "w": "1"}]}
@@ -145,3 +158,91 @@ def test_mutated_documents(capsys, tmp_path, kind):
 def test_odd_gen_options(capsys):
     codes = {assert_one_document(capsys, argv) for argv in gen_argvs()}
     assert codes >= {0, 2}, codes
+
+
+COLLINEAR = {"vertices": ["a", "b", "c", "d"], "edges": [  # not floppy: check(a, c) = hat(a, c) = 2
+    {"u": "a", "v": "b", "w": "1"}, {"u": "a", "v": "d", "w": "3"}, {"u": "b", "v": "c", "w": "1"},
+    {"u": "b", "v": "d", "w": "2"}, {"u": "c", "v": "d", "w": "1"}]}
+VALID_BASES = [H_GRAPH, COLLINEAR, metric_to_doc(cantor_tree(2)),
+               *(metric_to_doc(random_floppy(6, Fraction(1, 2), seed)) for seed in (1, 2))]
+NEW_LABELS = ["z", "", "a,b", "q\\", "\u00e9", "0", "~", "a0", "x\\,"]
+VALID_MUTANTS = 120
+
+
+def pair_text(u, v):
+    """``--pair`` text of two labels, with ``\\,`` for a comma and ``\\\\`` for a backslash."""
+    return ",".join(label.replace("\\", "\\\\").replace(",", "\\,") for label in (u, v))
+
+
+def run(capsys, path, *argv):
+    code = main([*argv, str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def scaled(value, k):
+    """A JSON result with every string multiplied by ``k`` as a rational, except under the keys that hold labels."""
+    if isinstance(value, dict):
+        return {key: scaled(v, k) if key not in ("u", "v", "pair", "worst_pair", "vertices") else v
+                for key, v in value.items()}
+    if isinstance(value, list):
+        return [scaled(v, k) for v in value]
+    return str(Fraction(value) * k) if isinstance(value, str) else value
+
+
+def test_valid_mutants_keep_the_invariants(capsys, tmp_path):
+    rng = random.Random("fuzz-valid")
+    counts = dict.fromkeys(("rename", "in_place", "scale", "extended", "not_floppy"), 0)
+    for index in range(VALID_MUTANTS):
+        doc = rng.choice(VALID_BASES)
+        labels = sorted(doc["vertices"])
+        x, y = rng.choice(labels), rng.choice(labels)
+        p, q = rng.sample(labels, 2), rng.sample(labels, 2)
+        if rng.random() < 0.5:
+            k, old, new = Fraction(rng.randrange(1, 30), rng.randrange(1, 30)), None, None
+            mutant = {"vertices": doc["vertices"],
+                      "edges": [{**e, "w": str(Fraction(e["w"]) * k)} for e in doc["edges"]]}
+            name = {v: v for v in labels}
+            counts["scale"] += 1
+        else:
+            k, old = 1, rng.choice(labels)
+            # half the time a label next to the old one, which keeps its sorted place: no label lies between s and s + " "
+            new = old + " " if rng.random() < 0.5 else rng.choice([v for v in NEW_LABELS if v not in labels])
+            name = {v: new if v == old else v for v in labels}
+            mutant = {"vertices": [name[v] for v in doc["vertices"]],
+                      "edges": [{**e, "u": name[e["u"]], "v": name[e["v"]]} for e in doc["edges"]]}
+            counts["rename"] += 1
+        before, after = tmp_path / f"{index}.json", tmp_path / f"{index}-mutant.json"
+        before.write_text(json.dumps(doc))  # a new file each time: rewriting one file is slow on some file systems
+        after.write_text(json.dumps(mutant))
+        queries = [["--hat", x, y], ["--check", x, y], ["--ddot", pair_text(*p), pair_text(*q)]]
+        renamed = [["--hat", name[x], name[y]], ["--check", name[x], name[y]],
+                   ["--ddot", pair_text(*map(name.get, p)), pair_text(*map(name.get, q))]]
+        for argv, argv_mutant in zip(queries, renamed):
+            _, value = run(capsys, before, "query", *argv)
+            assert run(capsys, after, "query", *argv_mutant) == (0, scaled(value, k)), (mutant, argv)
+
+        _, floppy = run(capsys, before, "floppy")
+        _, floppy_mutant = run(capsys, after, "floppy")
+        assert floppy_mutant["floppy"] == floppy["floppy"], mutant
+        assert Fraction(floppy_mutant["gap"]) == Fraction(floppy["gap"]) * k, mutant
+        assert old is not None or floppy_mutant["worst_pair"] == floppy["worst_pair"], mutant
+
+        code, trace = run(capsys, before, "extend")
+        code_mutant, trace_mutant = run(capsys, after, "extend")
+        assert code == code_mutant == (0 if floppy["floppy"] else 1), mutant
+        if code == 1:
+            counts["not_floppy"] += 1
+            error, details = trace_mutant["error"], trace_mutant["details"]
+            assert (error, Fraction(details["gap"])) == (trace["error"], Fraction(trace["details"]["gap"]) * k)
+            assert old is not None or details["pair"] == trace["details"]["pair"], mutant
+            continue
+        counts["extended"] += 1
+        steps = [{**s, "pair": sorted(map(name.get, s["pair"]))} for s in trace["steps"]]
+        if old is None:
+            assert trace_mutant == scaled(trace, k), mutant
+        elif sorted(name.values()).index(new) == labels.index(old):  # the rename keeps the sorted order
+            counts["in_place"] += 1
+            assert trace_mutant["steps"] == steps, mutant
+        else:
+            assert sorted(s["pair"] for s in trace_mutant["steps"]) == sorted(s["pair"] for s in steps), mutant
+    assert min(counts.values()) > 0, counts

@@ -1,13 +1,13 @@
 """Only ``core`` knows the distance kernel's storage format.
 
 That format is ints over the common denominator ``_scale``, ``None`` for
-+infinity, and table and envelope rows in ``_index`` order.  Every other
-module reads distances through the public API or core's readers ``_gaps``,
-``_step_reads``, ``_hat_check`` and ``_doubleton_reader``, so a change of
-format edits ``core`` alone.  This test parses each other module and fails
-on any attribute of the format and on any import of a private kernel
-function.  ``_copy`` and ``_adjoin`` stay allowed: they are the
-running-metric API.
++infinity, and table and envelope rows in ``_index`` order (``_at`` reads
+one label's index).  Every other module reads distances through the public
+API or the metric's own reads ``_hat``, ``_envelope``, ``_dd``,
+``_denominator``, ``_pairs`` and ``_gaps``, so a change of format edits
+``core`` alone.  This test parses each other module and fails on any
+attribute of the format and on any import of a private kernel function.
+``_copy`` and ``_adjoin`` stay allowed: they are the running-metric API.
 
 Imports run one way down the layers: each module imports only modules
 earlier in ``LAYERS``, and no function or method imports anything, so every
@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "floppymetrics"
-FORMAT_ATTRIBUTES = {"_table", "_dist", "_rows", "_index", "_scale"}
-KERNEL_FUNCTIONS = {"_check", "_sweep", "_envelope_rows", "_lifted", "_relax_through", "_all_pairs_shortest",
-                    "_index_of"}
+FORMAT_ATTRIBUTES = {"_table", "_dist", "_rows", "_index", "_scale", "_at"}
+KERNEL_FUNCTIONS = {"_check", "_sweep", "_envelope_rows", "_lifted", "_relax_through", "_all_pairs_shortest"}
 OTHER_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "core.py")
 LAYERS = ["errors", "core", "extension", "generators", "glue", "game", "serialize", "cli"]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")

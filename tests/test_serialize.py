@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,17 @@ class TestMetricDocs:
     def test_malformed_docs_rejected(self, doc):
         with pytest.raises(MalformedInputError):
             metric_from_doc(doc)
+
+    @pytest.mark.parametrize("read, doc, extra", [
+        (metric_from_doc, {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1", "weight": "5"}]}, "weight"),
+        (metric_from_doc, {"vertices": ["a", "b"], "edges": [], "egdes": [{"u": "a", "v": "b", "w": "9"}]}, "egdes"),
+        (patchwork_from_doc, {"base": {"vertices": ["a"], "edges": []}, "pieces": [], "peices": []}, "peices"),
+        (patchwork_from_doc, {"base": {"vertices": ["a"], "edges": [], "": 1}, "pieces": []}, ""),
+    ], ids=["edge-weight", "egdes", "peices", "empty-key-in-base"])
+    def test_unknown_key_rejected_and_named(self, read, doc, extra):
+        """Nothing is dropped silently: each document above used to load without its misspelt or extra value."""
+        with pytest.raises(MalformedInputError, match=re.escape(f"unknown key(s) {extra!r} (only")):
+            read(doc)
 
     def test_duplicate_edge_same_weight_ok(self):
         doc = {
