@@ -32,7 +32,10 @@ with its hat and check, for the step statements) and ``_gaps`` (hat - check
 at every non-edge, for the maxgap order and the certificate bounds); and
 ``_denominator`` returns L.  Each read raises what the public API raises.
 ``shortest_path``, ``lower_envelope`` and ``doubleton_dist`` are each one
-Fraction of a read, after ``_metric`` has checked their argument.  Other
+Fraction of a read, after their arguments are admitted.  Each kind of
+argument has one admission rule, which every public entry point that takes
+it calls first: ``_metric`` a metric, ``_pair`` a ``Doubleton`` (a ``str``,
+tuple or list is never read as one) and ``_count`` an int count.  Other
 modules read the kernel only through these methods; none reads the table,
 the rows, the index (``_at``) or ``L`` itself.  Whole-metric questions
 sweep every non-edge on the cached table and rows (``_sweep``), so checking
@@ -216,10 +219,10 @@ class PartialMetric:
         return {"vertices": sorted(self._vertices), "edges": [{"u": d.a, "v": d.b, "w": str(w)} for d, w in edges]}
 
     def is_edge(self, d: Doubleton) -> bool:
-        return d in self._edges
+        return _pair(d) in self._edges
 
     def weight(self, d: Doubleton) -> Fraction:
-        return self._edges[d]
+        return self._edges[_pair(d)]
 
     def non_edges(self):
         """Sorted list of vertex pairs that carry no edge."""
@@ -228,7 +231,7 @@ class PartialMetric:
 
     def with_edge(self, d: Doubleton, w) -> "PartialMetric":
         """New metric with one extra edge, a ``_copy`` then ``_adjoin``; a reweighted edge gives a cold metric."""
-        if d in self._edges:
+        if _pair(d) in self._edges:
             return PartialMetric(self._vertices, {**self._edges, d: w})
         out = self._copy()
         out._adjoin(d, w)
@@ -291,7 +294,7 @@ class PartialMetric:
 
     def _dd(self, p, q) -> int:
         """dd(p, q) times L, the cheaper endpoint matching of the ``Doubleton`` p and the pair q, which may also
-        be a ``(u, v)`` tuple.
+        be a ``(u, v)`` tuple, as ``verify_step_properties`` passes it; ``doubleton_dist`` admits only a ``Doubleton``.
 
         This read runs once per vertex pair in ``verify_step_properties`` and once per earlier move in the
         game's adversary, so it looks the four labels up in one ``try`` and takes the least matching in a loop,
@@ -527,6 +530,22 @@ def _metric(m) -> PartialMetric:
     return m
 
 
+def _pair(d) -> Doubleton:
+    """``d``, once it is checked to be a ``Doubleton``: a ``str``, tuple or list is not read as one."""
+    if not isinstance(d, Doubleton):
+        raise MalformedInputError(f"expected a Doubleton pair, got {type(d).__name__}")
+    return d
+
+
+def _count(n, least: int, what: str, error=MalformedInputError) -> int:
+    """``n`` once it is an int, not a bool, of at least ``least``; a smaller int raises ``error``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MalformedInputError(f"{what} must be an int, got {n!r}")
+    if n < least:
+        raise error(f"{what} must be at least {least}, got {n}")
+    return n
+
+
 def shortest_path(m: PartialMetric, x: str, y: str) -> Fraction:
     """Minimum chain weight between two vertices (the induced pseudometric)."""
     return Fraction(_metric(m)._hat(x, y), m._scale)
@@ -564,7 +583,7 @@ def shortest_chain(m: PartialMetric, x: str, y: str):
 
 def doubleton_dist(m: PartialMetric, p: Doubleton, q: Doubleton) -> Fraction:
     """Distance between unordered pairs: the cheaper endpoint matching."""
-    return Fraction(_metric(m)._dd(p, q), m._scale)
+    return Fraction(_metric(m)._dd(_pair(p), _pair(q)), m._scale)
 
 
 def lower_envelope(m: PartialMetric, x: str, y: str) -> Fraction:
@@ -639,14 +658,11 @@ def validate(m: PartialMetric) -> ValidationReport:
     return ValidationReport(connected, pseudometric, metric, full)
 
 
-def _require_metric_grade(m: PartialMetric, *, allow_pseudometric=False):
+def _require_graph_metric(m: PartialMetric):
     rep = validate(m)
     if not rep.connected:
         raise NotGraphMetricError("graph is not connected")
-    if allow_pseudometric:
-        if not rep.graph_pseudometric:
-            raise NotGraphMetricError("weights violate the polygonal inequality")
-    elif not rep.graph_metric:
+    if not rep.graph_metric:
         raise NotGraphMetricError(
             "not a graph metric"
             + ("" if rep.graph_pseudometric else " (weights violate the polygonal inequality)")
@@ -664,17 +680,16 @@ class FloppyReport(_Record):
         return {"floppy": self.floppy} if self.worst_pair is None else super().to_json()
 
 
-def is_floppy(m: PartialMetric, *, require_metric=True) -> FloppyReport:
+def is_floppy(m: PartialMetric) -> FloppyReport:
     """Check strict envelope-below-distance at every non-edge, in one integer sweep.
 
     The worst pair is the first minimal gap in sorted non-edge order.  Full
-    (pseudo)metrics are floppy vacuously and report no worst pair.
-    ``require_metric=False`` admits pseudometric-grade inputs (used by the
-    glued-patchwork certificate).  The grade is checked on every call; the
-    sweep runs once per metric, whose report is kept on the instance, so
-    extending one metric at many pairs or values proves its floppiness once.
+    metrics are floppy vacuously and report no worst pair.  The graph-metric
+    grade is checked on every call; the sweep runs once per metric, whose
+    report is kept on the instance, so extending one metric at many pairs or
+    values proves its floppiness once.
     """
-    _require_metric_grade(m, allow_pseudometric=not require_metric)
+    _require_graph_metric(m)
     if m._floppy is not None:
         return m._floppy
     worst = None
@@ -704,7 +719,7 @@ def minimal_floppy_extension(m: PartialMetric) -> PartialMetric:
     So every remaining non-edge keeps its hat and check: the pairs one sweep
     finds forced are adjoined together, and none is forced afterwards.
     """
-    _require_metric_grade(m)
+    _require_graph_metric(m)
     forced = [(i, j, h) for i, j, h, c in _sweep(m) if c == h]
     out = m._copy() if forced else m
     labels = list(m._index)

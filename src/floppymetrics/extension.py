@@ -19,9 +19,10 @@ re-scored through ``_hat_check``.  A midpoint collision is bisected by
 reads xy once, through ``_hat_check``, for its range check and the
 statement (5) hypothesis, and evaluates the five statements on the ints of
 both metrics' ``_pairs`` and ``_dd``, rescaled to the extension's L.  Every
-entry point first checks that it was given a metric and a ``Doubleton``.
-A ``ChoiceSet``, the paper's F_e and the game's offer, gives
-``full_extend`` a pair's value.
+entry point first admits its metric and its pair by ``core``'s one rule for
+each.  A ``ChoiceSet``, the paper's F_e and the game's offer, gives
+``full_extend`` a pair's value; ``_choice_set`` is the one lookup of a
+missing pair's set, for ``full_extend`` and the game's saboteur.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
     _Record,
     _jsonable,
     _metric,
+    _pair,
     as_rational,
     is_floppy,
 )
@@ -115,8 +117,7 @@ def _require_in_interval(r: Fraction, interval: AdmissibleInterval):
 def _require_arguments(m: PartialMetric, xy: Doubleton):
     """Every entry point's first check: a metric and a pair."""
     _metric(m)
-    if not isinstance(xy, Doubleton):
-        raise MalformedInputError(f"expected a Doubleton pair, got {type(xy).__name__}")
+    _pair(xy)
 
 
 def _require_extendable(m: PartialMetric, xy: Doubleton):
@@ -422,6 +423,20 @@ class ChoiceSet(_Record):
         return lo + (hi - lo) * Fraction(k, 1 << 16)
 
 
+def _choice_set(choice, d: Doubleton) -> ChoiceSet:
+    """The set that the mapping ``choice`` gives the missing pair ``d``: ``MissingChoiceSetError`` if it gives
+    none, ``MalformedInputError`` if it gives a value that is not a ``ChoiceSet`` or is no mapping."""
+    try:
+        cs = choice[d]
+    except KeyError:
+        raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
+    except TypeError:  # a list, a str or None: a Doubleton key never raises it in a mapping
+        raise MalformedInputError(f"choice sets must be a mapping from pair to ChoiceSet, got {choice!r:.40}") from None
+    if not isinstance(cs, ChoiceSet):
+        raise MalformedInputError(f"choice for {d} must be a ChoiceSet, got {cs!r}")
+    return cs
+
+
 def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTrace:
     """Extend to a full metric, one admissible step per missing pair.
 
@@ -445,13 +460,7 @@ def full_extend(m: PartialMetric, order="lex", choice="midpoint") -> ExtensionTr
         if choice == "midpoint":
             value = _bisect_unused(interval.lo, interval.hi, used)
         else:
-            try:
-                cs = choice[d]
-            except KeyError:
-                raise MissingChoiceSetError(f"no choice set supplied for {d}") from None
-            if not isinstance(cs, ChoiceSet):
-                raise MalformedInputError(f"choice for {d} must be a ChoiceSet, got {cs!r}")
-            value = cs.pick(interval.lo, interval.hi, used)
+            value = _choice_set(choice, d).pick(interval.lo, interval.hi, used)
         used.add(value)
         current._adjoin(d, value)
         steps.append(ExtensionStep(d, interval, value))

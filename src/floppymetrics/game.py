@@ -32,15 +32,17 @@ from .core import (
     Doubleton,
     PartialMetric,
     _Record,
-    _require_metric_grade,
+    _count,
+    _metric,
+    _require_graph_metric,
     as_rational,
     doubleton_dist,
     shortest_chain,
     shortest_path,
     validate,
 )
-from .errors import MalformedInputError, MetricError, MissingChoiceSetError
-from .extension import ChoiceSet, _interval, _require_floppy
+from .errors import MalformedInputError, MetricError
+from .extension import ChoiceSet, _choice_set, _interval, _require_floppy
 
 PLAYER_I_WINS = "PLAYER_I_WINS"
 PLAYER_II_WINS = "PLAYER_II_WINS"
@@ -73,7 +75,7 @@ def accumulate(base: PartialMetric, moves):
     The relation is built in one piece; its distance table is computed only
     when it is first queried (``play`` validates it once).
     """
-    assigned = dict(base.edges)
+    assigned = dict(_metric(base).edges)
     for mv in moves:
         if assigned.setdefault(mv.pair, mv.answer) != mv.answer:
             return None, mv.pair
@@ -105,9 +107,8 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
     Moves are only checked against their offered sets while the game runs;
     the accumulated relation is validated once, after the last inning.
     """
-    if not isinstance(game_length, int) or isinstance(game_length, bool) or game_length < 0:
-        raise MalformedInputError(f"game length must be a nonnegative int, got {game_length!r}")
-    _require_metric_grade(base)
+    _count(game_length, 0, "game length")
+    _require_graph_metric(base)
     moves = []
     for _ in range(game_length):
         try:
@@ -299,24 +300,21 @@ def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
     and every open interval of F_p lies within sep of r_q, so here it always
     finds such a value.
     """
-    missing = base.non_edges()
-    for d in missing:
-        if d not in choice_sets:
-            raise MissingChoiceSetError(f"no choice set for missing pair {d}")
+    missing = _metric(base).non_edges()
+    sets = {d: _choice_set(choice_sets, d) for d in missing}
     for p in missing:
-        top, bottom = choice_sets[p]._ends()
+        top, bottom = sets[p]._ends()
         for q in missing:
             if q == p:
                 continue
             sep = doubleton_dist(base, p, q)
             if top is None or 3 * sep < top - bottom:
-                r_q = choice_sets[q].least_element()
-                return SabotagePlan(p, q, choice_sets[p].element_far_from(r_q, sep), r_q, sep)
+                r_q = sets[q].least_element()
+                return SabotagePlan(p, q, sets[p].element_far_from(r_q, sep), r_q, sep)
     return None
 
 
 def replay_sabotage(base: PartialMetric, choice_sets, plan: SabotagePlan) -> GameTranscript:
     """Play out a plan: Player I offers every missing pair's own choice set."""
-    missing = base.non_edges()
-    script = [(d, choice_sets[d]) for d in missing]
+    script = [(d, _choice_set(choice_sets, d)) for d in _metric(base).non_edges()]
     return play(base, len(script), ScriptedFirstPlayer(script), PlanSecondPlayer(plan))

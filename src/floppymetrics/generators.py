@@ -5,7 +5,7 @@ empty string); every comparable pair s < t (proper prefix) carries weight
 2^-|s| - 2^-|t|.  Random floppy metrics come from taxicab distances between
 distinct integer grid points, thinned down to a target density while keeping
 a spanning tree, then rejection-sampled on the floppiness check.  One rule
-each checks every count (``_count``) and every scale (``_positive``).
+each checks every count (``core._count``) and every scale (``_positive``).
 """
 
 from __future__ import annotations
@@ -14,19 +14,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import Doubleton, PartialMetric, as_rational, is_floppy
+from .core import Doubleton, PartialMetric, _count, as_rational, is_floppy
 from .errors import DepthZeroError, GenerationExhaustedError, MalformedInputError
 
 _MAX_ATTEMPTS = 64  # floppiness checks random_floppy makes before it gives up
-
-
-def _count(n, least: int, what: str, error=MalformedInputError) -> int:
-    """``n`` once it is an int, not a bool, of at least ``least``; a smaller int raises ``error``."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise MalformedInputError(f"{what} must be an int, got {n!r}")
-    if n < least:
-        raise error(f"{what} must be at least {least}, got {n}")
-    return n
 
 
 def _positive(scale) -> Fraction:

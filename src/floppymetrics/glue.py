@@ -11,6 +11,9 @@ A ``Patchwork`` is immutable and caches two values on first use: its
 ``validate_patchwork`` report, and its validated union, a ``PartialMetric``
 whose distance table and envelope rows are in turn built once.  ``glue``,
 ``gateway_slack`` and ``floppy_certificate`` all read that one union.
+Every entry point first admits its patchwork by one rule, ``_patchwork``.
+This module is the only one that admits pseudometrics: the base and the
+pieces of a patchwork.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Doubleton, PartialMetric, _Record, _jsonable, is_floppy, shortest_path, validate
+from .core import Doubleton, PartialMetric, _Record, _jsonable, shortest_path, validate
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
 @dataclass(frozen=True)
@@ -76,10 +79,17 @@ class PatchworkReport(_Record):
         return {"ok": self.ok, **super().to_json()}
 
 
+def _patchwork(pw) -> Patchwork:
+    """``pw``, once it is checked to be a ``Patchwork``: the first check of every entry point."""
+    if not isinstance(pw, Patchwork):
+        raise MalformedInputError(f"expected a Patchwork, got {type(pw).__name__}")
+    return pw
+
+
 def validate_patchwork(pw: Patchwork) -> PatchworkReport:
     """Check the three gluing hypotheses, reporting a witness per failure."""
+    base_rep = validate(_patchwork(pw).base)
     witnesses = []
-    base_rep = validate(pw.base)
     base_ok = base_rep.connected and base_rep.graph_pseudometric and base_rep.full
     if not base_ok:
         witnesses.append("base is not a full pseudometric")
@@ -113,7 +123,7 @@ def validate_patchwork(pw: Patchwork) -> PatchworkReport:
 
 
 def _require_valid(pw: Patchwork) -> PatchworkReport:
-    report = pw._report
+    report = _patchwork(pw)._report
     if not report.ok:
         raise MalformedInputError("invalid patchwork: " + "; ".join(report.witnesses))
     return report
@@ -121,7 +131,7 @@ def _require_valid(pw: Patchwork) -> PatchworkReport:
 
 def glue(pw: Patchwork) -> PartialMetric:
     """Union of the base and all pieces, the same object on every call."""
-    return pw._glued
+    return _patchwork(pw)._glued
 
 
 def _home(pw: Patchwork, v: str) -> PartialMetric:
@@ -156,6 +166,7 @@ def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
     min over a, b in B of d(a,v) + d(v,b) - d(a,b), distances in the glued
     metric; a == b is allowed and gives 2*d(a,v).
     """
+    _patchwork(pw)
     gates = sorted(set(gates))
     if not gates:
         raise EmptyGatewaySetError("gateway set must be nonempty")
@@ -197,8 +208,8 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     success the report carries, for every cross pair, the provable lower
     bound on its floppiness gap together with the measured gap.
     """
-    _require_valid(pw)  # the base is a full pseudometric from here on: base_full is True
-    pieces_floppy = [is_floppy(piece, require_metric=False).floppy for piece in pw.pieces]
+    _require_valid(pw)  # the base is a full pseudometric and each piece a connected one: base_full is True
+    pieces_floppy = [all(g > 0 for g in piece._gaps().values()) for piece in pw.pieces]
     glued = pw._glued
     slack_failures = []
     piece_slacks = []  # per piece: dict vertex -> slack against that piece's gateways

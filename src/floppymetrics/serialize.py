@@ -13,10 +13,12 @@ choice set's lists and their values.  No document object has a key beyond
 its own, so a misspelt key cannot drop its value: a metric has
 ``vertices`` and ``edges``, an edge entry exactly ``u``, ``v`` and ``w``, a
 patchwork ``base`` and ``pieces``, and a choice set ``points`` and
-``intervals``.  Values write themselves, by one rule
-(``core._jsonable``): fields in declaration order, rationals as reduced
-``"n"`` / ``"p/q"`` strings, pairs as ``[a, b]``, ``null`` for none, and a
-metric as its metric document (``PartialMetric.to_json``, which
+``intervals``.  A file names no key twice in one object, and a choice map
+no pair twice, so neither a repeated key nor a pair's second spelling
+(``"a,y"`` and ``"y,a"``) can replace a value.  Values write themselves, by
+one rule (``core._jsonable``): fields in declaration order, rationals as
+reduced ``"n"`` / ``"p/q"`` strings, pairs as ``[a, b]``, ``null`` for
+none, and a metric as its metric document (``PartialMetric.to_json``, which
 ``metric_to_doc`` returns).  ``_text`` writes a value as indent-2 JSON for
 the CLI and ``dump_metric``, with the bytes of ``json.dumps(indent=2)`` on
 the rule's data.  The two shapes that carry bulk output each have one
@@ -122,17 +124,33 @@ def choice_set_from_doc(doc) -> ChoiceSet:
 
 
 def choice_map_from_doc(doc) -> dict:
-    """Mapping document from pair text (``--pair`` escapes) to choice-set documents."""
+    """Mapping document from pair text (``--pair`` escapes) to choice-set documents; no pair named twice."""
     if not isinstance(doc, dict):
         raise MalformedInputError(f"choice-map document must be an object, got {doc!r}")
-    return {_parse_pair(key): choice_set_from_doc(cs_doc) for key, cs_doc in doc.items()}
+    sets, keys = {}, {}
+    for key, cs_doc in doc.items():
+        d = _parse_pair(key)
+        if (first := keys.setdefault(d, key)) != key:
+            raise MalformedInputError(f"choice map names pair {d} twice: {first!r} and {key!r}")
+        sets[d] = choice_set_from_doc(cs_doc)
+    return sets
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs, which must not repeat a key."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise MalformedInputError(f"JSON object repeats the key {key!r}")
+    return doc
 
 
 def _read_json(path):
-    """The JSON document in a file; an unreadable file or text that is not JSON is malformed input."""
+    """The JSON document in a file; an unreadable file, text that is not JSON or a repeated key is malformed."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise MalformedInputError(str(exc)) from exc
 

@@ -229,6 +229,15 @@ class TestExtend:
         assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
         assert "'intervls'" in doc["message"]
 
+    def test_choice_map_naming_a_pair_twice_is_malformed(self, capsys, h_file, tmp_path):
+        """``y,a`` used to replace the set of ``a,y``, and ``extend`` then failed on a set nobody meant."""
+        cpath = tmp_path / "sets.json"
+        cpath.write_text('{"a,y": {"intervals": [["0", null]]}, "b,x": {"intervals": [["0", null]]},'
+                         ' "x,y": {"intervals": [["0", null]]}, "y,a": {"points": ["1"]}}')
+        code, doc = run(capsys, "extend", "--choice", f"set-file:{cpath}", h_file)
+        assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
+        assert "names pair {a,y} twice: 'a,y' and 'y,a'" in doc["message"]
+
 
 class TestGame:
     def test_winning_vs_random(self, capsys, h_file):
@@ -394,6 +403,15 @@ class TestMalformedInput:
         code, doc = run(capsys, "validate", str(path))
         assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
         assert "unknown key(s) 'weight'" in doc["message"]
+
+    def test_repeated_key_is_named(self, capsys, tmp_path):
+        """The JSON reader kept the last of two ``edges`` keys, so this document loaded as ab = 5."""
+        path = tmp_path / "m.json"
+        path.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1"}],'
+                        ' "edges": [{"u": "a", "v": "b", "w": "5"}]}')
+        code, doc = run(capsys, "validate", str(path))
+        assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
+        assert "repeats the key 'edges'" in doc["message"]
 
 
 class TestWeightGrammar:

@@ -9,12 +9,14 @@ import pytest
 from floppymetrics import (
     Doubleton,
     PartialMetric,
+    admissible_interval,
     as_rational,
     doubleton_dist,
     full_extend,
     is_floppy,
     lower_envelope,
     minimal_floppy_extension,
+    one_step_extend,
     pair,
     shortest_chain,
     shortest_path,
@@ -237,6 +239,27 @@ class TestNotAMetric:
     def test_rejected_as_malformed(self, call, arg):
         with pytest.raises(MalformedInputError):
             call(arg)
+
+
+class TestNotAPair:
+    """Every public call that takes a pair admits only a ``Doubleton``: a str, tuple or list is not read as one."""
+
+    CALLS = {
+        "doubleton_dist-p": lambda m, d: doubleton_dist(m, d, pair("a", "b")),
+        "doubleton_dist-q": lambda m, d: doubleton_dist(m, pair("a", "b"), d),
+        "is_edge": lambda m, d: m.is_edge(d),
+        "weight": lambda m, d: m.weight(d),
+        "with_edge": lambda m, d: m.with_edge(d, 11),
+        "admissible_interval": admissible_interval,
+        "one_step_extend": lambda m, d: one_step_extend(m, d, Fraction(34, 3)),
+        "verify_step_properties": lambda m, d: verify_step_properties(m, d, Fraction(34, 3)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("d", ["xy", ("x", "y"), ["x", "y"], 5], ids=["str", "tuple", "list", "int"])
+    def test_rejected_as_malformed(self, h_graph, call, d):
+        with pytest.raises(MalformedInputError, match=f"^expected a Doubleton pair, got {type(d).__name__}$"):
+            call(h_graph, d)
 
 
 class TestValidate:
@@ -476,11 +499,12 @@ class TestIsFloppy:
         assert is_floppy(collinear_witness) is rep
 
     def test_grade_is_checked_on_every_call(self):
+        """A zero weight is pseudometric grade: every call rejects it, and none keeps a report."""
         zero = PartialMetric(["a", "b", "c"], {pair("a", "b"): 0, pair("b", "c"): 1})
-        rep = is_floppy(zero, require_metric=False)
-        with pytest.raises(NotGraphMetricError):
-            is_floppy(zero)
-        assert is_floppy(zero, require_metric=False) is rep
+        for _ in range(2):
+            with pytest.raises(NotGraphMetricError, match="not a graph metric"):
+                is_floppy(zero)
+        assert zero._floppy is None
 
 
 class TestMinimalFloppyExtension:

@@ -23,12 +23,19 @@ hat with check, so the ``floppy`` verdict and the least gap survive both,
 the gap scaled by k.  ``extend`` takes its values from those numbers, so
 scaling scales its whole trace; a rename permutes its steps' pairs, and one
 that keeps the label's place in the sorted order renames the trace.
+
+A third valid mutation adds an edge at a missing pair uv.  At weight
+hat(u, v) the document stays a graph metric and no ``query --hat`` changes,
+since a shortest chain already realizes the new weight.  At a weight in the
+pair's admissible interval [check/3 + 2 hat/3, hat) a floppy document stays
+floppy, by the one-step extension theorem.
 """
 
 import copy
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -245,4 +252,45 @@ def test_valid_mutants_keep_the_invariants(capsys, tmp_path):
             assert trace_mutant["steps"] == steps, mutant
         else:
             assert sorted(s["pair"] for s in trace_mutant["steps"]) == sorted(s["pair"] for s in steps), mutant
+    assert min(counts.values()) > 0, counts
+
+
+ADDED_EDGES = 120
+
+
+def test_added_edges_keep_the_invariants(capsys, tmp_path):
+    rng = random.Random("fuzz-added-edge")
+    hats, floppy = {}, {}  # per base file: the hat of every vertex pair and the floppy verdict, each read once
+    counts = {"at_hat": 0, "admissible": 0}
+    for index in range(ADDED_EDGES):
+        doc = rng.choice(VALID_BASES)
+        before, after = tmp_path / f"base-{VALID_BASES.index(doc)}.json", tmp_path / f"{index}-added.json"
+        if before not in hats:
+            before.write_text(json.dumps(doc))
+            pairs = combinations(sorted(doc["vertices"]), 2)
+            hats[before] = {p: run(capsys, before, "query", "--hat", *p) for p in pairs}
+            floppy[before] = run(capsys, before, "floppy")[1]["floppy"]
+        edges = {frozenset((e["u"], e["v"])) for e in doc["edges"]}
+        u, v = rng.choice([p for p in hats[before] if frozenset(p) not in edges])
+        hat = Fraction(hats[before][u, v][1]["value"])
+        admissible = floppy[before] and rng.random() < 0.5
+        if admissible:
+            check = Fraction(run(capsys, before, "query", "--check", u, v)[1]["value"])
+            lo = check / 3 + 2 * hat / 3
+            w = lo + (hat - lo) * Fraction(rng.randrange(64), 64)  # lo itself one time in 64
+        else:
+            w = hat
+        edge = {"u": u, "v": v, "w": str(w)} if rng.random() < 0.5 else {"u": v, "v": u, "w": str(w)}
+        at = rng.randrange(len(doc["edges"]) + 1)
+        mutant = {"vertices": doc["vertices"], "edges": [*doc["edges"][:at], edge, *doc["edges"][at:]]}
+        after.write_text(json.dumps(mutant))
+        if admissible:
+            counts["admissible"] += 1
+            code, report = run(capsys, after, "floppy")
+            assert (code, report["floppy"]) == (0, True), mutant
+        else:
+            counts["at_hat"] += 1
+            code, report = run(capsys, after, "validate")
+            assert (code, report["graph_metric"]) == (0, True), mutant
+            assert {p: run(capsys, after, "query", "--hat", *p) for p in hats[before]} == hats[before], mutant
     assert min(counts.values()) > 0, counts

@@ -37,8 +37,39 @@ from floppymetrics.game import (
     accumulate,
 )
 from floppymetrics.generators import cantor_tree, random_floppy
+from floppymetrics.glue import floppy_certificate, gateway_slack, glue, glue_hat, validate_patchwork
 
 from conftest import ReferenceAdversary, metric_state
+
+
+class TestWrongTypes:
+    """Every game and glue entry point rejects a base that is not a metric, or a patchwork that is not a
+    ``Patchwork``, with ``MalformedInputError`` before any other work."""
+
+    CALLS = {
+        "accumulate": lambda x: accumulate(x, []),
+        "play": lambda x: play(x, 1, ScriptedFirstPlayer([]), ProbeSecondPlayer("mid")),
+        "winning_player_one": winning_player_one,
+        "sabotage_witness": lambda x: sabotage_witness(x, {}),
+        "replay_sabotage": lambda x: replay_sabotage(x, {}, None),
+        "validate_patchwork": validate_patchwork,
+        "glue": glue,
+        "glue_hat": lambda x: glue_hat(x, "a", "b"),
+        "gateway_slack": lambda x: gateway_slack(x, "a", ["b"]),
+        "floppy_certificate": floppy_certificate,
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("arg", [None, "x", [1]], ids=["none", "str", "list"])
+    def test_rejected_as_malformed(self, call, arg):
+        message = f"^expected a (PartialMetric|Patchwork), got {type(arg).__name__}$"
+        with pytest.raises(MalformedInputError, match=message):
+            call(arg)
+
+    @pytest.mark.parametrize("call", ["validate_patchwork", "glue", "glue_hat", "gateway_slack", "floppy_certificate"])
+    def test_a_metric_is_not_a_patchwork(self, call, path_abcd):
+        with pytest.raises(MalformedInputError, match="^expected a Patchwork, got PartialMetric$"):
+            self.CALLS[call](path_abcd)
 
 
 class TestChoiceSet:
@@ -214,7 +245,7 @@ class TestReferee:
 
     @pytest.mark.parametrize("length", [True, 1.5, "3", None], ids=["bool", "float", "str", "none"])
     def test_rejects_a_length_that_is_not_an_int(self, h_graph, length):
-        with pytest.raises(MalformedInputError, match="game length must be a nonnegative int"):
+        with pytest.raises(MalformedInputError, match="game length must be an int"):
             play(h_graph, length, winning_player_one(h_graph), RandomSecondPlayer(0))
 
     def test_requires_graph_metric_base(self):
@@ -321,6 +352,20 @@ class TestSabotage:
     def test_missing_set_raises(self, path_abcd):
         with pytest.raises(MissingChoiceSetError):
             sabotage_witness(path_abcd, {})
+
+    def test_every_set_must_be_a_choice_set(self, path_abcd):
+        """Checked for every missing pair before the search, as ``full_extend`` checks each step's set."""
+        sets = {d: ChoiceSet.of_points(1, 100) for d in path_abcd.non_edges()}
+        sets[max(sets)] = (1, 100)
+        with pytest.raises(MalformedInputError, match="must be a ChoiceSet"):
+            sabotage_witness(path_abcd, sets)
+
+    @pytest.mark.parametrize("sets", [[], None, "a,c"], ids=["list", "none", "str"])
+    def test_sets_must_be_a_mapping(self, path_abcd, sets):
+        with pytest.raises(MalformedInputError, match="choice sets must be a mapping"):
+            sabotage_witness(path_abcd, sets)
+        with pytest.raises(MalformedInputError, match="choice sets must be a mapping"):
+            replay_sabotage(path_abcd, sets, None)
 
     def test_trigger_matches_the_diameter_rule(self, path_abcd):
         """The two-end trigger plans as ``3 * sep < diameter()`` did, on the criterion-6 corpus and on seeded

@@ -110,6 +110,18 @@ class TestMetricDocs:
         with pytest.raises(MalformedInputError, match=re.escape(f"unknown key(s) {extra!r} (only")):
             read(doc)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1"}], '
+         '"edges": [{"u": "a", "v": "b", "w": "5"}]}', "edges"),
+        ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1", "w": "5"}]}', "w"),
+    ], ids=["document", "edge-entry"])
+    def test_repeated_key_rejected_and_named(self, tmp_path, text, key):
+        """Each file used to load as ab = 5: the JSON reader kept the last value of a repeated key."""
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(MalformedInputError, match=re.escape(f"repeats the key {key!r}")):
+            load_metric(path)
+
     def test_duplicate_edge_same_weight_ok(self):
         doc = {
             "vertices": ["a", "b"],
@@ -311,6 +323,11 @@ class TestChoiceSetDocs:
                 choice_set_from_doc(doc)
         with pytest.raises(MalformedInputError):
             choice_map_from_doc([1])
+
+    def test_pair_named_twice_rejected(self):
+        """The later set used to replace the earlier one; both keys are named."""
+        with pytest.raises(MalformedInputError, match=re.escape("names pair {a,y} twice: 'a,y' and 'y,a'")):
+            choice_map_from_doc({"a,y": {"points": ["21/2"]}, "y,a": {"intervals": [["0", None]]}})
 
     @pytest.mark.parametrize("doc", [{"points": ["1"], "intervls": [["0", None]]}, {"point": ["1"]},
                                      {"points": ["1"], "intervals": [], "": []}])

@@ -185,12 +185,18 @@ def step_values(m, d):
 class TestFloppinessSweep:
     @pytest.mark.parametrize("seed", range(12))
     def test_is_floppy_matches_per_pair_loop(self, seed):
+        """Metric samples through ``is_floppy``; pseudometric samples, which it rejects, through ``_gaps``,
+        the sweep the glued-patchwork certificate reads."""
         for m in sample_metrics(seed):
             rep = validate(m)
             if not rep.graph_pseudometric:
                 continue
-            got = is_floppy(m, require_metric=rep.graph_metric)
-            assert got == reference_is_floppy(m), got
+            gaps = {d: shortest_path(m, d.a, d.b) - lower_envelope(m, d.a, d.b) for d in m.non_edges()}
+            assert m._gaps() == gaps
+            if rep.graph_metric:
+                assert is_floppy(m) == reference_is_floppy(m)
+            else:  # the certificate's reading of a piece's floppiness
+                assert all(g > 0 for g in m._gaps().values()) == reference_is_floppy(m).floppy
 
     def test_tied_gaps_report_the_first_pair(self):
         for m in (cycle_metric(6), cycle_metric(7, Fraction(2, 3)), star_metric(5), cantor_tree(3)):
