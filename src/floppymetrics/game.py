@@ -10,7 +10,8 @@ Provided players:
 
 * ``winning_player_one`` -- offers the open interval that keeps the running
   metric floppy; wins whenever the game is long enough to cover every missing
-  pair, against every legal opponent.
+  pair, against every legal opponent.  Like the adversary, it starts afresh
+  on another history list or a shorter history.
 * ``adversary_player_two`` -- waits for an inning where the offered set allows
   an answer too far (w.r.t. the pair pseudometric) from a previous answer,
   then takes it, wrecking the triangle inequality.  It keeps the distinct
@@ -105,10 +106,14 @@ def play(base: PartialMetric, game_length: int, player_one, player_two) -> GameT
     offered)`` returns an answer from the offered set; ``history`` is the
     list of moves so far.  Any other proposal loses by ``ILLEGAL_MOVE_I``.
     Moves are only checked against their offered sets while the game runs;
-    the accumulated relation is validated once, after the last inning.
+    the accumulated relation is validated once, after the last inning.  A
+    player without its method callable is rejected before the first inning.
     """
     _count(game_length, 0, "game length")
     _require_graph_metric(base)
+    for player, method in ((player_one, "propose"), (player_two, "respond")):
+        if not callable(getattr(player, method, None)):
+            raise MalformedInputError(f"a player must have a callable {method}, got {type(player).__name__}")
     moves = []
     for _ in range(game_length):
         try:
@@ -147,20 +152,21 @@ class WinningFirstPlayer:
 
     The strategy is the only holder of a running metric, its own copy of
     the base: each call adjoins the history moves it has not yet seen, in
-    place, and a history shorter than the last one means a new game, so the
-    metric restarts from a fresh copy of the base.
+    place.  As for the adversary, another ``history`` list, or one shorter
+    than at the last call, means a new game, so the metric restarts from a
+    fresh copy of the base.
     """
 
     def __init__(self, base: PartialMetric):
         _require_floppy(base)
         self._missing = base.non_edges()
         self._base = base
-        self._running = base._copy()
+        self._history = self._running = None
         self._seen = 0
 
     def propose(self, base, history):
-        if len(history) < self._seen:  # a new game has started
-            self._running, self._seen = self._base._copy(), 0
+        if history is not self._history or len(history) < self._seen:  # a new game has started
+            self._history, self._running, self._seen = history, self._base._copy(), 0
         for mv in history[self._seen :]:
             if not self._running.is_edge(mv.pair):
                 self._running._adjoin(mv.pair, mv.answer)
@@ -317,4 +323,6 @@ def sabotage_witness(base: PartialMetric, choice_sets) -> SabotagePlan | None:
 def replay_sabotage(base: PartialMetric, choice_sets, plan: SabotagePlan) -> GameTranscript:
     """Play out a plan: Player I offers every missing pair's own choice set."""
     script = [(d, _choice_set(choice_sets, d)) for d in _metric(base).non_edges()]
+    if not isinstance(plan, SabotagePlan):  # sabotage_witness returns None when no plan exists
+        raise MalformedInputError(f"expected a SabotagePlan, got {type(plan).__name__}")
     return play(base, len(script), ScriptedFirstPlayer(script), PlanSecondPlayer(plan))

@@ -9,11 +9,15 @@ which the glued metric is provably floppy and returns per-pair gap bounds.
 
 A ``Patchwork`` is immutable and caches two values on first use: its
 ``validate_patchwork`` report, and its validated union, a ``PartialMetric``
-whose distance table and envelope rows are in turn built once.  ``glue``,
-``gateway_slack`` and ``floppy_certificate`` all read that one union.
-Every entry point first admits its patchwork by one rule, ``_patchwork``.
-This module is the only one that admits pseudometrics: the base and the
-pieces of a patchwork.
+whose distance table and envelope rows are in turn built once.  ``glue``
+and ``gateway_slack``, whose vertex and gates may lie in different members,
+read that one union.  ``glue_hat`` and the certificate's slacks read the
+members: within one member the glued distance is the member's own.  A
+certificate reads the union only once it is certified, for its measured
+gaps, so one that fails builds no union.  Every entry point first admits
+its patchwork by one rule, ``_patchwork``, and a ``Patchwork`` admits its
+base and pieces as metrics.  This module is the only one that admits
+pseudometrics: the base and the pieces of a patchwork.
 """
 
 from __future__ import annotations
@@ -22,17 +26,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Doubleton, PartialMetric, _Record, _jsonable, shortest_path, validate
+from .core import Doubleton, PartialMetric, _Record, _jsonable, _metric, shortest_path, validate
 from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexError
 
 @dataclass(frozen=True)
 class Patchwork:
+    """A base and its pieces, each a ``PartialMetric``; ``pieces`` is a list or tuple, kept as a tuple.
+
+    Validation, ``glue_hat`` and the certificate's verdict read the members;
+    ``glue``, ``gateway_slack`` and a certified certificate's measured gaps
+    read the union ``_glued``.
+    """
+
     base: PartialMetric
     pieces: tuple
 
     def __init__(self, base, pieces):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pieces", tuple(pieces))
+        if not isinstance(pieces, (list, tuple)):
+            raise MalformedInputError(f"patchwork pieces must be a list or tuple, got {type(pieces).__name__}")
+        object.__setattr__(self, "base", _metric(base))
+        object.__setattr__(self, "pieces", tuple(map(_metric, pieces)))
 
     def gateways(self, i: int) -> frozenset:
         """Vertices a piece shares with the base."""
@@ -164,18 +177,21 @@ def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
     """Minimal triangle slack of v against a gateway set B.
 
     min over a, b in B of d(a,v) + d(v,b) - d(a,b), distances in the glued
-    metric; a == b is allowed and gives 2*d(a,v).
+    metric; a == b is allowed and gives 2*d(a,v).  B is a list, tuple, set or
+    frozenset: a ``str`` is not read as a set of labels.
     """
     _patchwork(pw)
+    if not isinstance(gates, (list, tuple, set, frozenset)):
+        raise MalformedInputError(f"gateway set must be a list, tuple, set or frozenset, got {type(gates).__name__}")
     gates = sorted(set(gates))
     if not gates:
         raise EmptyGatewaySetError("gateway set must be nonempty")
     return _slack(pw._glued, v, gates)
 
 
-def _slack(glued: PartialMetric, v: str, gates) -> Fraction:
-    to_v = [(a, shortest_path(glued, a, v)) for a in gates]
-    return min(av + bv - shortest_path(glued, a, b) for a, av in to_v for b, bv in to_v)
+def _slack(m: PartialMetric, v: str, gates) -> Fraction:
+    to_v = [(a, shortest_path(m, a, v)) for a in gates]
+    return min(av + bv - shortest_path(m, a, b) for a, av in to_v for b, bv in to_v)
 
 
 @dataclass
@@ -207,45 +223,43 @@ def floppy_certificate(pw: Patchwork) -> CertReport:
     the piece have strictly positive slack against the piece's gateways.  On
     success the report carries, for every cross pair, the provable lower
     bound on its floppiness gap together with the measured gap.
+
+    Each slack is read in the member that holds its vertex and the gateways,
+    the piece for x and the base for y, where the glued distance is the
+    member's own.  So the verdict reads only members, and only a certified
+    patchwork builds the union, for its measured gaps.
     """
     _require_valid(pw)  # the base is a full pseudometric and each piece a connected one: base_full is True
     pieces_floppy = [all(g > 0 for g in piece._gaps().values()) for piece in pw.pieces]
-    glued = pw._glued
     slack_failures = []
-    piece_slacks = []  # per piece: dict vertex -> slack against that piece's gateways
+    per_piece = []  # per piece: its vertices off the base, the base vertices off it, and each one's slack
     for i, piece in enumerate(pw.pieces):
         gates = sorted(pw.gateways(i))
+        outside = sorted(piece.vertices - pw.base.vertices)
+        base_off = sorted(pw.base.vertices - piece.vertices)
         slacks = {}
-        for x in sorted(piece.vertices - pw.base.vertices):
-            slacks[x] = _slack(glued, x, gates)
-            if slacks[x] <= 0:
-                slack_failures.append(f"piece {i}: slack of {x} against gateways is {slacks[x]}")
-        for y in sorted(pw.base.vertices - piece.vertices):
-            slacks[y] = _slack(glued, y, gates)
-            if slacks[y] <= 0:
-                slack_failures.append(f"piece {i}: slack of base vertex {y} against gateways is {slacks[y]}")
-        piece_slacks.append(slacks)
-    certified = all(pieces_floppy) and not slack_failures
-    if not certified:
+        for member, vertices, kind in ((piece, outside, ""), (pw.base, base_off, "base vertex ")):
+            for v in vertices:
+                slacks[v] = slack = _slack(member, v, gates)
+                if slack <= 0:
+                    slack_failures.append(f"piece {i}: slack of {kind}{v} against gateways is {slack}")
+        per_piece.append((outside, base_off, slacks))
+    if not all(pieces_floppy) or slack_failures:
         return CertReport(False, True, pieces_floppy, slack_failures, None, [])
 
-    gaps = glued._gaps()  # every bounded cross pair is a non-edge
+    gaps = pw._glued._gaps()  # every bounded cross pair is a non-edge
     glued_floppy = all(g > 0 for g in gaps.values())  # vacuously true when the union is full
-
-    def bound(x, y, delta):
-        d = Doubleton(x, y)
-        return GapBound(d, delta, gaps[d])
-
     bounds = []
-    for i, piece in enumerate(pw.pieces):
-        outside = sorted(piece.vertices - pw.base.vertices)
+    for i, (outside, base_off, slacks) in enumerate(per_piece):
         # piece vertex vs base vertex not in the piece
         for x in outside:
-            for y in sorted(pw.base.vertices - piece.vertices):
-                bounds.append(bound(x, y, min(piece_slacks[i][x], piece_slacks[i][y] / 2)))
+            for y in base_off:
+                d = Doubleton(x, y)
+                bounds.append(GapBound(d, min(slacks[x], slacks[y] / 2), gaps[d]))
         # piece vertex vs other-piece vertex
-        for j in range(i + 1, len(pw.pieces)):
+        for other, _, other_slacks in per_piece[i + 1 :]:
             for x in outside:
-                for y in sorted(pw.pieces[j].vertices - pw.base.vertices):
-                    bounds.append(bound(x, y, min(piece_slacks[i][x], piece_slacks[j][y])))
+                for y in other:
+                    d = Doubleton(x, y)
+                    bounds.append(GapBound(d, min(slacks[x], other_slacks[y]), gaps[d]))
     return CertReport(True, True, pieces_floppy, slack_failures, glued_floppy, bounds)

@@ -72,10 +72,12 @@ def metric_to_doc(m: PartialMetric) -> dict:
 
 def metric_from_doc(doc) -> PartialMetric:
     """Check only the JSON shape and the keys; ``PartialMetric`` admits the labels and the ``((u, v), w)`` entries."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"metric document must be an object, got {type(doc).__name__}")
     try:
         vertices = doc["vertices"]
         raw_edges = doc["edges"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise MalformedInputError(f"metric document missing field: {exc}") from exc
     _only(doc, ("vertices", "edges"), "metric document")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):

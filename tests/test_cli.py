@@ -316,6 +316,10 @@ class TestGen:
         assert (code, doc["error"]) == (2, "REJECT_MALFORMED")
         assert "scale must be positive" in doc["message"]
 
+    def test_random_exhausted_exits_1(self, capsys):
+        code, doc = run(capsys, "gen", "random", "--n", "20", "--seed", "1")
+        assert (code, doc["error"]) == (1, "GENERATION_EXHAUSTED")
+
     def test_depth_zero_keeps_its_code(self, capsys):
         code, doc = run(capsys, "gen", "cantor", "--depth", "0")
         assert (code, doc["error"]) == (1, "DEPTH_ZERO")
@@ -395,6 +399,15 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(out)["error"] == "REJECT_MALFORMED"
         assert err == ""
+
+    @pytest.mark.parametrize("doc", [[], "abc", 5, None], ids=["list", "str", "int", "null"])
+    def test_metric_document_must_be_an_object(self, capsys, tmp_path, doc):
+        """``[]`` used to read "metric document missing field: list indices must be integers or slices"."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "floppy", str(path))
+        assert (code, out["error"]) == (2, "REJECT_MALFORMED")
+        assert out["message"] == f"metric document must be an object, got {type(doc).__name__}"
 
     def test_unknown_key_is_named(self, capsys, tmp_path):
         """An edge entry holds exactly u, v and w: an extra ``weight`` used to be dropped silently."""

@@ -10,6 +10,7 @@ from floppymetrics import (
     ChoiceSet,
     Move,
     PartialMetric,
+    Patchwork,
     adversary_player_two,
     doubleton_dist,
     pair,
@@ -70,6 +71,50 @@ class TestWrongTypes:
     def test_a_metric_is_not_a_patchwork(self, call, path_abcd):
         with pytest.raises(MalformedInputError, match="^expected a Patchwork, got PartialMetric$"):
             self.CALLS[call](path_abcd)
+
+    BASE = PartialMetric(["a", "b"], {pair("a", "b"): 2})
+
+    @pytest.mark.parametrize("base, pieces, message", [
+        (BASE, None, "patchwork pieces must be a list or tuple, got NoneType"),
+        (BASE, "ab", "patchwork pieces must be a list or tuple, got str"),
+        (BASE, {BASE}, "patchwork pieces must be a list or tuple, got set"),
+        (None, [], "expected a PartialMetric, got NoneType"),
+        (BASE, [BASE, 5], "expected a PartialMetric, got int"),
+    ], ids=["pieces-none", "pieces-str", "pieces-set", "base-none", "piece-int"])
+    def test_patchwork_admits_its_members(self, base, pieces, message):
+        """``Patchwork(base, None)`` raised ``TypeError``, and ``"ab"`` built the pieces ``('a', 'b')``."""
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            Patchwork(base, pieces)
+
+    @pytest.mark.parametrize("gates", ["ab", None, 5, {"a": 1}], ids=["str", "none", "int", "dict"])
+    def test_gateway_set_is_a_collection(self, gates):
+        """The string ``"ab"`` was read as the set {a, b}; ``None`` raised ``TypeError``."""
+        pw = Patchwork(self.BASE, [PartialMetric(["a", "x"], {pair("a", "x"): 1})])
+        message = f"^gateway set must be a list, tuple, set or frozenset, got {type(gates).__name__}$"
+        with pytest.raises(MalformedInputError, match=message):
+            gateway_slack(pw, "x", gates)
+        assert [gateway_slack(pw, "x", kind(["a", "b"])) for kind in (list, tuple, set, frozenset)] == [2] * 4
+
+    class _Nothing:
+        respond = propose = None  # present, not callable
+
+    @pytest.mark.parametrize("role", ["one", "two"])
+    @pytest.mark.parametrize("player", [None, object(), _Nothing()], ids=["none", "object", "not-callable"])
+    def test_players_have_their_methods(self, path_abcd, role, player):
+        """A player without its method raised ``AttributeError`` in the first inning."""
+        players = {"one": winning_player_one(path_abcd), "two": ProbeSecondPlayer("mid")}
+        method = {"one": "propose", "two": "respond"}[role]
+        players[role] = player
+        with pytest.raises(MalformedInputError, match=f"^a player must have a callable {method}, got "):
+            play(path_abcd, 3, players["one"], players["two"])
+
+    @pytest.mark.parametrize("plan", [None, "plan", {}], ids=["none", "str", "dict"])
+    def test_replay_takes_a_plan(self, path_abcd, plan):
+        """``sabotage_witness`` returns ``None`` when no plan exists; replaying it raised ``AttributeError``."""
+        sets = {d: ChoiceSet.of_points(1) for d in path_abcd.non_edges()}
+        assert sabotage_witness(path_abcd, sets) is None
+        with pytest.raises(MalformedInputError, match=f"^expected a SabotagePlan, got {type(plan).__name__}$"):
+            replay_sabotage(path_abcd, sets, plan)
 
 
 class TestChoiceSet:
@@ -300,8 +345,32 @@ class TestWinningStrategy:
         assert reused.verdict == PLAYER_I_WINS
         assert [mv.offered for mv in reused.moves] == [mv.offered for mv in fresh.moves]
 
+    def test_one_strategy_serves_games_and_history_lists(self):
+        """Reused on another history list, on a history cut short and across games, the strategy offers as a
+        fresh one.  It used to start a new game only on a shorter history, so another list as long as the
+        last was read as the last game going on."""
+        base = cantor_tree(2)
+        shared = winning_player_one(base)
+
+        def innings(player, p2, k):
+            history = []
+            for _ in range(k):
+                d, offered = player.propose(base, history)
+                history.append(Move(d, offered, p2.respond(base, history, d, offered)))
+            return history
+
+        innings(shared, ProbeSecondPlayer("mid"), 2)
+        other = innings(winning_player_one(base), ProbeSecondPlayer("low"), 2)
+        assert shared.propose(base, other) == winning_player_one(base).propose(base, other)
+        del other[1:]  # the same list, cut short: a new game on it
+        assert shared.propose(base, other) == winning_player_one(base).propose(base, other)
+        length = len(base.non_edges())
+        for mode in ("high", "low"):
+            games = [play(base, length, p1, ProbeSecondPlayer(mode)) for p1 in (shared, winning_player_one(base))]
+            assert games[0].to_json() == games[1].to_json()
+
     def test_two_games_leave_the_base_unchanged(self):
-        """The strategy adjoins into its own copy of the base, at construction and on restart."""
+        """The strategy adjoins into its own copy of the base, made at the first call and on restart."""
         base = cantor_tree(2)
         length = len(base.non_edges())
         p1 = winning_player_one(base)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from floppymetrics import is_floppy, lower_envelope, pair, shortest_path, validate
-from floppymetrics.errors import DepthZeroError, MalformedInputError
+from floppymetrics.errors import DepthZeroError, GenerationExhaustedError, MalformedInputError
 from floppymetrics.generators import (
     cantor_tree,
     complete_metric,
@@ -184,6 +184,11 @@ class TestRandomFloppy:
     def test_scale_applies(self):
         m = random_floppy(5, Fraction(1, 2), 3, scale=Fraction(1, 4))
         assert all(w.denominator in (1, 2, 4) for w in m.edges.values())
+
+    def test_gives_up_after_its_attempts(self):
+        """At n = 20 and density 1/2, seed 1 draws no floppy instance in its 64 attempts."""
+        with pytest.raises(GenerationExhaustedError, match=r"^no floppy instance after 64 attempts \(seed 1\)$"):
+            random_floppy(20, "1/2", 1)
 
     def test_parameter_validation(self):
         with pytest.raises(MalformedInputError):

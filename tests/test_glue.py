@@ -208,6 +208,39 @@ class TestFloppyCertificate:
         assert not rep.certified
         assert rep.slack_failures
 
+    def test_a_failing_certificate_builds_no_union(self):
+        """The verdict reads only members: a certificate that fails never builds the union ``_glued``."""
+        zero_slack = Patchwork(
+            PartialMetric(["a", "b"], {pair("a", "b"): 2}),
+            [PartialMetric(["a", "b", "x"], {pair("a", "b"): 2, pair("a", "x"): 1, pair("b", "x"): 1})],
+        )
+        drawn = [random_patchwork(random.Random(seed)) for seed in range(120)]
+        failing = [pw for pw in (zero_slack, *drawn) if not floppy_certificate(pw).certified]
+        assert failing[0] is zero_slack and len(failing) >= 40
+        assert not any("_glued" in pw.__dict__ for pw in failing)
+        certified = three_part_patchwork()
+        assert floppy_certificate(certified).certified and "_glued" in certified.__dict__
+
+    def test_member_slacks_equal_the_union_slacks(self, monkeypatch):
+        """Every slack the certificate reads in a member equals the same slack read in the union, the oracle."""
+        slack, read = glue_module._slack, []
+
+        def recorded(member, v, gates):
+            value = slack(member, v, gates)
+            read.append((member, v, tuple(gates), value))
+            return value
+
+        monkeypatch.setattr(glue_module, "_slack", recorded)
+        rng = random.Random(2306)
+        for _ in range(200):
+            pw = random_patchwork(rng)
+            del read[:]
+            floppy_certificate(pw)
+            assert read
+            for member, v, gates, value in read:
+                assert member is pw.base or any(member is piece for piece in pw.pieces)
+                assert value == slack(pw._glued, v, gates), (v, gates)
+
     def test_certified_random_patchworks_are_floppy_with_valid_bounds(self):
         """Each patchwork is also tried with its weights times 3/7, so gaps are read over a denominator."""
         rng = random.Random(4242)

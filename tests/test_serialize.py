@@ -287,7 +287,7 @@ class TestPatchworkDocs:
             ({"base": {"vertices": ["a"], "edges": []}, "pieces": {}}, "patchwork pieces must be a list, got dict"),
             ({"base": {"vertices": ["a"], "edges": []}, "pieces": "ab"}, "patchwork pieces must be a list, got str"),
             ({"pieces": []}, "patchwork document missing field: 'base'"),
-            ({"base": {"vertices": ["a"], "edges": []}, "pieces": [5]}, "metric document missing field"),
+            ({"base": {"vertices": ["a"], "edges": []}, "pieces": [5]}, "metric document must be an object, got int"),
         ],
     )
     def test_shapes_rejected_with_accurate_message(self, doc, message):
