@@ -27,10 +27,16 @@ per pair, and ``_check`` is the one place that scan is written.
 
 The metric is its own reader.  Its private methods read hat, check and the
 doubleton distance dd as ints times L, each in one place: per pair
-``_hat``, ``_envelope`` and ``_dd``; in bulk ``_pairs`` (every vertex pair
-with its hat and check, for the step statements) and ``_gaps`` (hat - check
-at every non-edge, for the maxgap order and the certificate bounds); and
-``_denominator`` returns L.  Each read raises what the public API raises.
+``_hat``, ``_envelope`` and ``_dd``, whose endpoint matching ``_matching``
+is written once; in bulk ``_step_pairs`` (every vertex pair's hat, check
+and dd to a new edge xy, with its hat and check in the extension by xy, for
+the step statements) and ``_gaps`` (hat - check at every non-edge, for the
+maxgap order and the certificate bounds); and ``_denominator`` returns L.
+``_step_pairs`` rescans the extension's envelope only at a pair that meets
+A, the vertices whose distance to x or to y the new edge shortens: outside
+A the extension's table rows are the old ones and its envelope rows differ
+only at columns x and y, so check' there is the old check and two terms,
+O(1) per pair.  Each read raises what the public API raises.
 ``shortest_path``, ``lower_envelope`` and ``doubleton_dist`` are each one
 Fraction of a read, after their arguments are admitted.  Each kind of
 argument has one admission rule, which every public entry point that takes
@@ -293,12 +299,10 @@ class PartialMetric:
         return 0 if i == j else _check(_envelope_rows(self)[i], self._table()[j])
 
     def _dd(self, p, q) -> int:
-        """dd(p, q) times L, the cheaper endpoint matching of the ``Doubleton`` p and the pair q, which may also
-        be a ``(u, v)`` tuple, as ``verify_step_properties`` passes it; ``doubleton_dist`` admits only a ``Doubleton``.
+        """dd(p, q) times L, the cheaper endpoint matching (``_matching``) of the ``Doubleton`` p and the pair q.
 
-        This read runs once per vertex pair in ``verify_step_properties`` and once per earlier move in the
-        game's adversary, so it looks the four labels up in one ``try`` and takes the least matching in a loop,
-        without a list.
+        This read runs once per earlier move in the game's adversary, so it looks the four labels up in one
+        ``try``.
         """
         (c, d), index = q, self._index
         try:
@@ -306,22 +310,45 @@ class PartialMetric:
         except KeyError as exc:
             raise UnknownVertexError(f"unknown vertex {exc.args[0]!r}") from None
         t = self._table()
-        ti, tj, best = t[i], t[j], None
-        for h, g in ((ti[k], tj[l]), (ti[l], tj[k])):
-            if h is not None and g is not None and (best is None or h + g < best):
-                best = h + g
-        if best is None:
+        if (best := _matching(t[i], t[j], k, l)) is None:
             raise DisconnectedError(f"pairs {p} and {Doubleton(c, d)} span disconnected components")
         return best
 
-    def _pairs(self):
-        """``(u, v, hat, check)`` at every vertex pair uv in sorted order, hat and check times L; the first pair
-        that no chain connects raises ``shortest_path``'s ``DisconnectedError``."""
-        t, rows = self._table(), _envelope_rows(self)
+    def _step_pairs(self, extended: "PartialMetric", xy: Doubleton):
+        """``(u, v, hat, check, hat', check', dd(xy, uv))`` at every vertex pair uv in sorted order, for
+        ``extended``, this metric with the edge ``xy`` adjoined: ints over the extension's L', this metric's
+        values times k = L'/L.
+
+        hat and check are read as ``_hat`` and ``_envelope`` read them, one ``_check`` per pair.  Let A be the
+        vertices w with hat'(w, x) < k hat(w, x) or hat'(w, y) < k hat(w, y), found by one scan of the
+        extension's table rows x and y: the sets S_x and S_y of ``_relax_through``.  The relaxation writes the
+        table only in rows in A, and the envelope rows outside A only at columns x and y.  So for u and v
+        outside A, check'(u, v) = max(k check(u, v), R'_u[x] - hat'(x, v), R'_u[y] - hat'(y, v)): every other
+        term is k times one of check(u, v)'s, and R'_u only rises.  Only the pairs that meet A rescan with
+        ``_check`` on the extension's rows.  dd is ``_matching`` on this metric's table rows x and y.
+
+        The first pair with no hat, or with no dd to xy, raises what ``_hat`` or ``_dd`` raises.  A
+        disconnected metric always raises, at a pair outside xy's component; until then every pair rescans.
+        """
+        t, rows, t2, rows2 = self._table(), _envelope_rows(self), extended._table(), _envelope_rows(extended)
+        k = extended._scale // self._scale
+        x, y = self._index[xy.a], self._index[xy.b]
+        tx, ty, tx2, ty2 = t[x], t[y], t2[x], t2[y]
+        if None in tx:
+            rescan = set(range(len(t)))
+        else:
+            rescan = {w for w, (h, g, h2, g2) in enumerate(zip(tx, ty, tx2, ty2)) if h2 < k * h or g2 < k * g}
         for (i, u), (j, v) in combinations(enumerate(self._index), 2):
             if (h := t[i][j]) is None:
                 raise DisconnectedError(f"no chain connects {u!r} and {v!r}")
-            yield u, v, h, _check(rows[i], t[j])
+            if (dd := _matching(tx, ty, i, j)) is None:
+                raise DisconnectedError(f"pairs {xy} and {Doubleton(u, v)} span disconnected components")
+            c = _check(rows[i], t[j]) * k
+            if i in rescan or j in rescan:
+                c2 = _check(rows2[i], t2[j])
+            else:
+                c2 = max(c, rows2[i][x] - tx2[j], rows2[i][y] - ty2[j])
+            yield u, v, h * k, c, t2[i][j], c2, dd * k
 
     def _gaps(self) -> dict:
         """``hat - check`` as a Fraction at every non-edge, keyed by pair in sorted order, from one ``_sweep``."""
@@ -488,6 +515,16 @@ def _envelope_rows(m: PartialMetric):
             rows.append(row)
         m._rows = rows
     return m._rows
+
+
+def _matching(ti, tj, k: int, l: int):
+    """min(ti[k] + tj[l], ti[l] + tj[k]): the cheaper endpoint matching of the pairs ij and kl over the table
+    rows ti and tj, each matching counted only where both its entries are finite; ``None`` when neither is."""
+    best = None
+    for h, g in ((ti[k], tj[l]), (ti[l], tj[k])):
+        if h is not None and g is not None and (best is None or h + g < best):
+            best = h + g
+    return best
 
 
 def _check(row, hy) -> int:

@@ -18,7 +18,9 @@ re-scored through ``_hat_check``.  A midpoint collision is bisected by
 ``_bisect_unused``, one Fraction per probe.  ``verify_step_properties``
 reads xy once, through ``_hat_check``, for its range check and the
 statement (5) hypothesis, and evaluates the five statements on the ints of
-both metrics' ``_pairs`` and ``_dd``, rescaled to the extension's L.  Every
+``_step_pairs``, one read of every pair in both metrics over the
+extension's L, which rescans the extension's envelope only where the new
+edge can change it.  Every
 entry point first admits its metric and its pair by ``core``'s one rule for
 each.  A ``ChoiceSet``, the paper's F_e and the game's offer, gives
 ``full_extend`` a pair's value; ``_choice_set`` is the one lookup of a
@@ -186,9 +188,11 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
 
     The guard of each conditional statement is evaluated exactly; pairs where
     a guard fails are simply not counted as applicable.  The values are ints
-    over the extension's common denominator L', read by both metrics'
-    ``_pairs`` and by ``m._dd``; ``m``'s are multiplied by k = L'/L, which is
-    exact, since max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])).
+    over the extension's common denominator L', read in one pass by
+    ``m._step_pairs``: hat, check and dd of ``m`` multiplied by k = L'/L,
+    which is exact, since max(0, max_b k(R[b] - h[b])) = k * max(0, max_b (R[b] - h[b])),
+    and hat and check of the extension, whose envelope is rescanned only at
+    the pairs that meet the vertices the new edge brings closer to x or y.
     Every statement is linear in them, so the integer comparisons are the
     exact ones.  xy's hat and check are read once, through ``_hat_check``, for
     the range check, the statement (5) hypothesis and the statements.  The
@@ -208,8 +212,7 @@ def verify_step_properties(m: PartialMetric, xy: Doubleton, r) -> StepPropertyRe
 
     count = count2 = count4 = 0
     fail1, fail2, fail3, fail4, fail5 = [], [], [], [], []
-    for (u, v, h_old, c_old), (_, _, h_new, c_new) in zip(m._pairs(), extended._pairs()):
-        h_old, c_old, dd = h_old * k, c_old * k, m._dd(xy, (u, v)) * k
+    for u, v, h_old, c_old, h_new, c_new, dd in m._step_pairs(extended, xy):
         count += 1
         if not (h_new <= h_old and c_new >= max(c_old, rs - dd)):
             fail1.append((u, v))

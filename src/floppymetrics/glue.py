@@ -10,9 +10,10 @@ which the glued metric is provably floppy and returns per-pair gap bounds.
 A ``Patchwork`` is immutable and caches two values on first use: its
 ``validate_patchwork`` report, and its validated union, a ``PartialMetric``
 whose distance table and envelope rows are in turn built once.  ``glue``
-and ``gateway_slack``, whose vertex and gates may lie in different members,
-read that one union.  ``glue_hat`` and the certificate's slacks read the
-members: within one member the glued distance is the member's own.  A
+reads that one union, and so does a ``gateway_slack`` whose vertex and
+gates lie in no one member.  ``glue_hat``, the certificate's slacks and
+every other ``gateway_slack`` read the members: within one member the
+glued distance is the member's own.  A
 certificate reads the union only once it is certified, for its measured
 gaps, so one that fails builds no union.  Every entry point first admits
 its patchwork by one rule, ``_patchwork``, and a ``Patchwork`` admits its
@@ -33,9 +34,9 @@ from .errors import EmptyGatewaySetError, MalformedInputError, UnknownVertexErro
 class Patchwork:
     """A base and its pieces, each a ``PartialMetric``; ``pieces`` is a list or tuple, kept as a tuple.
 
-    Validation, ``glue_hat`` and the certificate's verdict read the members;
-    ``glue``, ``gateway_slack`` and a certified certificate's measured gaps
-    read the union ``_glued``.
+    Validation, ``glue_hat``, the certificate's verdict and a ``gateway_slack``
+    inside one member read the members; ``glue``, any other ``gateway_slack``
+    and a certified certificate's measured gaps read the union ``_glued``.
     """
 
     base: PartialMetric
@@ -178,7 +179,10 @@ def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
 
     min over a, b in B of d(a,v) + d(v,b) - d(a,b), distances in the glued
     metric; a == b is allowed and gives 2*d(a,v).  B is a list, tuple, set or
-    frozenset: a ``str`` is not read as a set of labels.
+    frozenset: a ``str`` is not read as a set of labels.  When the base, or
+    one piece, holds v and every gate, the slack is read in that member,
+    whose distances are the glued ones on a valid patchwork; otherwise in
+    the union.
     """
     _patchwork(pw)
     if not isinstance(gates, (list, tuple, set, frozenset)):
@@ -186,7 +190,9 @@ def gateway_slack(pw: Patchwork, v: str, gates) -> Fraction:
     gates = sorted(set(gates))
     if not gates:
         raise EmptyGatewaySetError("gateway set must be nonempty")
-    return _slack(pw._glued, v, gates)
+    _require_valid(pw)
+    holders = (m for m in (pw.base, *pw.pieces) if v in m.vertices and m.vertices.issuperset(gates))
+    return _slack(next(holders, None) or pw._glued, v, gates)
 
 
 def _slack(m: PartialMetric, v: str, gates) -> Fraction:

@@ -173,10 +173,21 @@ def _dumps(doc, indent="\n") -> str:
     """``json.dumps(doc, indent=2)`` for str keys, strings, ints, bools, ``None``, lists and tuples.
 
     The stdlib takes its pure-Python encoder whenever ``indent`` is set; this
-    writer escapes strings with the same C function, ``encode_basestring_ascii``.
+    writer escapes strings with the same C function, ``encode_basestring_ascii``,
+    and writes the scalars itself, as that encoder does: ``true``, ``false``
+    and ``null``, and an int through ``int.__repr__``, which raises the same
+    ``ValueError`` past the interpreter's digit limit.
     """
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
     if isinstance(doc, (list, tuple, dict)):
         if not doc:
             return "{}" if isinstance(doc, dict) else "[]"
@@ -185,7 +196,7 @@ def _dumps(doc, indent="\n") -> str:
             items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in doc.items()]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
         return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in doc]) + indent + "]"
-    return json.dumps(doc)  # true, false, null, or an int
+    return json.dumps(doc)  # a value outside plain JSON data, a float say: the stdlib writes or rejects it
 
 
 # The two shapes that carry bulk output, as %-formats, one applied per step and one per edge.  A digit k

@@ -396,8 +396,8 @@ class TestMetricReads:
     """The metric's own integer reads, which every other module uses."""
 
     def test_reads_are_the_fraction_api_times_l(self, rng):
-        """``_hat``, ``_envelope`` and ``_dd`` times 1/L are the Fraction API, ``_pairs`` is the per-pair reads in
-        sorted order, and the reads raise the API's errors."""
+        """``_hat``, ``_envelope`` and ``_dd`` times 1/L are the Fraction API, ``_step_pairs`` is the per-pair
+        reads in sorted order, and the reads raise the API's errors."""
         for _ in range(10):
             m = random_connected_graph(rng, rng.randrange(4, 8))
             scale, labels = m._denominator(), sorted(m.vertices)
@@ -408,7 +408,11 @@ class TestMetricReads:
                     assert Fraction(m._envelope(x, y), scale) == lower_envelope(m, x, y), (x, y)
             for p in doubles:
                 assert [Fraction(m._dd(p, q), scale) for q in doubles] == [doubleton_dist(m, p, q) for q in doubles]
-            assert list(m._pairs()) == [(u, v, m._hat(u, v), m._envelope(u, v)) for u, v in combinations(labels, 2)]
+            for xy in m.non_edges()[:3]:  # at r = hat, L' = L: the step read is the per-pair reads of both metrics
+                e = m.with_edge(xy, Fraction(m._hat(xy.a, xy.b), scale))
+                assert list(m._step_pairs(e, xy)) == [(u, v, m._hat(u, v), m._envelope(u, v), e._hat(u, v),
+                                                       e._envelope(u, v), m._dd(xy, pair(u, v)))
+                                                      for u, v in combinations(labels, 2)]
         split = PartialMetric(["a", "b", "c", "p", "q"], {pair("a", "b"): 1, pair("b", "c"): 1, pair("p", "q"): 2})
         with pytest.raises(DisconnectedError, match="^no chain connects 'a' and 'p'$"):
             verify_step_properties(split, pair("a", "c"), Fraction(3, 2))

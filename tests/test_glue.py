@@ -168,6 +168,43 @@ class TestGatewaySlack:
         with pytest.raises(EmptyGatewaySetError):
             gateway_slack(three_part_patchwork(), "x", [])
 
+    def test_member_reads_equal_the_union_read(self):
+        """A vertex and gates that one member holds are read in that member, which builds no union; every
+        value equals the slack measured on the union's distances."""
+        rng = random.Random(779)
+        member_reads = union_reads = 0
+        for _ in range(25):
+            pw = random_patchwork(rng)
+            union = glue(pw)
+            hat = {(a, b): shortest_path(union, a, b) for a in union.vertices for b in union.vertices}
+            gate_sets = [sorted(pw.gateways(i)) for i in range(len(pw.pieces))] + [sorted(pw.base.vertices)[:2]]
+            for v in sorted(union.vertices):
+                for gates in gate_sets:
+                    fresh = Patchwork(pw.base, pw.pieces)
+                    want = min(hat[a, v] + hat[v, b] - hat[a, b] for a in gates for b in gates)
+                    assert gateway_slack(fresh, v, gates) == want, (v, gates)
+                    held = any(v in m.vertices and set(gates) <= m.vertices for m in (pw.base, *pw.pieces))
+                    assert ("_glued" not in vars(fresh)) == held
+                    member_reads += held
+                    union_reads += not held
+        assert member_reads and union_reads
+
+    def test_errors_keep_their_order(self):
+        """Wrong type, then an empty gate set, then an invalid patchwork, then an unknown vertex, whether or not
+        one member holds the vertex and the gates."""
+        base = PartialMetric(["a", "b"], {pair("a", "b"): 2})
+        invalid = Patchwork(base, [PartialMetric(["a", "b", "x"], {pair("a", "b"): 5, pair("a", "x"): 1})])
+        with pytest.raises(MalformedInputError, match="^gateway set must be"):
+            gateway_slack(invalid, "z", "ab")
+        with pytest.raises(EmptyGatewaySetError):
+            gateway_slack(invalid, "z", [])
+        for v, gates in (("x", ["a"]), ("z", ["a"]), ("x", ["z"])):
+            with pytest.raises(MalformedInputError, match="^invalid patchwork: "):
+                gateway_slack(invalid, v, gates)
+        for v, gates, name in (("z", ["a"], "z"), ("x", ["a", "z"], "z"), ("z", ["q"], "q")):
+            with pytest.raises(UnknownVertexError, match=f"^unknown vertex '{name}'$"):
+                gateway_slack(three_part_patchwork(), v, gates)
+
     def test_zero_slack_when_collinear(self):
         base = PartialMetric(
             ["a", "b", "c"],

@@ -4,7 +4,7 @@ That format is ints over the common denominator ``_scale``, ``None`` for
 +infinity, and table and envelope rows in ``_index`` order (``_at`` reads
 one label's index).  Every other module reads distances through the public
 API or the metric's own reads ``_hat``, ``_envelope``, ``_dd``,
-``_denominator``, ``_pairs`` and ``_gaps``, so a change of format edits
+``_denominator``, ``_step_pairs`` and ``_gaps``, so a change of format edits
 ``core`` alone.  This test parses each other module and fails on any
 attribute of the format and on any import of a private kernel function.
 ``_copy`` and ``_adjoin`` stay allowed: they are the running-metric API.

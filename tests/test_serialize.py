@@ -139,9 +139,24 @@ class TestWriter:
     def test_equals_the_stdlib(self):
         rng = random.Random(2202)
         docs = [{}, [], "", 0, {"": {}}, [[]], [{}, []], metric_to_doc(random_floppy(6, Fraction(1, 2), 3))]
+        scalars = [True, False, None, 0, -1, 2**200]  # written by _dumps itself, not by json.dumps
+        docs += scalars + [scalars, {"k": scalars, "nested": [{"s": s} for s in scalars]}]
         docs += [random_document(rng) for _ in range(400)]
         for doc in docs:
             assert _dumps(doc) == json.dumps(doc, indent=2), doc
+
+    def test_an_int_past_the_digit_limit_raises_as_the_stdlib_does(self):
+        """Both write the int, or both raise the same ``ValueError`` (Python 3.10.7+ limits str(int))."""
+
+        def outcome(write, doc):
+            try:
+                return write(doc)
+            except ValueError as exc:
+                return ("ValueError", str(exc))
+
+        big = 10**5000
+        for doc in (big, -big, [big], {"n": [0, big]}):
+            assert outcome(_dumps, doc) == outcome(lambda d: json.dumps(d, indent=2), doc)
 
     def test_dump_metric_writes_the_stdlib_bytes(self, tmp_path):
         m = random_floppy(7, Fraction(1, 2), 5, scale=Fraction(1, 3))

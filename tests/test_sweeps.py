@@ -32,7 +32,7 @@ from floppymetrics import (
 from floppymetrics.core import FloppyReport
 from floppymetrics.errors import DisconnectedError
 from floppymetrics.extension import ExtensionStep, StatementResult, StepPropertyReport
-from floppymetrics.generators import cantor_tree, cycle_metric, star_metric
+from floppymetrics.generators import cantor_tree, cycle_metric, path_metric, star_metric
 
 
 def reference_is_floppy(m):
@@ -276,6 +276,79 @@ class TestStepPropertySweep:
             got = outcome(verify_step_properties, m, pair(x, y), r)
             assert got == outcome(reference_step_properties, m, pair(x, y), r)
             assert got[0] == "DisconnectedError"
+
+
+def affected(m, extended, xy):
+    """The vertices whose distance to x or to y drops in the extension: the set A of ``_step_pairs``."""
+    return [w for w in sorted(m.vertices)
+            if any(shortest_path(extended, w, z) < shortest_path(m, w, z) for z in xy)]
+
+
+def assert_step_pairs_match_cold_rebuild(m, xy, r):
+    """``m._step_pairs`` at every pair against the public API on ``m`` and on the extension rebuilt cold from
+    its edges; returns the affected set."""
+    extended = m.with_edge(xy, r)
+    cold = PartialMetric(m.vertices, {**m.edges, xy: r})
+    scale = extended._denominator()
+    got = [(u, v, *(Fraction(n, scale) for n in ints)) for u, v, *ints in m._step_pairs(extended, xy)]
+    want = [(u, v, shortest_path(m, u, v), lower_envelope(m, u, v), shortest_path(cold, u, v),
+             lower_envelope(cold, u, v), doubleton_dist(m, xy, pair(u, v)))
+            for u, v in combinations(sorted(m.vertices), 2)]
+    assert got == want, (xy, r)
+    return affected(m, cold, xy)
+
+
+class TestStepPairs:
+    """The fused read of ``verify_step_properties``: a pair outside the affected set A reads the extension's
+    envelope in O(1), a pair that meets A rescans, and both must give the cold rebuild's values."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constructive_metrics(self, seed):
+        """Floppy taxicab metrics, where A is small: r at check, the theorem's lo, the midpoint, hat (A empty),
+        and a value with a new denominator."""
+        rng = random.Random(seed)
+        m = points_metric(rng, rng.randrange(14, 20), 0.4, denominators=(1, 3), plus=1)
+        sizes = []
+        for d in rng.sample(m.non_edges(), 4):
+            h, c = shortest_path(m, d.a, d.b), lower_envelope(m, d.a, d.b)
+            lo = c / 3 + 2 * h / 3
+            odd = (c + h) / 2 + Fraction(1, 7919)
+            assert m.with_edge(d, odd)._denominator() > m._denominator()
+            for r in (c, lo, (lo + h) / 2, h, odd):
+                sizes.append(len(assert_step_pairs_match_cold_rebuild(m, d, r)))
+        assert 0 in sizes and 2 in sizes  # r = hat, and a step whose A is x and y alone
+
+    @pytest.mark.parametrize("m, xy", [
+        (path_metric(12), pair("v0", "v6")),
+        (path_metric(9), pair("v1", "v7")),
+        (cycle_metric(10), pair("v0", "v5")),
+        (cycle_metric(9, Fraction(2, 3)), pair("v2", "v6")),
+    ], ids=["path12", "path9", "cycle10", "cycle9"])
+    def test_paths_and_cycles(self, m, xy):
+        """A short new edge, whose A covers most vertices; r = check, r = hat (A empty) and a new denominator."""
+        h, c = shortest_path(m, xy.a, xy.b), lower_envelope(m, xy.a, xy.b)
+        assert len(assert_step_pairs_match_cold_rebuild(m, xy, h / 5)) > len(m.vertices) / 2
+        assert assert_step_pairs_match_cold_rebuild(m, xy, h) == []
+        assert assert_step_pairs_match_cold_rebuild(m, xy, c)
+        assert assert_step_pairs_match_cold_rebuild(m, xy, h - Fraction(1, 101))
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_random_metrics(self, block):
+        """Random graph metrics and arbitrary weights, with r anywhere in [0, hat]: many pairs
+        with one end in A and one outside, whose envelope only a rescan reads."""
+        for seed in range(100 * block, 100 * block + 100):
+            rng = random.Random(seed)
+            for m in (points_metric(rng, rng.randrange(4, 9), 0.3), arbitrary_weights(rng, rng.randrange(4, 9), 0.3)):
+                for d in rng.sample(m.non_edges(), min(2, len(m.non_edges()))):
+                    h = shortest_path(m, d.a, d.b)
+                    assert_step_pairs_match_cold_rebuild(m, d, Fraction(rng.randrange(4 * h.numerator + 1), 4 * h.denominator))
+
+    def test_cantor_and_star(self):
+        for m in (cantor_tree(3), star_metric(6)):
+            for d in m.non_edges()[::3]:
+                h, c = shortest_path(m, d.a, d.b), lower_envelope(m, d.a, d.b)
+                for r in (c, (c + h) / 2, h):
+                    assert_step_pairs_match_cold_rebuild(m, d, r)
 
 
 class TestLazyMaxgap:
